@@ -33,7 +33,11 @@ _USAGE_ERRORS = (ConfigError, TraceFormatError, TraceValidationError,
 
 
 def _load_scenario(path: str) -> ScenarioConfig:
-    return parse_scenario(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not ASCII: {exc}") from None
+    return parse_scenario(text)
 
 
 def _read_trace(path: str, kind: StreamKind) -> StreamTrace:
@@ -146,7 +150,7 @@ def cmd_analyze(args) -> int:
 
 def _report_stage(scenario: ScenarioConfig, prefix: str, k: int,
                   svg_path: str) -> reporting.PanelReport:
-    if k >= len(scenario.pipeline):
+    if not 0 <= k < len(scenario.pipeline):
         raise ConfigError(f"config has no pipeline stage {k}")
     cfg = scenario.pipeline[k]
     base = _stage_prefix(prefix, k)
@@ -176,34 +180,36 @@ def cmd_report(args) -> int:
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args.config)
+    window = scenario.throughput_window_us
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     trace = _generate_trace(scenario, args.seed)
     _write(out / "input.csv", write_trace_csv(trace).decode("ascii"))
 
-    input_report = metrics_mod.metrics_report(trace, scenario.throughput_window_us)
-    _write_metrics(str(out / "metrics.input."), input_report)
-
-    if scenario.pipeline:
-        final, results = run_pipeline(list(scenario.pipeline), trace)
-        prefix = str(out) + "/"
-        current = trace
-        for k, result in enumerate(results):
-            _write_stage(prefix, k, current, result)
-            _report_stage(scenario, prefix, k, str(out / f"stage{k}.figure.svg"))
-            current = result.shaped
-        combined = ShapeResult(
-            shaped=final,
-            dropped=tuple(d for r in results for d in r.dropped),
-            occupancy=(),
-        )
-        comparison = metrics_mod.compare(trace, combined, scenario.throughput_window_us)
-        _write(out / "comparison.csv", reporting.comparison_csv(comparison))
-        _write_metrics(str(out / "metrics.output."), comparison.after)
-        print(f"packets={len(trace)} shaped={len(final)} "
-              f"dropped={len(combined.dropped)} stages={len(results)}")
-    else:
+    if not scenario.pipeline:
+        _write_metrics(str(out / "metrics.input."), metrics_mod.metrics_report(trace, window))
         print(f"packets={len(trace)} stages=0")
+        return EXIT_OK
+
+    final, results = run_pipeline(list(scenario.pipeline), trace)
+    prefix = str(out) + "/"
+    current = trace
+    for k, result in enumerate(results):
+        _write_stage(prefix, k, current, result)
+        _report_stage(scenario, prefix, k, str(out / f"stage{k}.figure.svg"))
+        current = result.shaped
+    combined = ShapeResult(
+        shaped=final,
+        dropped=tuple(d for r in results for d in r.dropped),
+        occupancy=(),
+    )
+    # compare() measures the input trace too; its report is the input's.
+    comparison = metrics_mod.compare(trace, combined, window)
+    _write_metrics(str(out / "metrics.input."), comparison.before)
+    _write(out / "comparison.csv", reporting.comparison_csv(comparison))
+    _write_metrics(str(out / "metrics.output."), comparison.after)
+    print(f"packets={len(trace)} shaped={len(final)} "
+          f"dropped={len(combined.dropped)} stages={len(results)}")
     return EXIT_OK
 
 

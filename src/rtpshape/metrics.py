@@ -2,8 +2,11 @@
 delay variation, wrap-aware loss, windowed throughput, and before/after
 shaping comparisons.
 
-Everything is computed in exact integer/rational arithmetic; decimal
-rendering happens only at the report boundary (format_decimal).
+Jitter is kept as a Q64 fixed-point integer (units of 2**-64 us), as RFC 3550
+section A.8 keeps it as a scaled integer; see interarrival_jitter for the
+recurrence and its error bound. Every other metric is exact integer or
+rational arithmetic. Decimal rendering happens only at the report boundary
+(format_decimal, format_jitter), in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ class InconsistentInputError(ValueError):
 
 @dataclass(frozen=True)
 class MetricsReport:
-    jitter_series: Optional[tuple[tuple[int, Fraction], ...]]
+    # Q64 jitter after each interarrival difference (packet 1 onwards), in
+    # units of 2**-64 us; render with format_jitter.
+    jitter_series: Optional[tuple[int, ...]]
     jitter_final_us: Optional[Fraction]
     pdv_per_packet_us: Optional[tuple[int, ...]]
     pdv_stats: Optional[dict]  # min/max/mean/p50/p99 in us (mean is a Fraction)
@@ -60,25 +65,46 @@ def _require_both_ts(trace: StreamTrace) -> None:
             raise MetricPreconditionError(f"packet {i} has no recv_ts_us")
 
 
-def interarrival_jitter(trace: StreamTrace) -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
-    """RFC 3550 smoothed interarrival jitter in microseconds, exact rationals.
+# One jitter unit: 1 us in Q64 fixed point.
+_JITTER_ONE = 1 << 64
 
-    D(i-1, i) = (R_i - R_{i-1}) - (S_i - S_{i-1}); J <- J + (|D| - J) / 16.
-    Returns the per-packet running series (one entry per difference) and the
-    final value.
-    """
+
+def _jitter_q64(trace: StreamTrace) -> tuple[int, ...]:
+    """The Q64 jitter recurrence; see interarrival_jitter."""
     if len(trace.packets) < 2:
         raise InsufficientDataError("interarrival jitter needs at least 2 packets")
     _require_both_ts(trace)
-    series: list[tuple[int, Fraction]] = []
-    j = Fraction(0)
-    prev = trace.packets[0]
-    for i, p in enumerate(trace.packets[1:], start=1):
-        d = (p.recv_ts_us - prev.recv_ts_us) - (p.send_ts_us - prev.send_ts_us)
-        j = j + (abs(d) - j) / 16
-        series.append((i, j))
-        prev = p
-    return tuple(series), j
+    series = []
+    j = 0
+    first = trace.packets[0]
+    prev_transit = first.recv_ts_us - first.send_ts_us
+    for p in trace.packets[1:]:
+        transit = p.recv_ts_us - p.send_ts_us
+        j += ((abs(transit - prev_transit) << 64) - j) >> 4
+        series.append(j)
+        prev_transit = transit
+    return tuple(series)
+
+
+def interarrival_jitter(trace: StreamTrace) -> tuple[tuple[tuple[int, Fraction], ...], Fraction]:
+    """RFC 3550 smoothed interarrival jitter in microseconds.
+
+    D(i-1, i) = (R_i - R_{i-1}) - (S_i - S_{i-1}). J is kept as a Q64
+    fixed-point integer q = J * 2**64, starting at 0:
+
+        q <- q + floor(((|D| << 64) - q) / 16)
+
+    For the first 16 differences this equals the exact rational recurrence
+    J <- J + (|D| - J) / 16, whose n-th value has a denominator dividing
+    16**n. After that the floor keeps q at or below the exact value and
+    less than 16 units (16 * 2**-64 us) below it.
+
+    Returns the per-packet running series (one entry (i, J_i) per difference,
+    i from 1) and the final value, as exact Fractions q / 2**64.
+    """
+    series = tuple((i, Fraction(q, _JITTER_ONE))
+                   for i, q in enumerate(_jitter_q64(trace), start=1))
+    return series, series[-1][1]
 
 
 def _nearest_rank(sorted_values: list[int], pct: int) -> int:
@@ -155,7 +181,8 @@ def metrics_report(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
     if not trace.packets:
         raise InsufficientDataError("metrics need at least 1 packet")
     try:
-        jitter_series, jitter_final = interarrival_jitter(trace)
+        jitter_series = _jitter_q64(trace)
+        jitter_final = Fraction(jitter_series[-1], _JITTER_ONE)
     except (InsufficientDataError, MetricPreconditionError):
         jitter_series, jitter_final = None, None
     try:
@@ -227,14 +254,26 @@ def compare(before: StreamTrace, result: ShapeResult,
     )
 
 
-def format_decimal(value) -> str:
-    """Exact decimal with at most 6 fractional digits, round-half-even."""
-    f = Fraction(value)
-    scaled = f * 10**6
-    q = round(scaled)  # banker's rounding on Fraction
+def _format_ratio(num: int, den: int) -> str:
+    """num / den (den > 0) as a decimal with at most 6 fractional digits,
+    rounded half to even."""
+    q, r = divmod(num * 10**6, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, frac = divmod(q, 10**6)
+    whole, frac = divmod(abs(q), 10**6)
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}." + f"{frac:06d}".rstrip("0")
+
+
+def format_decimal(value) -> str:
+    """Exact decimal with at most 6 fractional digits, round-half-even."""
+    f = Fraction(value)
+    return _format_ratio(f.numerator, f.denominator)
+
+
+def format_jitter(q: int) -> str:
+    """One MetricsReport.jitter_series value, rendered as format_decimal
+    renders the same value in microseconds."""
+    return _format_ratio(q, _JITTER_ONE)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 SEQ_MOD = 1 << 16
+_SEQ_HALF = SEQ_MOD // 2
 SSRC_MOD = 1 << 32
 PT_MOD = 1 << 7
 
@@ -78,8 +79,9 @@ class StreamTrace:
 
     def active_timestamps(self) -> list[int]:
         """Timestamps the trace is ordered by (recv when complete, else send)."""
-        if self.all_received:
-            return [p.recv_ts_us for p in self.packets]  # type: ignore[misc]
+        recv = [p.recv_ts_us for p in self.packets]
+        if None not in recv:
+            return recv  # type: ignore[return-value]
         return [p.send_ts_us for p in self.packets]
 
 
@@ -91,36 +93,49 @@ def _seq_forward(a: int, b: int) -> bool:
 def validate_trace(trace: StreamTrace) -> list[Violation]:
     """Collect every invariant violation; an empty list means the trace is valid."""
     out: list[Violation] = []
-    for i, p in enumerate(trace.packets):
-        if not 0 <= p.seq < SEQ_MOD:
-            out.append(Violation(i, f"seq {p.seq} outside 16-bit range"))
-        if not 0 <= p.ssrc < SSRC_MOD:
-            out.append(Violation(i, f"ssrc {p.ssrc} outside 32-bit range"))
-        if not 0 <= p.payload_type < PT_MOD:
-            out.append(Violation(i, f"payload_type {p.payload_type} outside 7-bit range"))
-        if p.send_ts_us < 0:
+    for i, (seq, ssrc, pt, _, send, recv, size) in enumerate(trace.packets):
+        if not 0 <= seq < SEQ_MOD:
+            out.append(Violation(i, f"seq {seq} outside 16-bit range"))
+        if not 0 <= ssrc < SSRC_MOD:
+            out.append(Violation(i, f"ssrc {ssrc} outside 32-bit range"))
+        if not 0 <= pt < PT_MOD:
+            out.append(Violation(i, f"payload_type {pt} outside 7-bit range"))
+        if send < 0:
             out.append(Violation(i, "negative send_ts_us"))
-        if p.size_bytes < 1:
-            out.append(Violation(i, f"size_bytes {p.size_bytes} < 1"))
-        if p.recv_ts_us is not None and p.recv_ts_us < p.send_ts_us:
+        if size < 1:
+            out.append(Violation(i, f"size_bytes {size} < 1"))
+        if recv is not None and recv < send:
             out.append(Violation(i, "negative delay: recv_ts_us < send_ts_us"))
 
     ts = trace.active_timestamps()
-    for i in range(1, len(ts)):
-        if ts[i] < ts[i - 1]:
+    for i, (prev_t, t) in enumerate(zip(ts, ts[1:]), start=1):
+        if t < prev_t:
             out.append(Violation(i, "unsorted: active timestamp decreases"))
-        elif ts[i] == ts[i - 1]:
+        elif t == prev_t:
             a, b = trace.packets[i - 1], trace.packets[i]
             if a.ssrc == b.ssrc and a.seq != b.seq and not _seq_forward(a.seq, b.seq):
                 out.append(Violation(i, "tie not broken by seq order"))
 
-    last_seen: dict[tuple[int, int], int] = {}
-    for i, p in enumerate(trace.packets):
-        key = (p.ssrc, p.seq % SEQ_MOD)
-        j = last_seen.get(key)
-        if j is not None and i - j < SEQ_MOD:
-            out.append(Violation(i, f"duplicate (ssrc, seq) within 65536-packet window (first at {j})"))
-        last_seen[key] = i
+    # Duplicates compare extended sequence numbers per SSRC: each seq is
+    # unwrapped to the value nearest the previous one of its stream, so a
+    # seq reused after a wrap is a new packet and a resent one is not.
+    # Per SSRC: the extended seq of its last packet and the first index of
+    # each extended seq; swapped in when the SSRC changes from one packet to
+    # the next, so a run of one stream touches one int-keyed dict.
+    streams: dict[int, tuple[int, dict[int, int]]] = {}
+    run_ssrc = None
+    ext = 0
+    first_at: dict[int, int] = {}
+    for i, (seq, ssrc, _, _, _, _, _) in enumerate(trace.packets):
+        if ssrc != run_ssrc:
+            if run_ssrc is not None:
+                streams[run_ssrc] = (ext, first_at)
+            ext, first_at = streams.get(ssrc) or (seq, {})
+            run_ssrc = ssrc
+        ext += (seq - ext + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF
+        j = first_at.setdefault(ext, i)
+        if j != i:
+            out.append(Violation(i, f"duplicate (ssrc {ssrc}, extended seq {ext}) (first at {j})"))
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .metrics import ComparisonReport, MetricsReport, format_decimal
+from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
 from .model import StreamTrace
 from .shaping import LeakyBucketConfig, ShapeResult, ShaperConfig, TokenBucketConfig
 
@@ -122,7 +122,8 @@ def comparison_csv(report: ComparisonReport) -> str:
 def jitter_csv(report: MetricsReport) -> str:
     lines = ["index,jitter_us"]
     if report.jitter_series:
-        lines += [f"{i},{format_decimal(j)}" for i, j in report.jitter_series]
+        lines += [f"{i},{format_jitter(q)}"
+                  for i, q in enumerate(report.jitter_series, start=1)]
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,12 @@
-"""Independent brute-force oracles for the shapers plus random-input helpers.
+"""Independent brute-force oracles for the shapers and the metrics, plus
+random-input helpers.
 
-The oracles advance wall time one microsecond at a time and apply the event
-rules literally; they share no code with the production shapers. The burst
-helpers give the network-calculus delay bound a token bucket must meet
-(Le Boudec & Thiran, *Network Calculus*, LNCS 2050, 2001, ch. 1).
+The shaper oracles advance wall time one microsecond at a time and apply the
+event rules literally; they share no code with the production shapers. The
+burst helpers give the network-calculus delay bound a token bucket must meet
+(Le Boudec & Thiran, *Network Calculus*, LNCS 2050, 2001, ch. 1). The
+jitter and decimal references compute in exact rationals what the library
+computes in Q64 fixed point and integer rounding.
 """
 
 from __future__ import annotations
@@ -135,6 +138,30 @@ def token_delay_bound_us(trace, cfg: TokenBucketConfig) -> int:
     excess = burst_scaled(trace, cfg.rate) - \
         cfg.start_tokens * cfg.rate.denominator * US_PER_S
     return max(0, -(-excess // cfg.rate.numerator))
+
+
+def jitter_exact(trace) -> list[Fraction]:
+    """RFC 3550 smoothed interarrival jitter in exact rationals, one value per
+    difference: D = (R_i - R_{i-1}) - (S_i - S_{i-1}), J <- J + (|D| - J) / 16.
+    J_n has a denominator dividing 16**n, so this is quadratic in time."""
+    series = []
+    j = Fraction(0)
+    for prev, p in zip(trace.packets, trace.packets[1:]):
+        d = (p.recv_ts_us - prev.recv_ts_us) - (p.send_ts_us - prev.send_ts_us)
+        j = j + (abs(d) - j) / 16
+        series.append(j)
+    return series
+
+
+def format_decimal_exact(value) -> str:
+    """Decimal with at most 6 fractional digits, rounded half to even by
+    Python's round() on the exact Fraction."""
+    q = round(Fraction(value) * 10**6)
+    sign = "-" if q < 0 else ""
+    whole, frac = divmod(abs(q), 10**6)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}." + f"{frac:06d}".rstrip("0")
 
 
 def random_received_trace(rng: random.Random, max_packets=200, max_t=3000,

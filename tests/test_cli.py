@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rtpshape
 from rtpshape import (ConfigError, LeakyBucketConfig, StreamKind,
                       TokenBucketConfig, UniformJitter, parse_scenario,
                       read_trace_csv)
@@ -91,6 +96,22 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg),
                      "--output", str(tmp_path / "t.csv")]) == 2
         assert "ptime_us" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_non_ascii_config_exits_2_without_traceback(self, tmp_path, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(AUDIO_CONFIG.replace("# telephony", "# t\xe9l\xe9phonie")
+                        .encode("latin-1"))
+        src = str(Path(rtpshape.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtpshape.cli", command, "--config", str(cfg),
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not ASCII" in proc.stderr
 
     def test_unwritable_output_exits_3(self, audio_cfg, capsys):
         # the config file itself is not a directory
@@ -225,6 +246,20 @@ class TestRunAndReport:
                      "--output", str(svg_path)]) == 0
         assert svg_path.read_text().count('<g class="panel"') == 3
         assert (tmp_path / "fig.panels.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["-1", "1"])
+    def test_report_stage_outside_pipeline_exits_2(self, tmp_path, audio_cfg,
+                                                   capsys, stage):
+        trace_path = tmp_path / "trace.csv"
+        main(["generate", "--config", audio_cfg, "--output", str(trace_path)])
+        prefix = str(tmp_path / "s-")
+        main(["shape", "--config", audio_cfg, "--input", str(trace_path),
+              "--output", prefix])
+        capsys.readouterr()
+        assert main(["report", "--config", audio_cfg, "--input", prefix,
+                     "--stage", stage, "--output", str(tmp_path / "f.svg")]) == 2
+        assert f"no pipeline stage {stage}" in capsys.readouterr().err
+        assert not (tmp_path / "f.svg").exists()
 
     def test_report_missing_inputs_exits_3(self, tmp_path, audio_cfg):
         assert main(["report", "--config", audio_cfg,

@@ -3,11 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from rtpshape import (InconsistentInputError, InsufficientDataError,
-                      LeakyBucketConfig, MediaPacket, MetricPreconditionError,
-                      StreamKind, StreamTrace, TokenBucketConfig, compare,
+from rtpshape import (ChannelModel, ExponentialJitter, InconsistentInputError,
+                      InsufficientDataError, LeakyBucketConfig, MediaPacket,
+                      MetricPreconditionError, StreamKind, StreamTrace,
+                      TokenBucketConfig, UniformJitter, apply_channel, compare,
                       format_decimal, interarrival_jitter, leaky_bucket_shape,
                       loss, metrics_report, pdv, throughput, token_bucket_shape)
+from rtpshape.metrics import format_jitter
+from rtpshape.reporting import jitter_csv
+
+from oracles import format_decimal_exact, jitter_exact, random_received_trace
+
+Q64 = 1 << 64
 
 
 def trace_from(rows, kind=StreamKind.AUDIO):
@@ -47,6 +54,91 @@ class TestJitter:
                              MediaPacket(1, 1, 96, False, 100, None, 125)))
         with pytest.raises(MetricPreconditionError):
             interarrival_jitter(trace)
+
+
+def random_jittered_trace(rng):
+    """An oracle random trace re-stamped by a seeded channel, so sends and
+    arrivals both vary; at most 200 packets, often more than 16."""
+    sent = random_received_trace(rng, max_packets=200, max_t=rng.choice([3000, 10**6]))
+    jitter = rng.choice([UniformJitter(0, rng.randint(0, 20000)),
+                         ExponentialJitter(rng.randint(0, 5000))])
+    return apply_channel(sent, ChannelModel(base_delay_us=rng.randint(0, 50000),
+                                            jitter=jitter,
+                                            loss_prob=rng.choice([0, Fraction(1, 10)]),
+                                            seed=rng.randrange(2**32)))
+
+
+class TestQ64JitterAgainstExact:
+    """The Q64 recurrence against the exact-Fraction one (tests/oracles.py)
+    on 250 seeded random traces."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(3550)
+        traces = [random_jittered_trace(rng) for _ in range(250)]
+        traces = [t for t in traces if len(t) >= 2]
+        assert len(traces) >= 200
+        assert sum(len(t) > 17 for t in traces) >= 200
+        return [(t, metrics_report(t), jitter_exact(t)) for t in traces]
+
+    def test_first_16_steps_are_exact(self, cases):
+        for trace, report, exact in cases:
+            assert [Fraction(q, Q64) for q in report.jitter_series[:16]] == exact[:16]
+
+    def test_error_below_16_units_and_never_above_exact(self, cases):
+        for trace, report, exact in cases:
+            assert len(report.jitter_series) == len(exact)
+            for q, j in zip(report.jitter_series, exact):
+                assert 0 <= j * Q64 - q < 16
+            assert report.jitter_final_us == Fraction(report.jitter_series[-1], Q64)
+
+    def test_public_view_matches_series(self, cases):
+        for trace, report, _ in cases[:20]:
+            series, final = interarrival_jitter(trace)
+            assert series == tuple((i, Fraction(q, Q64))
+                                   for i, q in enumerate(report.jitter_series, start=1))
+            assert final == report.jitter_final_us
+
+    def test_renderings_match_exact(self, cases):
+        for trace, report, exact in cases:
+            assert [format_jitter(q) for q in report.jitter_series] == \
+                [format_decimal_exact(j) for j in exact]
+            assert jitter_csv(report) == "index,jitter_us\n" + "".join(
+                f"{i},{format_decimal_exact(j)}\n" for i, j in enumerate(exact, start=1))
+            assert format_decimal(report.jitter_final_us) == format_decimal_exact(exact[-1])
+
+
+class TestFormatDecimalAgainstRound:
+    """Integer round-half-even against round() on the exact Fraction."""
+
+    def test_random_rationals(self):
+        rng = random.Random(606)
+        for _ in range(5000):
+            den = rng.choice([1, 2, 3, 7, 10**6, 2 * 10**6, 3 * 10**7,
+                              Q64, rng.randint(1, 10**12)])
+            value = Fraction(rng.randint(-10**13, 10**13), den)
+            assert format_decimal(value) == format_decimal_exact(value)
+
+    def test_half_ulp_ties_both_signs(self):
+        for k in range(-2000, 2000):
+            tie = Fraction(2 * k + 1, 2 * 10**6)  # exactly half way between ulps
+            assert format_decimal(tie) == format_decimal_exact(tie)
+            for eps in (Fraction(1, Q64), -Fraction(1, Q64)):
+                assert format_decimal(tie + eps) == format_decimal_exact(tie + eps)
+        assert format_decimal(Fraction(-1, 2 * 10**6)) == "0"
+        assert format_decimal(Fraction(-3, 2 * 10**6)) == "-0.000002"
+        assert format_decimal(Fraction(-5, 2 * 10**6)) == "-0.000002"
+
+    def test_q64_values_render_like_their_fraction(self):
+        rng = random.Random(64)
+        for _ in range(5000):
+            q = rng.randrange(20000 * Q64)
+            assert format_jitter(q) == format_decimal_exact(Fraction(q, Q64))
+        # m/128 us (m odd) has 7 decimal places: a tie at the 6th
+        assert format_jitter(1 << 57) == "0.007812"
+        for m in range(1, 400, 2):
+            for q in ((m << 57) - 1, m << 57, (m << 57) + 1):
+                assert format_jitter(q) == format_decimal_exact(Fraction(q, Q64))
 
 
 class TestPdv:

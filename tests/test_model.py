@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from rtpshape import (MediaPacket, StreamKind, StreamTrace, TraceFormatError,
-                      TraceValidationError, read_trace_csv, validate_trace,
-                      write_trace_csv)
+from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket, StreamKind,
+                      StreamTrace, TraceFormatError, TraceValidationError,
+                      apply_channel, generate_audio, read_trace_csv,
+                      validate_trace, write_trace_csv)
 
 
 def pkt(seq=0, ssrc=1, pt=96, marker=False, send=0, recv=None, size=125):
@@ -40,6 +42,34 @@ def test_validate_size_and_ranges():
 def test_validate_duplicate_in_window():
     trace = StreamTrace(StreamKind.AUDIO, (pkt(seq=5, send=0), pkt(seq=5, send=10)))
     assert any("duplicate" in v.message for v in validate_trace(trace))
+
+
+def test_seq_reused_after_wrap_is_not_a_duplicate():
+    # 70,000 sent at 1/100 loss: every seq below 4,464 comes round twice,
+    # fewer than 65,536 packets apart once losses are taken out
+    sent = generate_audio(AudioGenConfig(), 1_400_000_000)
+    trace = apply_channel(sent, ChannelModel(loss_prob=Fraction(1, 100), seed=1))
+    assert len(sent) == 70_000 and len(trace) < 70_000
+    assert validate_trace(trace) == []
+
+
+def test_duplicate_after_wrap_is_flagged():
+    seqs = [k % 65536 for k in range(65536 + 10)] + [5]  # seq 5 of the second cycle, again
+    packets = tuple(pkt(seq=s, send=10 * i) for i, s in enumerate(seqs))
+    trace = StreamTrace(StreamKind.AUDIO, packets)
+    violations = validate_trace(trace)
+    assert [(v.index, "duplicate" in v.message) for v in violations] == \
+        [(len(seqs) - 1, True)]
+    assert "first at 65541" in violations[0].message
+
+
+def test_each_ssrc_unwraps_its_own_seqs():
+    # the same seq on two SSRCs is no duplicate, and ssrc 2 running most of
+    # a cycle ahead must not move where ssrc 1's resent seq 5 unwraps to
+    seqs = [(5, 1), (5, 2), (30000, 2), (60000, 2), (5, 1)]
+    trace = StreamTrace(StreamKind.AUDIO, tuple(pkt(seq=seq, ssrc=ssrc, send=10 * i)
+                                                for i, (seq, ssrc) in enumerate(seqs)))
+    assert [v.index for v in validate_trace(trace)] == [4]
 
 
 def test_write_empty_trace_is_header_only():
