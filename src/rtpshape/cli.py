@@ -13,11 +13,11 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from . import reporting
-from .model import (StreamKind, StreamTrace, TraceFormatError, TraceValidationError,
-                    read_trace_csv, write_trace_csv)
+from .model import (TS_MAX, StreamKind, StreamTrace, TraceFormatError, TraceValidationError,
+                    Violation, check_trace, read_trace_csv, write_trace_csv)
 from .scenario import ConfigError, ScenarioConfig, parse_scenario
-from .shaping import (ShapeResult, ShapingPreconditionError, PipelineStageError,
-                      run_pipeline)
+from .shaping import (ShapeResult, ShaperConfig, ShapingPreconditionError,
+                      PipelineStageError, run_pipeline)
 from .traffic import (AudioGenConfig, GenerationError, apply_channel,
                       generate_audio, generate_video)
 
@@ -44,9 +44,9 @@ def _read_trace(path: str, kind: StreamKind) -> StreamTrace:
     return read_trace_csv(Path(path).read_bytes(), kind)
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode("ascii"))
+    path.write_bytes(data.encode("ascii") if isinstance(data, str) else data)
 
 
 def _generate_trace(scenario: ScenarioConfig, seed_override=None) -> StreamTrace:
@@ -59,19 +59,29 @@ def _generate_trace(scenario: ScenarioConfig, seed_override=None) -> StreamTrace
         channel = scenario.channel if seed_override is None \
             else replace(scenario.channel, seed=seed_override)
         trace = apply_channel(trace, channel)
-    return trace
+    return check_trace(trace)
 
 
 def _stage_prefix(prefix: str, k: int) -> str:
     return f"{prefix}stage{k}."
 
 
-def _write_stage(prefix: str, k: int, incoming: StreamTrace, result: ShapeResult) -> None:
+def _write_stage(prefix: str, k: int, incoming_csv: bytes, result: ShapeResult) -> bytes:
+    """Write stage k's CSVs; `incoming_csv` is its input trace, serialized.
+    Returns the shaped trace's CSV, which is the next stage's input."""
+    # Departures never decrease, so the last one bounds every timestamp the
+    # stage writes; past TS_MAX its CSVs could not be read back.
+    shaped = result.shaped.packets
+    if shaped and shaped[-1].recv_ts_us > TS_MAX:
+        raise TraceValidationError([Violation(
+            len(shaped) - 1, f"stage {k}: departure {shaped[-1].recv_ts_us} > {TS_MAX}")])
     base = _stage_prefix(prefix, k)
-    _write(Path(base + "input.csv"), write_trace_csv(incoming).decode("ascii"))
-    _write(Path(base + "shaped.csv"), write_trace_csv(result.shaped).decode("ascii"))
+    shaped_csv = write_trace_csv(result.shaped)
+    _write(Path(base + "input.csv"), incoming_csv)
+    _write(Path(base + "shaped.csv"), shaped_csv)
     _write(Path(base + "drops.csv"), reporting.drops_csv(result))
     _write(Path(base + "occupancy.csv"), reporting.occupancy_csv(result))
+    return shaped_csv
 
 
 def _write_metrics(prefix: str, report: metrics_mod.MetricsReport) -> None:
@@ -84,7 +94,7 @@ def _write_metrics(prefix: str, report: metrics_mod.MetricsReport) -> None:
 def cmd_generate(args) -> int:
     scenario = _load_scenario(args.config)
     trace = _generate_trace(scenario, args.seed)
-    _write(Path(args.output), write_trace_csv(trace).decode("ascii"))
+    _write(Path(args.output), write_trace_csv(trace))
     duration = 0
     if trace.packets:
         ts = trace.active_timestamps()
@@ -100,12 +110,11 @@ def cmd_shape(args) -> int:
     kind = StreamKind.AUDIO if isinstance(scenario.generator, AudioGenConfig) \
         else StreamKind.VIDEO
     trace = _read_trace(args.input, kind)
-    _, results = run_pipeline(list(scenario.pipeline), trace)
-    current = trace
+    final, results = run_pipeline(list(scenario.pipeline), trace)
+    stage_csv = write_trace_csv(trace)
     for k, result in enumerate(results):
-        _write_stage(args.output, k, current, result)
-        current = result.shaped
-    print(f"stages={len(results)} shaped={len(current)} "
+        stage_csv = _write_stage(args.output, k, stage_csv, result)
+    print(f"stages={len(results)} shaped={len(final)} "
           f"dropped={sum(len(r.dropped) for r in results)}")
     return EXIT_OK
 
@@ -114,10 +123,9 @@ def _reconstruct_result(before: StreamTrace, prefix: str) -> ShapeResult:
     shaped = read_trace_csv(Path(prefix + "shaped.csv").read_bytes(), before.kind)
     by_identity = {(p.ssrc, p.seq): p for p in before.packets}
     dropped = []
-    drop_lines = Path(prefix + "drops.csv").read_text(encoding="ascii").splitlines()
-    for line in drop_lines[1:]:
-        seq, ssrc, _, reason = line.split(",", 3)
-        pkt = by_identity.get((int(ssrc), int(seq)))
+    for seq, ssrc, _, reason in reporting.read_drops_csv(
+            Path(prefix + "drops.csv").read_bytes()):
+        pkt = by_identity.get((ssrc, seq))
         if pkt is None:
             raise metrics_mod.InconsistentInputError(
                 f"dropped packet (ssrc {ssrc}, seq {seq}) not in the before trace")
@@ -148,27 +156,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _render_stage(cfg: ShaperConfig, incoming: StreamTrace, result: ShapeResult,
+                  svg_path: str) -> reporting.PanelReport:
+    """Write one stage's figure (SVG and panels CSV) from its result."""
+    panel = reporting.panel_report(incoming, result, cfg)
+    _write(Path(svg_path), reporting.render_svg(panel))
+    _write(Path(svg_path).with_suffix(".panels.csv"), reporting.panels_csv(panel))
+    return panel
+
+
 def _report_stage(scenario: ScenarioConfig, prefix: str, k: int,
                   svg_path: str) -> reporting.PanelReport:
+    """Read stage k's CSVs under `prefix` and render its figure."""
     if not 0 <= k < len(scenario.pipeline):
         raise ConfigError(f"config has no pipeline stage {k}")
-    cfg = scenario.pipeline[k]
     base = _stage_prefix(prefix, k)
     kind = StreamKind.AUDIO if isinstance(scenario.generator, AudioGenConfig) \
         else StreamKind.VIDEO
     incoming = read_trace_csv(Path(base + "input.csv").read_bytes(), kind)
     shaped = read_trace_csv(Path(base + "shaped.csv").read_bytes(), kind)
-    occupancy = []
-    occ_lines = Path(base + "occupancy.csv").read_text(encoding="ascii").splitlines()
-    from .shaping import OccupancySample
-    for line in occ_lines[1:]:
-        ts, qp, qb, tok = (int(v) for v in line.split(","))
-        occupancy.append(OccupancySample(ts, qp, qb, tok))
-    result = ShapeResult(shaped=shaped, dropped=(), occupancy=tuple(occupancy))
-    panel = reporting.panel_report(incoming, result, cfg)
-    _write(Path(svg_path), reporting.render_svg(panel))
-    _write(Path(svg_path).with_suffix(".panels.csv"), reporting.panels_csv(panel))
-    return panel
+    occupancy = reporting.read_occupancy_csv(Path(base + "occupancy.csv").read_bytes())
+    result = ShapeResult(shaped=shaped, dropped=(), occupancy=occupancy)
+    return _render_stage(scenario.pipeline[k], incoming, result, svg_path)
 
 
 def cmd_report(args) -> int:
@@ -184,7 +193,8 @@ def cmd_run(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     trace = _generate_trace(scenario, args.seed)
-    _write(out / "input.csv", write_trace_csv(trace).decode("ascii"))
+    stage_csv = write_trace_csv(trace)
+    _write(out / "input.csv", stage_csv)
 
     if not scenario.pipeline:
         _write_metrics(str(out / "metrics.input."), metrics_mod.metrics_report(trace, window))
@@ -194,9 +204,9 @@ def cmd_run(args) -> int:
     final, results = run_pipeline(list(scenario.pipeline), trace)
     prefix = str(out) + "/"
     current = trace
-    for k, result in enumerate(results):
-        _write_stage(prefix, k, current, result)
-        _report_stage(scenario, prefix, k, str(out / f"stage{k}.figure.svg"))
+    for k, (cfg, result) in enumerate(zip(scenario.pipeline, results)):
+        stage_csv = _write_stage(prefix, k, stage_csv, result)
+        _render_stage(cfg, current, result, str(out / f"stage{k}.figure.svg"))
         current = result.shaped
     combined = ShapeResult(
         shaped=final,

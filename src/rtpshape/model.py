@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 SEQ_MOD = 1 << 16
 _SEQ_HALF = SEQ_MOD // 2
 SSRC_MOD = 1 << 32
 PT_MOD = 1 << 7
+TS_MAX = 2**63 - 1  # largest timestamp or size an rtpshape CSV holds
 
 CSV_HEADER = "seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes"
 
@@ -100,12 +101,15 @@ def validate_trace(trace: StreamTrace) -> list[Violation]:
             out.append(Violation(i, f"ssrc {ssrc} outside 32-bit range"))
         if not 0 <= pt < PT_MOD:
             out.append(Violation(i, f"payload_type {pt} outside 7-bit range"))
-        if send < 0:
-            out.append(Violation(i, "negative send_ts_us"))
-        if size < 1:
-            out.append(Violation(i, f"size_bytes {size} < 1"))
-        if recv is not None and recv < send:
-            out.append(Violation(i, "negative delay: recv_ts_us < send_ts_us"))
+        if not 0 <= send <= TS_MAX:
+            out.append(Violation(i, "negative send_ts_us" if send < 0
+                                 else f"send_ts_us {send} > {TS_MAX}"))
+        if not 1 <= size <= TS_MAX:
+            out.append(Violation(i, f"size_bytes {size} < 1" if size < 1
+                                 else f"size_bytes {size} > {TS_MAX}"))
+        if recv is not None and not send <= recv <= TS_MAX:
+            out.append(Violation(i, "negative delay: recv_ts_us < send_ts_us" if recv < send
+                                 else f"recv_ts_us {recv} > {TS_MAX}"))
 
     ts = trace.active_timestamps()
     for i, (prev_t, t) in enumerate(zip(ts, ts[1:]), start=1):
@@ -150,16 +154,14 @@ def check_trace(trace: StreamTrace) -> StreamTrace:
 def write_trace_csv(trace: StreamTrace) -> bytes:
     """Serialize to the canonical trace CSV (ASCII, LF line endings)."""
     lines = [CSV_HEADER]
-    for p in trace.packets:
-        recv = "" if p.recv_ts_us is None else str(p.recv_ts_us)
-        lines.append(
-            f"{p.seq},{p.ssrc},{p.payload_type},{1 if p.marker else 0},"
-            f"{p.send_ts_us},{recv},{p.size_bytes}"
-        )
+    lines += [f"{seq},{ssrc},{pt},{1 if marker else 0},{send},"
+              f"{'' if recv is None else recv},{size}"
+              for seq, ssrc, pt, marker, send, recv, size in trace.packets]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _parse_int(text: str, lo: int, hi: int, row: int, col: str) -> int:
+def parse_int(text: str, lo: int, hi: int | float, row: int, col: str) -> int:
+    """One integer field of an rtpshape CSV, checked against [lo, hi]."""
     try:
         value = int(text)
     except ValueError:
@@ -169,8 +171,9 @@ def _parse_int(text: str, lo: int, hi: int, row: int, col: str) -> int:
     return value
 
 
-def read_trace_csv(data: bytes, kind: StreamKind) -> StreamTrace:
-    """Parse the canonical trace CSV back into a validated StreamTrace."""
+def csv_rows(data: bytes, header: str, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) for each row after the header of an rtpshape CSV
+    artifact: ASCII, LF line endings, `width` fields per row."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -178,21 +181,26 @@ def read_trace_csv(data: bytes, kind: StreamKind) -> StreamTrace:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if not lines or lines[0] != CSV_HEADER:
-        raise TraceFormatError(f"line 1: expected header {CSV_HEADER!r}")
-
-    packets: list[MediaPacket] = []
+    if not lines or lines[0] != header:
+        raise TraceFormatError(f"line 1: expected header {header!r}")
     for row, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
-        if len(fields) != 7:
-            raise TraceFormatError(f"row {row}: expected 7 fields, got {len(fields)}")
-        seq = _parse_int(fields[0], 0, SEQ_MOD - 1, row, "seq")
-        ssrc = _parse_int(fields[1], 0, SSRC_MOD - 1, row, "ssrc")
-        pt = _parse_int(fields[2], 0, PT_MOD - 1, row, "payload_type")
-        marker = _parse_int(fields[3], 0, 1, row, "marker")
-        send = _parse_int(fields[4], 0, 2**63 - 1, row, "send_ts_us")
-        recv = None if fields[5] == "" else _parse_int(fields[5], 0, 2**63 - 1, row, "recv_ts_us")
-        size = _parse_int(fields[6], -(2**63), 2**63 - 1, row, "size_bytes")
+        if len(fields) != width:
+            raise TraceFormatError(f"row {row}: expected {width} fields, got {len(fields)}")
+        yield row, fields
+
+
+def read_trace_csv(data: bytes, kind: StreamKind) -> StreamTrace:
+    """Parse the canonical trace CSV back into a validated StreamTrace."""
+    packets: list[MediaPacket] = []
+    for row, fields in csv_rows(data, CSV_HEADER, 7):
+        seq = parse_int(fields[0], 0, SEQ_MOD - 1, row, "seq")
+        ssrc = parse_int(fields[1], 0, SSRC_MOD - 1, row, "ssrc")
+        pt = parse_int(fields[2], 0, PT_MOD - 1, row, "payload_type")
+        marker = parse_int(fields[3], 0, 1, row, "marker")
+        send = parse_int(fields[4], 0, TS_MAX, row, "send_ts_us")
+        recv = None if fields[5] == "" else parse_int(fields[5], 0, TS_MAX, row, "recv_ts_us")
+        size = parse_int(fields[6], -TS_MAX - 1, TS_MAX, row, "size_bytes")
         packets.append(MediaPacket(seq, ssrc, pt, bool(marker), send, recv, size))
 
     return check_trace(StreamTrace(kind=kind, packets=tuple(packets)))

@@ -1,6 +1,6 @@
-"""Report surfaces: CSV serializations of shaping/metric results and the
-stacked-panel SVG figures (3 panels for the leaky bucket, 4 for the token
-bucket).
+"""Report surfaces: CSV serializations of shaping/metric results, typed
+readers for the stage CSVs, and the stacked-panel SVG figures (3 panels for
+the leaky bucket, 4 for the token bucket).
 
 All output is byte-deterministic: fixed field order, fixed decimal
 formatting, LF newlines.
@@ -8,12 +8,20 @@ formatting, LF newlines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Literal
 
 from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
-from .model import StreamTrace
-from .shaping import LeakyBucketConfig, ShapeResult, ShaperConfig, TokenBucketConfig
+from .model import (SEQ_MOD, SSRC_MOD, TS_MAX, StreamTrace, TraceFormatError, csv_rows,
+                    parse_int)
+from .shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, LeakyBucketConfig, OccupancySample,
+                      ShapeResult, ShaperConfig, TokenBucketConfig)
+
+OCCUPANCY_HEADER = "ts_us,queued_packets,queued_bytes,tokens"
+DROPS_HEADER = "seq,ssrc,ts_us,reason"
+DROP_REASONS = (DROP_BUCKET_FULL, DROP_QUEUE_FULL)
 
 
 @dataclass(frozen=True)
@@ -30,7 +38,7 @@ class PanelReport:
 
 
 def _packet_points(trace: StreamTrace) -> tuple[tuple[int, int], ...]:
-    return tuple((p.recv_ts_us, p.size_bytes) for p in trace.packets)
+    return tuple([(recv, size) for _, _, _, _, _, recv, size in trace.packets])
 
 
 def panel_report(incoming: StreamTrace, result: ShapeResult,
@@ -41,36 +49,62 @@ def panel_report(incoming: StreamTrace, result: ShapeResult,
         Panel("incoming traffic", "scatter", "bytes", _packet_points(incoming)),
         Panel("shaped traffic", "scatter", "bytes", _packet_points(result.shaped)),
     ]
+    occupancy = result.occupancy
     if isinstance(cfg, LeakyBucketConfig):
         panels.append(Panel("bucket content (packets)", "step", "packets",
-                            tuple((s.ts_us, s.queued_packets) for s in result.occupancy)))
+                            tuple([(t, qp) for t, qp, _, _ in occupancy])))
     elif isinstance(cfg, TokenBucketConfig):
         panels.append(Panel("packet queue (bytes)", "step", "bytes",
-                            tuple((s.ts_us, s.queued_bytes) for s in result.occupancy)))
+                            tuple([(t, qb) for t, _, qb, _ in occupancy])))
         panels.append(Panel("tokens available", "step", "tokens",
-                            tuple((s.ts_us, s.tokens) for s in result.occupancy)))
+                            tuple([(t, tok) for t, _, _, tok in occupancy])))
     else:
         raise TypeError(f"unknown shaper config: {cfg!r}")
     return PanelReport(panels=tuple(panels))
 
 
 def occupancy_csv(result: ShapeResult) -> str:
-    lines = ["ts_us,queued_packets,queued_bytes,tokens"]
-    lines += [f"{s.ts_us},{s.queued_packets},{s.queued_bytes},{s.tokens}"
-              for s in result.occupancy]
+    lines = [OCCUPANCY_HEADER]
+    lines += [f"{t},{qp},{qb},{tok}" for t, qp, qb, tok in result.occupancy]
     return "\n".join(lines) + "\n"
+
+
+def read_occupancy_csv(data: bytes) -> tuple[OccupancySample, ...]:
+    """Parse a stage's occupancy CSV (as written by occupancy_csv). The
+    counts have no upper bound: a config's bucket capacity and packet sizes
+    have none."""
+    return tuple([
+        OccupancySample(parse_int(f[0], 0, TS_MAX, row, "ts_us"),
+                        parse_int(f[1], 0, math.inf, row, "queued_packets"),
+                        parse_int(f[2], 0, math.inf, row, "queued_bytes"),
+                        parse_int(f[3], 0, math.inf, row, "tokens"))
+        for row, f in csv_rows(data, OCCUPANCY_HEADER, 4)])
 
 
 def drops_csv(result: ShapeResult) -> str:
-    lines = ["seq,ssrc,ts_us,reason"]
+    lines = [DROPS_HEADER]
     lines += [f"{p.seq},{p.ssrc},{p.recv_ts_us},{reason}" for p, reason in result.dropped]
     return "\n".join(lines) + "\n"
+
+
+def read_drops_csv(data: bytes) -> list[tuple[int, int, int, str]]:
+    """Parse a stage's drops CSV (as written by drops_csv) into
+    (seq, ssrc, ts_us, reason) rows."""
+    rows = []
+    for row, f in csv_rows(data, DROPS_HEADER, 4):
+        if f[3] not in DROP_REASONS:
+            raise TraceFormatError(f"row {row}, column reason: unknown drop reason {f[3]!r}")
+        rows.append((parse_int(f[0], 0, SEQ_MOD - 1, row, "seq"),
+                     parse_int(f[1], 0, SSRC_MOD - 1, row, "ssrc"),
+                     parse_int(f[2], 0, TS_MAX, row, "ts_us"), f[3]))
+    return rows
 
 
 def panels_csv(report: PanelReport) -> str:
     lines = ["panel,kind,ts_us,value"]
     for panel in report.panels:
-        lines += [f"{panel.title},{panel.kind},{ts},{v}" for ts, v in panel.points]
+        head = f"{panel.title},{panel.kind},"
+        lines += [f"{head}{ts},{v}" for ts, v in panel.points]
     return "\n".join(lines) + "\n"
 
 
@@ -148,25 +182,15 @@ MARGIN_TOP = 30
 MARGIN_BOTTOM = 30
 
 
-def _scale(points, width, height):
-    ts = [p[0] for p in points]
-    vs = [p[1] for p in points]
-    t_lo, t_hi = min(ts), max(ts)
-    v_lo, v_hi = min(min(vs), 0), max(vs)
-    t_span = (t_hi - t_lo) or 1
-    v_span = (v_hi - v_lo) or 1
-
-    def to_xy(t, v):
-        x = (t - t_lo) / t_span * width
-        y = height - (v - v_lo) / v_span * height
-        return f"{x:.2f}", f"{y:.2f}"
-
-    return to_xy, (t_lo, t_hi, v_lo, v_hi)
-
-
 def render_svg(report: PanelReport) -> str:
     """Standalone SVG: one vertically stacked <g class="panel"> per panel,
-    <circle> dots for scatter panels, a step <polyline> for occupancy."""
+    <circle> dots for scatter panels, a step <polyline> for occupancy.
+
+    Point (t, v) is drawn at x = (t - t_lo) / t_span * w and
+    y = h - (v - v_lo) / v_span * h, with 2 decimals, where the panel's time
+    range is [t_lo, t_lo + t_span] and its value range [v_lo, v_lo + v_span]
+    always includes 0. Each distinct value's y is formatted once.
+    """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     total_h = PANEL_HEIGHT * len(report.panels)
@@ -189,8 +213,15 @@ def render_svg(report: PanelReport) -> str:
                    f'font-family="sans-serif" text-anchor="middle">time (us)</text>')
         out.append(f'<text x="-8" y="{inner_h // 2}" font-size="10" '
                    f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>')
-        if panel.points:
-            to_xy, (t_lo, t_hi, v_lo, v_hi) = _scale(panel.points, inner_w, inner_h)
+        points = panel.points
+        if points:
+            # tuples order by t first, so min/max of the points bound t
+            t_lo, t_hi = min(points)[0], max(points)[0]
+            values = {v for _, v in points}
+            v_lo, v_hi = min(min(values), 0), max(values)
+            t_span = (t_hi - t_lo) or 1
+            v_span = (v_hi - v_lo) or 1
+            ys = {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
             out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
                        f'font-family="sans-serif">{t_lo}</text>')
             out.append(f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
@@ -198,20 +229,18 @@ def render_svg(report: PanelReport) -> str:
             out.append(f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
                        f'text-anchor="end">{v_hi}</text>')
             if panel.kind == "scatter":
-                for t, v in panel.points:
-                    x, y = to_xy(t, v)
-                    out.append(f'<circle cx="{x}" cy="{y}" r="1.5" fill="steelblue"/>')
+                out.append("\n".join([
+                    f'<circle cx="{(t - t_lo) / t_span * inner_w:.2f}" cy="{ys[v]}" '
+                    'r="1.5" fill="steelblue"/>' for t, v in points]))
             else:
-                coords = []
-                prev_v = None
-                for t, v in panel.points:
-                    if prev_v is not None:
-                        x, y = to_xy(t, prev_v)
-                        coords.append(f"{x},{y}")
-                    x, y = to_xy(t, v)
-                    coords.append(f"{x},{y}")
-                    prev_v = v
-                out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
+                # a step line: each later point first at the previous value
+                t0, v0 = points[0]
+                steps = "".join([
+                    f" {x},{ys[prev_v]} {x},{ys[v]}"
+                    for (_, prev_v), (t, v) in pairwise(points)
+                    for x in (f"{(t - t_lo) / t_span * inner_w:.2f}",)])
+                out.append(f'<polyline points="{(t0 - t_lo) / t_span * inner_w:.2f},'
+                           f'{ys[v0]}{steps}" fill="none" '
                            'stroke="darkorange" stroke-width="1"/>')
         out.append('</g>')
     out.append('</svg>')

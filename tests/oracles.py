@@ -6,7 +6,9 @@ event rules literally; they share no code with the production shapers. The
 burst helpers give the network-calculus delay bound a token bucket must meet
 (Le Boudec & Thiran, *Network Calculus*, LNCS 2050, 2001, ch. 1). The
 jitter and decimal references compute in exact rationals what the library
-computes in Q64 fixed point and integer rounding.
+computes in Q64 fixed point and integer rounding. The `*_reference`
+renderers are the straightforward per-point versions of the figure and CSV
+writers; the library's must produce the same bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from fractions import Fraction
 
 from rtpshape import (LeakyBucketConfig, MediaPacket, StreamKind, StreamTrace,
                       TokenBucketConfig)
+from rtpshape.model import CSV_HEADER
+from rtpshape.reporting import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
+                                PANEL_HEIGHT, PANEL_WIDTH, Panel, PanelReport)
 
 US_PER_S = 10**6
 
@@ -190,3 +195,116 @@ def random_token_config(rng: random.Random, max_size=100) -> TokenBucketConfig:
         initial_tokens=rng.choice([None, 0, rng.randint(0, cap)]),
         queue_limit_bytes=rng.choice([None, rng.randint(max_size, max_size * 20)]),
     )
+
+
+def write_trace_csv_reference(trace: StreamTrace) -> bytes:
+    """Serialize to the canonical trace CSV (ASCII, LF line endings)."""
+    lines = [CSV_HEADER]
+    for p in trace.packets:
+        recv = "" if p.recv_ts_us is None else str(p.recv_ts_us)
+        lines.append(
+            f"{p.seq},{p.ssrc},{p.payload_type},{1 if p.marker else 0},"
+            f"{p.send_ts_us},{recv},{p.size_bytes}"
+        )
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _packet_points_reference(trace: StreamTrace) -> tuple[tuple[int, int], ...]:
+    return tuple((p.recv_ts_us, p.size_bytes) for p in trace.packets)
+
+
+def panel_report_reference(incoming, result, cfg) -> PanelReport:
+    """Figure layout for one shaping stage: dots for packets, step lines for
+    occupancy, matching the three/four-diagram structure of the shapers."""
+    panels = [
+        Panel("incoming traffic", "scatter", "bytes", _packet_points_reference(incoming)),
+        Panel("shaped traffic", "scatter", "bytes", _packet_points_reference(result.shaped)),
+    ]
+    if isinstance(cfg, LeakyBucketConfig):
+        panels.append(Panel("bucket content (packets)", "step", "packets",
+                            tuple((s.ts_us, s.queued_packets) for s in result.occupancy)))
+    elif isinstance(cfg, TokenBucketConfig):
+        panels.append(Panel("packet queue (bytes)", "step", "bytes",
+                            tuple((s.ts_us, s.queued_bytes) for s in result.occupancy)))
+        panels.append(Panel("tokens available", "step", "tokens",
+                            tuple((s.ts_us, s.tokens) for s in result.occupancy)))
+    else:
+        raise TypeError(f"unknown shaper config: {cfg!r}")
+    return PanelReport(panels=tuple(panels))
+
+
+def occupancy_csv_reference(result) -> str:
+    lines = ["ts_us,queued_packets,queued_bytes,tokens"]
+    lines += [f"{s.ts_us},{s.queued_packets},{s.queued_bytes},{s.tokens}"
+              for s in result.occupancy]
+    return "\n".join(lines) + "\n"
+
+
+def _scale_reference(points, width, height):
+    ts = [p[0] for p in points]
+    vs = [p[1] for p in points]
+    t_lo, t_hi = min(ts), max(ts)
+    v_lo, v_hi = min(min(vs), 0), max(vs)
+    t_span = (t_hi - t_lo) or 1
+    v_span = (v_hi - v_lo) or 1
+
+    def to_xy(t, v):
+        x = (t - t_lo) / t_span * width
+        y = height - (v - v_lo) / v_span * height
+        return f"{x:.2f}", f"{y:.2f}"
+
+    return to_xy, (t_lo, t_hi, v_lo, v_hi)
+
+
+def render_svg_reference(report: PanelReport) -> str:
+    """Standalone SVG: one vertically stacked <g class="panel"> per panel,
+    <circle> dots for scatter panels, a step <polyline> for occupancy."""
+    inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    total_h = PANEL_HEIGHT * len(report.panels)
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
+        f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+    ]
+    for idx, panel in enumerate(report.panels):
+        top = idx * PANEL_HEIGHT
+        out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">')
+        out.append(f'<text x="0" y="-10" font-size="12" font-family="sans-serif">'
+                   f'{panel.title}</text>')
+        out.append(f'<line x1="0" y1="{inner_h}" x2="{inner_w}" y2="{inner_h}" '
+                   'stroke="black" stroke-width="1"/>')
+        out.append(f'<line x1="0" y1="0" x2="0" y2="{inner_h}" '
+                   'stroke="black" stroke-width="1"/>')
+        out.append(f'<text x="{inner_w // 2}" y="{inner_h + 22}" font-size="10" '
+                   f'font-family="sans-serif" text-anchor="middle">time (us)</text>')
+        out.append(f'<text x="-8" y="{inner_h // 2}" font-size="10" '
+                   f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>')
+        if panel.points:
+            to_xy, (t_lo, t_hi, v_lo, v_hi) = _scale_reference(panel.points, inner_w, inner_h)
+            out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
+                       f'font-family="sans-serif">{t_lo}</text>')
+            out.append(f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
+                       f'font-family="sans-serif" text-anchor="end">{t_hi}</text>')
+            out.append(f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
+                       f'text-anchor="end">{v_hi}</text>')
+            if panel.kind == "scatter":
+                for t, v in panel.points:
+                    x, y = to_xy(t, v)
+                    out.append(f'<circle cx="{x}" cy="{y}" r="1.5" fill="steelblue"/>')
+            else:
+                coords = []
+                prev_v = None
+                for t, v in panel.points:
+                    if prev_v is not None:
+                        x, y = to_xy(t, prev_v)
+                        coords.append(f"{x},{y}")
+                    x, y = to_xy(t, v)
+                    coords.append(f"{x},{y}")
+                    prev_v = v
+                out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
+                           'stroke="darkorange" stroke-width="1"/>')
+        out.append('</g>')
+    out.append('</svg>')
+    return "\n".join(out) + "\n"

@@ -12,6 +12,9 @@ from rtpshape import (ConfigError, LeakyBucketConfig, StreamKind,
                       TokenBucketConfig, UniformJitter, parse_scenario,
                       read_trace_csv)
 from rtpshape.cli import main
+from rtpshape.reporting import read_drops_csv, read_occupancy_csv
+
+from test_acceptance import AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG
 
 AUDIO_CONFIG = """\
 # telephony-style CBR audio scenario
@@ -36,6 +39,22 @@ pipeline.0.type = token
 pipeline.0.rate = 80000
 pipeline.0.capacity_tokens = 20000
 """
+
+
+def run_cli(*argv):
+    """`python -m rtpshape.cli` in a fresh interpreter, so that an uncaught
+    exception shows as a traceback on stderr."""
+    src = str(Path(rtpshape.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rtpshape.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_usage_error(proc, message):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 class TestScenarioParsing:
@@ -102,16 +121,20 @@ class TestGenerate:
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(AUDIO_CONFIG.replace("# telephony", "# t\xe9l\xe9phonie")
                         .encode("latin-1"))
-        src = str(Path(rtpshape.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rtpshape.cli", command, "--config", str(cfg),
-             "--output", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "not ASCII" in proc.stderr
+        proc = run_cli(command, "--config", cfg, "--output", tmp_path / "out")
+        assert_usage_error(proc, "not ASCII")
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_arrivals_beyond_csv_range_exit_2(self, tmp_path, command):
+        # exponential jitter this large puts arrivals past 2**63 - 1 us,
+        # which no trace CSV can hold
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(AUDIO_CONFIG.replace(
+            "uniform(0,15000)", "exponential(10000000000000000000000)"))
+        out = tmp_path / "out"
+        proc = run_cli(command, "--config", cfg, "--output", out)
+        assert_usage_error(proc, "recv_ts_us")
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unwritable_output_exits_3(self, audio_cfg, capsys):
         # the config file itself is not a directory
@@ -141,6 +164,18 @@ class TestShape:
         main(["generate", "--config", audio_cfg, "--output", str(trace_path)])
         assert main(["shape", "--config", str(cfg), "--input", str(trace_path),
                      "--output", str(tmp_path / "o-")]) == 2
+
+    @pytest.mark.parametrize("command", ["shape", "run"])
+    def test_departures_beyond_csv_range_exit_2(self, tmp_path, audio_cfg, command):
+        # the second packet queues behind a drain interval past 2**63 - 1 us
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(AUDIO_CONFIG.replace("drain_interval_us = 20000",
+                                            "drain_interval_us = 10000000000000000000000"))
+        trace_path = tmp_path / "trace.csv"
+        assert main(["generate", "--config", audio_cfg, "--output", str(trace_path)]) == 0
+        args = ["--input", trace_path] if command == "shape" else []
+        proc = run_cli(command, "--config", cfg, *args, "--output", tmp_path / "o-")
+        assert_usage_error(proc, "stage 0: departure")
 
     def test_missing_arrivals_exit_2(self, tmp_path, audio_cfg, capsys):
         cfg = tmp_path / "nochan.cfg"
@@ -181,6 +216,16 @@ class TestAnalyze:
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "absent.csv")]) == 3
+
+    def test_malformed_drops_exit_2(self, tmp_path, audio_cfg):
+        trace_path = tmp_path / "trace.csv"
+        main(["generate", "--config", audio_cfg, "--output", str(trace_path)])
+        prefix = str(tmp_path / "s-")
+        main(["shape", "--config", audio_cfg, "--input", str(trace_path),
+              "--output", prefix])
+        (tmp_path / "s-stage0.drops.csv").write_text("seq,ssrc,ts_us,reason\nx\n")
+        proc = run_cli("analyze", "--input", trace_path, "--result", prefix + "stage0.")
+        assert_usage_error(proc, "row 1: expected 4 fields, got 1")
 
     def test_single_packet_trace(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
@@ -261,7 +306,59 @@ class TestRunAndReport:
         assert f"no pipeline stage {stage}" in capsys.readouterr().err
         assert not (tmp_path / "f.svg").exists()
 
+    def test_malformed_occupancy_exits_2(self, tmp_path, audio_cfg):
+        trace_path = tmp_path / "trace.csv"
+        main(["generate", "--config", audio_cfg, "--output", str(trace_path)])
+        prefix = str(tmp_path / "s-")
+        main(["shape", "--config", audio_cfg, "--input", str(trace_path),
+              "--output", prefix])
+        (tmp_path / "s-stage0.occupancy.csv").write_text(
+            "ts_us,queued_packets,queued_bytes,tokens\n1,2\n")
+        proc = run_cli("report", "--config", audio_cfg, "--input", prefix,
+                       "--output", tmp_path / "f.svg")
+        assert_usage_error(proc, "row 1: expected 4 fields, got 2")
+        assert not (tmp_path / "f.svg").exists()
+
     def test_report_missing_inputs_exits_3(self, tmp_path, audio_cfg):
         assert main(["report", "--config", audio_cfg,
                      "--input", str(tmp_path / "nope-"),
                      "--output", str(tmp_path / "f.svg")]) == 3
+
+
+TWO_STAGE_RUN_CONFIG = AUDIO_RUN_CONFIG + """\
+pipeline.1.type = token
+pipeline.1.rate = 6000
+pipeline.1.capacity_tokens = 250
+"""
+
+
+# Token counts above 2**63 - 1 are written to the occupancy CSV as they are.
+HUGE_BUCKET_RUN_CONFIG = VIDEO_RUN_CONFIG.replace(
+    "capacity_tokens = 20000", "capacity_tokens = 100000000000000000000")
+
+
+@pytest.mark.parametrize("config", [AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG, TWO_STAGE_RUN_CONFIG,
+                                    HUGE_BUCKET_RUN_CONFIG],
+                         ids=["audio", "video", "leaky-token", "huge-bucket"])
+def test_run_and_report_agree(tmp_path, config):
+    """`run` draws each stage's figure from memory; `report` draws it from
+    the stage CSVs that `run` wrote. Both must give the same bytes, and every
+    stage CSV must read back."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+    stages = len(parse_scenario(config).pipeline)
+    read_trace_csv((out / "input.csv").read_bytes(), StreamKind.AUDIO)
+    for k in range(stages):
+        base = f"stage{k}."
+        for name in ("input.csv", "shaped.csv"):
+            read_trace_csv((out / (base + name)).read_bytes(), StreamKind.AUDIO)
+        read_drops_csv((out / (base + "drops.csv")).read_bytes())
+        read_occupancy_csv((out / (base + "occupancy.csv")).read_bytes())
+        svg = tmp_path / "report" / f"{base}svg"
+        assert main(["report", "--config", str(cfg), "--input", str(out) + "/",
+                     "--stage", str(k), "--output", str(svg)]) == 0
+        assert svg.read_bytes() == (out / (base + "figure.svg")).read_bytes()
+        assert svg.with_suffix(".panels.csv").read_bytes() == \
+            (out / (base + "figure.panels.csv")).read_bytes()

@@ -7,6 +7,7 @@ from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket, StreamKind,
                       StreamTrace, TraceFormatError, TraceValidationError,
                       apply_channel, generate_audio, read_trace_csv,
                       validate_trace, write_trace_csv)
+from rtpshape.model import TS_MAX
 
 
 def pkt(seq=0, ssrc=1, pt=96, marker=False, send=0, recv=None, size=125):
@@ -37,6 +38,23 @@ def test_validate_size_and_ranges():
     assert any("size_bytes" in v.message for v in validate_trace(trace))
     trace = StreamTrace(StreamKind.AUDIO, (pkt(seq=70000),))
     assert any("16-bit" in v.message for v in validate_trace(trace))
+
+
+@pytest.mark.parametrize("packet, message", [
+    (pkt(send=-1), "negative send_ts_us"),
+    (pkt(send=TS_MAX + 1), f"send_ts_us {TS_MAX + 1} > {TS_MAX}"),
+    (pkt(send=0, recv=TS_MAX + 1), f"recv_ts_us {TS_MAX + 1} > {TS_MAX}"),
+    (pkt(size=TS_MAX + 1), f"size_bytes {TS_MAX + 1} > {TS_MAX}"),
+])
+def test_validate_enforces_the_csv_ranges(packet, message):
+    violations = validate_trace(StreamTrace(StreamKind.AUDIO, (packet,)))
+    assert [v.message for v in violations] == [message]
+
+
+def test_largest_valid_values_round_trip():
+    trace = StreamTrace(StreamKind.AUDIO, (pkt(send=TS_MAX, recv=TS_MAX, size=TS_MAX),))
+    assert validate_trace(trace) == []
+    assert read_trace_csv(write_trace_csv(trace), StreamKind.AUDIO) == trace
 
 
 def test_validate_duplicate_in_window():
