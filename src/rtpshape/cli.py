@@ -121,15 +121,11 @@ def cmd_shape(args) -> int:
 
 def _reconstruct_result(before: StreamTrace, prefix: str) -> ShapeResult:
     shaped = read_trace_csv(Path(prefix + "shaped.csv").read_bytes(), before.kind)
-    by_identity = {(p.ssrc, p.seq): p for p in before.packets}
-    dropped = []
-    for seq, ssrc, _, reason in reporting.read_drops_csv(
-            Path(prefix + "drops.csv").read_bytes()):
-        pkt = by_identity.get((ssrc, seq))
-        if pkt is None:
-            raise metrics_mod.InconsistentInputError(
-                f"dropped packet (ssrc {ssrc}, seq {seq}) not in the before trace")
-        dropped.append((pkt, reason))
+    rows = reporting.read_drops_csv(Path(prefix + "drops.csv").read_bytes())
+    # a drop's timestamp is its arrival at the stage: recv_ts_us in `before`
+    found = metrics_mod.match_packets([p[:2] + (p.recv_ts_us,) for p in before.packets],
+                                      [row[:3] for row in rows])
+    dropped = [(before.packets[i], row[3]) for i, row in zip(found, rows)]
     return ShapeResult(shaped=shaped, dropped=tuple(dropped), occupancy=())
 
 

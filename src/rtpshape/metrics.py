@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
-from .model import SEQ_MOD, MediaPacket, StreamTrace
+from .model import StreamTrace, extended_seqs
 from .shaping import ShapeResult
 
 
@@ -133,26 +133,15 @@ def pdv(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
     return tuple(values), stats
 
 
-def _extended_seqs(packets: tuple[MediaPacket, ...]) -> list[int]:
-    ext = [packets[0].seq]
-    for p in packets[1:]:
-        diff = (p.seq - ext[-1]) % SEQ_MOD
-        if diff < SEQ_MOD // 2:
-            ext.append(ext[-1] + diff)
-        else:
-            ext.append(ext[-1] - (SEQ_MOD - diff))
-    return ext
-
-
 def loss(trace: StreamTrace) -> tuple[int, Fraction, int]:
     """Wrap-aware loss: (loss_count, loss_rate, duplicate_count).
 
-    The expected count spans the observed extended sequence range; duplicate
-    sequence numbers count once.
+    The expected count spans the observed extended sequence range (see
+    model.extended_seqs); duplicate sequence numbers count once.
     """
     if not trace.packets:
         raise InsufficientDataError("loss needs at least 1 packet")
-    ext = _extended_seqs(trace.packets)
+    ext = extended_seqs(trace.packets)
     unique = len(set(ext))
     expected = max(ext) - min(ext) + 1
     loss_count = expected - unique
@@ -212,32 +201,47 @@ def _reduction_pct(before, after) -> Optional[Fraction]:
     return Fraction(before - after, before) * 100
 
 
+def match_packets(keys: Sequence[tuple], wanted: Iterable[tuple]) -> list[int]:
+    """The index in `keys` of each key in `wanted`.
+
+    `keys` identify the packets of a trace and `wanted` a subsequence of
+    them in the same order, such as what a shaper sent or dropped of its
+    input. A key is (seq, ssrc, timestamp). Each wanted key matches the next
+    equal key after the previous match, so a seq that recurs after a wrap
+    maps to the packet of its own period however far apart the matches are.
+    """
+    out = []
+    walk = enumerate(keys)
+    for key in wanted:
+        for i, k in walk:
+            if k == key:
+                out.append(i)
+                break
+        else:
+            raise InconsistentInputError(f"packet (ssrc {key[1]}, seq {key[0]}) not present "
+                                         "in the before trace, in its order")
+    return out
+
+
 def compare(before: StreamTrace, result: ShapeResult,
             window_us: int = 10**6) -> ComparisonReport:
     """Quantify what shaping did: metrics before vs after, added latency per
-    surviving packet (matched by ssrc/seq), and drops introduced.
+    surviving packet, and drops introduced. Shaped packets are matched to
+    `before` in order by seq, ssrc and send time, which shaping leaves alone.
 
-    The after-trace keeps the original send timestamps and takes the shaper
-    departure times as arrivals, so jitter/PDV measure end-to-end delay
-    variation after shaping.
+    The after-trace is the shaped trace: the original send timestamps with
+    the shaper departure times as arrivals, so jitter/PDV measure end-to-end
+    delay variation after shaping.
     """
-    by_identity = {(p.ssrc, p.seq): p for p in before.packets}
-    if len(by_identity) != len(before.packets):
-        raise InconsistentInputError("before trace has duplicate (ssrc, seq) identities")
+    keys = [p[:2] + (p.send_ts_us,) for p in before.packets]
+    if len(set(keys)) != len(keys):
+        raise InconsistentInputError("before trace has duplicate (seq, ssrc, send_ts_us) identities")
     _require_both_ts(before)
+    shaped = result.shaped.packets
+    found = match_packets(keys, [p[:2] + (p.send_ts_us,) for p in shaped])
+    added = [p.recv_ts_us - before.packets[i].recv_ts_us for p, i in zip(shaped, found)]
 
-    after_packets = []
-    added: list[int] = []
-    for p in result.shaped.packets:
-        orig = by_identity.get((p.ssrc, p.seq))
-        if orig is None:
-            raise InconsistentInputError(f"shaped packet (ssrc {p.ssrc}, seq {p.seq}) "
-                                         "not present in the before trace")
-        after_packets.append(p._replace(send_ts_us=orig.send_ts_us))
-        added.append(p.recv_ts_us - orig.recv_ts_us)
-
-    after = StreamTrace(kind=before.kind, packets=tuple(after_packets),
-                        clock_resolution_us=before.clock_resolution_us)
+    after = StreamTrace(kind=before.kind, packets=shaped)
     before_report = metrics_report(before, window_us)
     after_report = metrics_report(after, window_us)
     pdv_before = before_report.pdv_stats["max"] if before_report.pdv_stats else None

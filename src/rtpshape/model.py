@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 SEQ_MOD = 1 << 16
 _SEQ_HALF = SEQ_MOD // 2
@@ -64,12 +64,9 @@ class StreamTrace:
 
     kind: StreamKind
     packets: tuple[MediaPacket, ...]
-    clock_resolution_us: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "packets", tuple(self.packets))
-        if self.clock_resolution_us < 1:
-            raise ValueError("clock_resolution_us must be >= 1")
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -84,6 +81,24 @@ class StreamTrace:
         if None not in recv:
             return recv  # type: ignore[return-value]
         return [p.send_ts_us for p in self.packets]
+
+
+def extended_seqs(packets: Iterable[MediaPacket]) -> list[int]:
+    """The extended (unwrapped) sequence number of each packet, per SSRC.
+
+    Each 16-bit seq becomes the value congruent to it that is nearest the
+    extended seq of the previous packet of its SSRC; an SSRC's first packet
+    keeps its own seq.
+    """
+    last: dict[int, int] = {}
+    out = []
+    for p in packets:
+        seq, ssrc = p[0], p[1]
+        prev = last.get(ssrc, seq)
+        ext = prev + (seq - prev + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF
+        last[ssrc] = ext
+        out.append(ext)
+    return out
 
 
 def _seq_forward(a: int, b: int) -> bool:
@@ -120,26 +135,14 @@ def validate_trace(trace: StreamTrace) -> list[Violation]:
             if a.ssrc == b.ssrc and a.seq != b.seq and not _seq_forward(a.seq, b.seq):
                 out.append(Violation(i, "tie not broken by seq order"))
 
-    # Duplicates compare extended sequence numbers per SSRC: each seq is
-    # unwrapped to the value nearest the previous one of its stream, so a
-    # seq reused after a wrap is a new packet and a resent one is not.
-    # Per SSRC: the extended seq of its last packet and the first index of
-    # each extended seq; swapped in when the SSRC changes from one packet to
-    # the next, so a run of one stream touches one int-keyed dict.
-    streams: dict[int, tuple[int, dict[int, int]]] = {}
-    run_ssrc = None
-    ext = 0
-    first_at: dict[int, int] = {}
-    for i, (seq, ssrc, _, _, _, _, _) in enumerate(trace.packets):
-        if ssrc != run_ssrc:
-            if run_ssrc is not None:
-                streams[run_ssrc] = (ext, first_at)
-            ext, first_at = streams.get(ssrc) or (seq, {})
-            run_ssrc = ssrc
-        ext += (seq - ext + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF
-        j = first_at.setdefault(ext, i)
-        if j != i:
-            out.append(Violation(i, f"duplicate (ssrc {ssrc}, extended seq {ext}) (first at {j})"))
+    # Duplicates compare extended sequence numbers per SSRC, so a seq reused
+    # after a wrap is a new packet and a resent one is not.
+    keys = list(zip([p[1] for p in trace.packets], extended_seqs(trace.packets)))
+    first_at = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    if len(first_at) < len(keys):
+        out += [Violation(i, f"duplicate (ssrc {ssrc}, extended seq {ext}) "
+                             f"(first at {first_at[ssrc, ext]})")
+                for i, (ssrc, ext) in enumerate(keys) if first_at[ssrc, ext] != i]
     return out
 
 

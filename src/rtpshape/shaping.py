@@ -1,8 +1,9 @@
 """Traffic shapers: packet-based leaky bucket and byte-based token bucket.
 
-Both are pure, deterministic discrete-event functions over a received trace.
-Departure times are written into recv_ts_us so a shaper's output can feed
-the next pipeline stage directly (departures become arrivals).
+Both run one greedy FIFO server (_serve) under a policy each: a pure,
+deterministic discrete-event function over a received trace. Departure times
+are written into recv_ts_us so a shaper's output can feed the next pipeline
+stage directly (departures become arrivals).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import inf
 from typing import NamedTuple, Optional, Union
 
 from .model import MediaPacket, StreamTrace
@@ -90,31 +93,101 @@ class ShapeResult:
     occupancy: tuple[OccupancySample, ...]
 
 
-def _arrivals(trace: StreamTrace) -> list[int]:
-    ts = []
-    for i, p in enumerate(trace.packets):
-        if p.recv_ts_us is None:
-            raise ShapingPreconditionError(f"packet {i} has no arrival timestamp (recv_ts_us)")
-        ts.append(p.recv_ts_us)
-    return ts
+class _LeakyPolicy:
+    """Fixed drain: a departure comes at least one drain interval after the
+    one before it, and a bucket holding capacity packets refuses more."""
+
+    __slots__ = ("drain", "cap", "next_free")
+    queues_every_packet = False
+
+    def __init__(self, cfg: LeakyBucketConfig):
+        self.drain = cfg.drain_interval_us
+        self.cap = cfg.capacity_packets
+        self.next_free: Union[int, float] = -inf  # idle until the first departure
+
+    def ready(self, size: int) -> Union[int, float]:
+        return self.next_free
+
+    def depart(self, t: int, size: int) -> int:
+        self.next_free = t + self.drain
+        return 0
+
+    def tokens_at(self, t: int) -> int:
+        return 0
+
+    def refuse(self, waiting: int, waiting_bytes: int, size: int) -> Optional[str]:
+        return DROP_BUCKET_FULL if waiting >= self.cap else None
 
 
-def leaky_bucket_shape(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResult:
-    """Shape a trace through a fixed-drain leaky bucket.
+class _TokenPolicy:
+    """Exact integer token accrual with sub-token remainder carry.
 
-    A packet arriving to an empty queue with an idle drain clock departs
-    immediately and arms the clock; otherwise it queues (or drops when the
-    bucket is full). The clock goes idle only when a drain tick fires on an
-    empty queue, so consecutive departures are never closer than the drain
-    interval.
+    tokens available at t = min(cap, tokens + (rem + (t - t_last) * num) // den_us)
+    where den_us = rate denominator * 10^6. When the bucket caps, the
+    remainder is discarded (a full bucket accrues nothing).
     """
-    arrivals = _arrivals(trace)
-    drain = cfg.drain_interval_us
-    cap = cfg.capacity_packets
+
+    __slots__ = ("num", "den_us", "cap", "limit", "tokens", "rem", "t")
+    queues_every_packet = True
+
+    def __init__(self, cfg: TokenBucketConfig):
+        self.num = cfg.rate.numerator
+        self.den_us = cfg.rate.denominator * US_PER_S
+        self.cap = cfg.capacity_tokens
+        self.limit = cfg.queue_limit_bytes
+        self.tokens = cfg.start_tokens
+        self.rem = 0
+        self.t = 0
+
+    def tokens_at(self, t: int) -> int:
+        acc = self.rem + (t - self.t) * self.num
+        tokens = self.tokens + acc // self.den_us
+        if tokens >= self.cap:
+            self.tokens, self.rem = self.cap, 0
+        else:
+            self.tokens, self.rem = tokens, acc % self.den_us
+        self.t = t
+        return self.tokens
+
+    def ready(self, size: int) -> int:
+        """Earliest time >= the last event at which `size` tokens are available."""
+        if size > self.cap:
+            raise ShapingPreconditionError(
+                f"packet of {size} bytes exceeds token capacity {self.cap}; it can never depart")
+        if self.tokens >= size:
+            return self.t
+        deficit = (size - self.tokens) * self.den_us - self.rem
+        return self.t + -(-deficit // self.num)  # ceiling division
+
+    def depart(self, t: int, size: int) -> int:
+        self.tokens = self.tokens_at(t) - size
+        return self.tokens
+
+    def refuse(self, waiting: int, waiting_bytes: int, size: int) -> Optional[str]:
+        if self.limit is not None and waiting_bytes + size > self.limit:
+            return DROP_QUEUE_FULL
+        return None
+
+
+def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> ShapeResult:
+    """Greedy FIFO server: the queue's head departs at max(arrival, ready),
+    where the policy's ready(size) is the earliest time it may send `size`
+    bytes. At each arrival the heads due by then depart first, then the
+    policy's refuse(waiting, waiting_bytes, size) drops the packet or it is
+    admitted. An admitted packet that finds the queue empty and the policy
+    ready departs unqueued, unless the policy queues_every_packet. Samples
+    take their tokens from depart(t, size) and tokens_at(t).
+    """
+    arrivals = [p[5] for p in trace.packets]
+    if None in arrivals:
+        raise ShapingPreconditionError(
+            f"packet {arrivals.index(None)} has no arrival timestamp (recv_ts_us)")
+    ready, depart, tokens_at, refuse = \
+        policy.ready, policy.depart, policy.tokens_at, policy.refuse
+    queues_every_packet = policy.queues_every_packet
 
     queue: deque[MediaPacket] = deque()
     queued_bytes = 0
-    next_tick: Optional[int] = None
     shaped: list[MediaPacket] = []
     dropped: list[tuple[MediaPacket, str]] = []
     occupancy: list[OccupancySample] = []
@@ -129,78 +202,53 @@ def leaky_bucket_shape(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResul
     pop_head = queue.popleft
     enqueue = queue.append
 
-    for pkt, t in zip(trace.packets, arrivals):
-        while next_tick is not None and next_tick <= t:
-            if queue:
-                head = pop_head()
-                queued_bytes -= head[6]
-                shaped_append(new(packet, head[:5] + (next_tick, head[6])))
-                occ_append(new(sample, (next_tick, len(queue), queued_bytes, 0)))
-                next_tick += drain
-            else:
-                next_tick = None
-        if next_tick is None and not queue:
+    # a last arrival at infinity drains the queue
+    for pkt, t in zip(chain(trace.packets, (None,)), chain(arrivals, (inf,))):
+        while queue:
+            head = queue[0]
+            size = head[6]
+            dep = ready(size)
+            if dep < head[5]:
+                dep = head[5]
+            if dep > t:
+                break
+            pop_head()
+            queued_bytes -= size
+            shaped_append(new(packet, head[:5] + (dep, size)))
+            occ_append(new(sample, (dep, len(queue), queued_bytes, depart(dep, size))))
+        if pkt is None:
+            break
+        size = pkt[6]
+        reason = refuse(len(queue), queued_bytes, size)
+        if reason is not None:
+            dropped.append((pkt, reason))
+        elif queue or queues_every_packet or ready(size) > t:
+            enqueue(pkt)
+            queued_bytes += size
+        else:
             # departs the instant it arrives, so the packet is unchanged
             shaped_append(pkt)
-            next_tick = t + drain
-            occ_append(new(sample, (t, 0, 0, 0)))
-        elif len(queue) < cap:
-            enqueue(pkt)
-            queued_bytes += pkt[6]
-            occ_append(new(sample, (t, len(queue), queued_bytes, 0)))
-        else:
-            dropped.append((pkt, DROP_BUCKET_FULL))
-            occ_append(new(sample, (t, len(queue), queued_bytes, 0)))
-
-    while queue:
-        assert next_tick is not None
-        head = pop_head()
-        queued_bytes -= head[6]
-        shaped_append(new(packet, head[:5] + (next_tick, head[6])))
-        occ_append(new(sample, (next_tick, len(queue), queued_bytes, 0)))
-        next_tick += drain
+            occ_append(new(sample, (t, 0, 0, depart(t, size))))
+            continue
+        occ_append(new(sample, (t, len(queue), queued_bytes, tokens_at(t))))
 
     return ShapeResult(
-        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped),
-                           clock_resolution_us=trace.clock_resolution_us),
+        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped)),
         dropped=tuple(dropped),
         occupancy=tuple(occupancy),
     )
 
 
-class _TokenState:
-    """Exact integer token accrual with sub-token remainder carry.
+def leaky_bucket_shape(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResult:
+    """Shape a trace through a fixed-drain leaky bucket.
 
-    tokens available at t = min(cap, tokens + (rem + (t - t_last) * num) // den_us)
-    where den_us = rate denominator * 10^6. When the bucket caps, the
-    remainder is discarded (a full bucket accrues nothing).
+    A packet arriving to an empty queue with an idle drain clock departs
+    immediately and arms the clock; otherwise it queues (or drops when the
+    bucket is full). The clock goes idle only when a drain tick fires on an
+    empty queue, so consecutive departures are never closer than the drain
+    interval.
     """
-
-    __slots__ = ("num", "den_us", "cap", "tokens", "rem", "t")
-
-    def __init__(self, rate: Fraction, cap: int, initial: int):
-        self.num = rate.numerator
-        self.den_us = rate.denominator * US_PER_S
-        self.cap = cap
-        self.tokens = initial
-        self.rem = 0
-        self.t = 0
-
-    def advance(self, t: int) -> None:
-        acc = self.rem + (t - self.t) * self.num
-        tokens = self.tokens + acc // self.den_us
-        if tokens >= self.cap:
-            self.tokens, self.rem = self.cap, 0
-        else:
-            self.tokens, self.rem = tokens, acc % self.den_us
-        self.t = t
-
-    def ready_time(self, size: int) -> int:
-        """Earliest time >= self.t at which `size` tokens are available."""
-        if self.tokens >= size:
-            return self.t
-        deficit = (size - self.tokens) * self.den_us - self.rem
-        return self.t + -(-deficit // self.num)  # ceiling division
+    return _serve(trace, _LeakyPolicy(cfg))
 
 
 def token_bucket_shape(trace: StreamTrace, cfg: TokenBucketConfig) -> ShapeResult:
@@ -210,58 +258,7 @@ def token_bucket_shape(trace: StreamTrace, cfg: TokenBucketConfig) -> ShapeResul
     integer arithmetic, no lost fractions); the FIFO head departs at the
     earliest microsecond its size in bytes is covered by available tokens.
     """
-    arrivals = _arrivals(trace)
-    limit = cfg.queue_limit_bytes
-    state = _TokenState(cfg.rate, cfg.capacity_tokens, cfg.start_tokens)
-
-    queue: deque[MediaPacket] = deque()
-    queued_bytes = 0
-    shaped: list[MediaPacket] = []
-    dropped: list[tuple[MediaPacket, str]] = []
-    occupancy: list[OccupancySample] = []
-
-    def depart_until(deadline: Optional[int]) -> None:
-        nonlocal queued_bytes
-        while queue:
-            head = queue[0]
-            if head.size_bytes > cfg.capacity_tokens:
-                raise ShapingPreconditionError(
-                    f"packet of {head.size_bytes} bytes exceeds token capacity "
-                    f"{cfg.capacity_tokens}; it can never depart"
-                )
-            dep = state.ready_time(head.size_bytes)
-            if dep < head.recv_ts_us:  # type: ignore[operator]
-                dep = head.recv_ts_us  # type: ignore[assignment]
-            if deadline is not None and dep > deadline:
-                return
-            state.advance(dep)
-            state.tokens -= head.size_bytes
-            queue.popleft()
-            queued_bytes -= head.size_bytes
-            shaped.append(head._replace(recv_ts_us=dep))
-            occupancy.append(OccupancySample(dep, len(queue), queued_bytes, state.tokens))
-
-    for pkt, t in zip(trace.packets, arrivals):
-        depart_until(t)
-        if limit is not None and queued_bytes + pkt.size_bytes > limit:
-            state.advance(t)
-            dropped.append((pkt, DROP_QUEUE_FULL))
-            occupancy.append(OccupancySample(t, len(queue), queued_bytes, state.tokens))
-            continue
-        queue.append(pkt if pkt.recv_ts_us == t else pkt._replace(recv_ts_us=t))
-        queued_bytes += pkt.size_bytes
-        state.advance(t)
-        occupancy.append(OccupancySample(t, len(queue), queued_bytes, state.tokens))
-        depart_until(t)
-
-    depart_until(None)
-
-    return ShapeResult(
-        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped),
-                           clock_resolution_us=trace.clock_resolution_us),
-        dropped=tuple(dropped),
-        occupancy=tuple(occupancy),
-    )
+    return _serve(trace, _TokenPolicy(cfg))
 
 
 def shape(trace: StreamTrace, cfg: ShaperConfig) -> ShapeResult:

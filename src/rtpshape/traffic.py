@@ -200,6 +200,4 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
         recv = pkt.send_ts_us + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
         survivors.append((recv, i, pkt._replace(recv_ts_us=recv)))
     survivors.sort(key=lambda item: (item[0], item[1]))
-    return StreamTrace(kind=trace.kind,
-                       packets=tuple(pkt for _, _, pkt in survivors),
-                       clock_resolution_us=trace.clock_resolution_us)
+    return StreamTrace(kind=trace.kind, packets=tuple(pkt for _, _, pkt in survivors))

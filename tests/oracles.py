@@ -3,7 +3,9 @@ random-input helpers.
 
 The shaper oracles advance wall time one microsecond at a time and apply the
 event rules literally; they share no code with the production shapers. The
-burst helpers give the network-calculus delay bound a token bucket must meet
+`*_shape_reference` functions are the shapers as two separate loops; the
+library's one loop must give the same ShapeResult or raise the same error.
+The burst helpers give the network-calculus delay bound a token bucket must meet
 (Le Boudec & Thiran, *Network Calculus*, LNCS 2050, 2001, ch. 1). The
 jitter and decimal references compute in exact rationals what the library
 computes in Q64 fixed point and integer rounding. The `*_reference`
@@ -14,11 +16,15 @@ writers; the library's must produce the same bytes.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
+from typing import Optional
 
 from rtpshape import (LeakyBucketConfig, MediaPacket, StreamKind, StreamTrace,
                       TokenBucketConfig)
 from rtpshape.model import CSV_HEADER
+from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
+                              ShapeResult, ShapingPreconditionError)
 from rtpshape.reporting import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
                                 PANEL_HEIGHT, PANEL_WIDTH, Panel, PanelReport)
 
@@ -99,6 +105,183 @@ def token_oracle(trace, cfg):
     return deps, drops
 
 
+# The shapers as two separate loops, kept verbatim apart from the removed
+# StreamTrace.clock_resolution_us, as the reference the single FIFO-server
+# loop must reproduce, occupancy samples and errors included.
+
+
+def _arrivals_reference(trace: StreamTrace) -> list[int]:
+    ts = []
+    for i, p in enumerate(trace.packets):
+        if p.recv_ts_us is None:
+            raise ShapingPreconditionError(f"packet {i} has no arrival timestamp (recv_ts_us)")
+        ts.append(p.recv_ts_us)
+    return ts
+
+
+def leaky_bucket_shape_reference(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResult:
+    """Shape a trace through a fixed-drain leaky bucket.
+
+    A packet arriving to an empty queue with an idle drain clock departs
+    immediately and arms the clock; otherwise it queues (or drops when the
+    bucket is full). The clock goes idle only when a drain tick fires on an
+    empty queue, so consecutive departures are never closer than the drain
+    interval.
+    """
+    arrivals = _arrivals_reference(trace)
+    drain = cfg.drain_interval_us
+    cap = cfg.capacity_packets
+
+    queue: deque[MediaPacket] = deque()
+    queued_bytes = 0
+    next_tick: Optional[int] = None
+    shaped: list[MediaPacket] = []
+    dropped: list[tuple[MediaPacket, str]] = []
+    occupancy: list[OccupancySample] = []
+
+    # hot loop: bind lookups to locals and build tuples without going
+    # through the NamedTuple constructors
+    new = tuple.__new__
+    sample = OccupancySample
+    packet = MediaPacket
+    shaped_append = shaped.append
+    occ_append = occupancy.append
+    pop_head = queue.popleft
+    enqueue = queue.append
+
+    for pkt, t in zip(trace.packets, arrivals):
+        while next_tick is not None and next_tick <= t:
+            if queue:
+                head = pop_head()
+                queued_bytes -= head[6]
+                shaped_append(new(packet, head[:5] + (next_tick, head[6])))
+                occ_append(new(sample, (next_tick, len(queue), queued_bytes, 0)))
+                next_tick += drain
+            else:
+                next_tick = None
+        if next_tick is None and not queue:
+            # departs the instant it arrives, so the packet is unchanged
+            shaped_append(pkt)
+            next_tick = t + drain
+            occ_append(new(sample, (t, 0, 0, 0)))
+        elif len(queue) < cap:
+            enqueue(pkt)
+            queued_bytes += pkt[6]
+            occ_append(new(sample, (t, len(queue), queued_bytes, 0)))
+        else:
+            dropped.append((pkt, DROP_BUCKET_FULL))
+            occ_append(new(sample, (t, len(queue), queued_bytes, 0)))
+
+    while queue:
+        assert next_tick is not None
+        head = pop_head()
+        queued_bytes -= head[6]
+        shaped_append(new(packet, head[:5] + (next_tick, head[6])))
+        occ_append(new(sample, (next_tick, len(queue), queued_bytes, 0)))
+        next_tick += drain
+
+    return ShapeResult(
+        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped)),
+        dropped=tuple(dropped),
+        occupancy=tuple(occupancy),
+    )
+
+
+class _TokenStateReference:
+    """Exact integer token accrual with sub-token remainder carry.
+
+    tokens available at t = min(cap, tokens + (rem + (t - t_last) * num) // den_us)
+    where den_us = rate denominator * 10^6. When the bucket caps, the
+    remainder is discarded (a full bucket accrues nothing).
+    """
+
+    __slots__ = ("num", "den_us", "cap", "tokens", "rem", "t")
+
+    def __init__(self, rate: Fraction, cap: int, initial: int):
+        self.num = rate.numerator
+        self.den_us = rate.denominator * US_PER_S
+        self.cap = cap
+        self.tokens = initial
+        self.rem = 0
+        self.t = 0
+
+    def advance(self, t: int) -> None:
+        acc = self.rem + (t - self.t) * self.num
+        tokens = self.tokens + acc // self.den_us
+        if tokens >= self.cap:
+            self.tokens, self.rem = self.cap, 0
+        else:
+            self.tokens, self.rem = tokens, acc % self.den_us
+        self.t = t
+
+    def ready_time(self, size: int) -> int:
+        """Earliest time >= self.t at which `size` tokens are available."""
+        if self.tokens >= size:
+            return self.t
+        deficit = (size - self.tokens) * self.den_us - self.rem
+        return self.t + -(-deficit // self.num)  # ceiling division
+
+
+def token_bucket_shape_reference(trace: StreamTrace, cfg: TokenBucketConfig) -> ShapeResult:
+    """Shape a trace through a byte-based token bucket.
+
+    Tokens accrue continuously at the configured rational rate (exact
+    integer arithmetic, no lost fractions); the FIFO head departs at the
+    earliest microsecond its size in bytes is covered by available tokens.
+    """
+    arrivals = _arrivals_reference(trace)
+    limit = cfg.queue_limit_bytes
+    state = _TokenStateReference(cfg.rate, cfg.capacity_tokens, cfg.start_tokens)
+
+    queue: deque[MediaPacket] = deque()
+    queued_bytes = 0
+    shaped: list[MediaPacket] = []
+    dropped: list[tuple[MediaPacket, str]] = []
+    occupancy: list[OccupancySample] = []
+
+    def depart_until(deadline: Optional[int]) -> None:
+        nonlocal queued_bytes
+        while queue:
+            head = queue[0]
+            if head.size_bytes > cfg.capacity_tokens:
+                raise ShapingPreconditionError(
+                    f"packet of {head.size_bytes} bytes exceeds token capacity "
+                    f"{cfg.capacity_tokens}; it can never depart"
+                )
+            dep = state.ready_time(head.size_bytes)
+            if dep < head.recv_ts_us:  # type: ignore[operator]
+                dep = head.recv_ts_us  # type: ignore[assignment]
+            if deadline is not None and dep > deadline:
+                return
+            state.advance(dep)
+            state.tokens -= head.size_bytes
+            queue.popleft()
+            queued_bytes -= head.size_bytes
+            shaped.append(head._replace(recv_ts_us=dep))
+            occupancy.append(OccupancySample(dep, len(queue), queued_bytes, state.tokens))
+
+    for pkt, t in zip(trace.packets, arrivals):
+        depart_until(t)
+        if limit is not None and queued_bytes + pkt.size_bytes > limit:
+            state.advance(t)
+            dropped.append((pkt, DROP_QUEUE_FULL))
+            occupancy.append(OccupancySample(t, len(queue), queued_bytes, state.tokens))
+            continue
+        queue.append(pkt if pkt.recv_ts_us == t else pkt._replace(recv_ts_us=t))
+        queued_bytes += pkt.size_bytes
+        state.advance(t)
+        occupancy.append(OccupancySample(t, len(queue), queued_bytes, state.tokens))
+        depart_until(t)
+
+    depart_until(None)
+
+    return ShapeResult(
+        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped)),
+        dropped=tuple(dropped),
+        occupancy=tuple(occupancy),
+    )
+
+
 def burst_scaled(trace, rate: Fraction) -> int:
     """The trace's burst b_in(r) at `rate`, times rate.denominator * 10**6.
 
@@ -170,9 +353,9 @@ def format_decimal_exact(value) -> str:
 
 
 def random_received_trace(rng: random.Random, max_packets=200, max_t=3000,
-                          max_size=100) -> StreamTrace:
+                          max_size=100, min_t=0) -> StreamTrace:
     n = rng.randint(1, max_packets)
-    times = sorted(rng.randint(0, max_t) for _ in range(n))
+    times = sorted(rng.randint(min_t, max_t) for _ in range(n))
     packets = tuple(
         MediaPacket(k % 65536, 7, 96, False, t, t, rng.randint(1, max_size))
         for k, t in enumerate(times)

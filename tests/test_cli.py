@@ -1,16 +1,22 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rtpshape
-from rtpshape import (ConfigError, LeakyBucketConfig, StreamKind,
-                      TokenBucketConfig, UniformJitter, parse_scenario,
-                      read_trace_csv)
+from rtpshape import (ConfigError, LeakyBucketConfig, MediaPacket, ShapeResult,
+                      StreamKind, StreamTrace, TokenBucketConfig, UniformJitter, cli,
+                      leaky_bucket_shape, parse_scenario, read_trace_csv,
+                      write_trace_csv)
 from rtpshape.cli import main
 from rtpshape.reporting import read_drops_csv, read_occupancy_csv
 
@@ -217,6 +223,37 @@ class TestAnalyze:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "absent.csv")]) == 3
 
+    def test_result_past_the_seq_wrap(self, tmp_path):
+        # 70,000 packets, so seqs 0..4463 occur twice: every drop must map
+        # to the packet the shaper dropped, not to one 65,536 seqs away
+        scenario = parse_scenario(AUDIO_CONFIG.replace("2000000", str(70_000 * 20_000))
+                                  .replace("uniform(0,15000)", "uniform(0,60000)")
+                                  .replace("capacity_packets = 15", "capacity_packets = 2"))
+        before = cli._generate_trace(scenario)
+        expected = leaky_bucket_shape(before, scenario.pipeline[0])
+        assert len(expected.dropped) > 100
+        prefix = str(tmp_path / "s-")
+        cli._write_stage(prefix, 0, write_trace_csv(before), expected)
+        result = cli._reconstruct_result(before, prefix + "stage0.")
+        assert result.dropped == expected.dropped
+
+    def test_result_with_one_drop_past_half_a_period(self, tmp_path):
+        # the only drop is packet 35,000 of 40,000: more than 32,768 seqs
+        # from the stream's first packet, with no other drop in between
+        before = StreamTrace(StreamKind.AUDIO, tuple(
+            MediaPacket(k, 1, 0, False, 20_000 * k, 20_000 * k + 5, 160)
+            for k in range(40_000)))
+        packets = before.packets
+        expected = ShapeResult(
+            shaped=StreamTrace(StreamKind.AUDIO, packets[:35_000] + packets[35_001:]),
+            dropped=((packets[35_000], "bucket full"),), occupancy=())
+        prefix = str(tmp_path / "s-")
+        cli._write_stage(prefix, 0, write_trace_csv(before), expected)
+        assert cli._reconstruct_result(before, prefix + "stage0.") == expected
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", "--input", prefix + "stage0.input.csv",
+                         "--result", prefix + "stage0."]) == 0
+
     def test_malformed_drops_exit_2(self, tmp_path, audio_cfg):
         trace_path = tmp_path / "trace.csv"
         main(["generate", "--config", audio_cfg, "--output", str(trace_path)])
@@ -362,3 +399,69 @@ def test_run_and_report_agree(tmp_path, config):
         assert svg.read_bytes() == (out / (base + "figure.svg")).read_bytes()
         assert svg.with_suffix(".panels.csv").read_bytes() == \
             (out / (base + "figure.panels.csv")).read_bytes()
+
+
+CONTRACT_CASES = {
+    # command: (the input file it reads, argv after the command)
+    "generate": ("cfg", ["--config", "{cfg}", "--output", "{out}/t.csv"]),
+    "shape-config": ("cfg", ["--config", "{cfg}", "--input", "{run}/input.csv",
+                             "--output", "{out}/s-"]),
+    "shape-trace": ("run/input.csv", ["--config", "{cfg}", "--input", "{run}/input.csv",
+                                      "--output", "{out}/s-"]),
+    "analyze-trace": ("run/stage0.input.csv", ["--input", "{run}/stage0.input.csv",
+                                               "--result", "{run}/stage0."]),
+    "analyze-shaped": ("run/stage0.shaped.csv", ["--input", "{run}/stage0.input.csv",
+                                                 "--result", "{run}/stage0."]),
+    "analyze-drops": ("run/stage0.drops.csv", ["--input", "{run}/stage0.input.csv",
+                                               "--result", "{run}/stage0."]),
+    "report-config": ("cfg", ["--config", "{cfg}", "--input", "{run}/",
+                              "--output", "{out}/f.svg"]),
+    "report-occupancy": ("run/stage0.occupancy.csv", ["--config", "{cfg}", "--input",
+                                                      "{run}/", "--output", "{out}/f.svg"]),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """A config with a leaky and a token stage, and the run directory it makes."""
+    root = tmp_path_factory.mktemp("contract")
+    (root / "cfg").write_text(TWO_STAGE_RUN_CONFIG.replace(
+        "duration_us = 10000000", "duration_us = 2000000"))
+    assert main(["run", "--config", str(root / "cfg"), "--output", str(root / "run")]) == 0
+    return root
+
+
+def mangled(data: bytes):
+    """Arbitrary bytes, or `data` with a slice replaced by arbitrary bytes."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.tuples(st.integers(0, len(data)), st.integers(0, 40), st.binary(max_size=40))
+        .map(lambda c: data[:c[0]] + c[2] + data[c[0] + c[1]:]))
+
+
+@pytest.mark.parametrize("case", list(CONTRACT_CASES))
+def test_exit_code_contract_on_arbitrary_input(contract_dir, case):
+    """Whatever bytes the input holds, main returns 0, 2 or 3 and lets no
+    exception escape. A generated config is arbitrary bytes only, because a
+    mangled valid one could ask for an unbounded trace."""
+    name, argv = CONTRACT_CASES[case]
+    target = contract_dir / name
+    original = target.read_bytes()
+    command = case.split("-")[0]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.binary(max_size=200) if command == "generate" else mangled(original))
+    def check(data):
+        target.write_bytes(data)
+        with tempfile.TemporaryDirectory() as out:
+            args = [a.format(cfg=contract_dir / "cfg", run=contract_dir / "run", out=out)
+                    for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, *args])
+        assert code in (0, 2, 3)
+
+    try:
+        check()
+    finally:
+        target.write_bytes(original)

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from rtpshape import (ChannelModel, ExponentialJitter, InconsistentInputError,
+from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter, InconsistentInputError,
                       InsufficientDataError, LeakyBucketConfig, MediaPacket,
                       MetricPreconditionError, StreamKind, StreamTrace,
                       TokenBucketConfig, UniformJitter, apply_channel, compare,
-                      format_decimal, interarrival_jitter, leaky_bucket_shape,
+                      format_decimal, generate_audio, interarrival_jitter, leaky_bucket_shape,
                       loss, metrics_report, pdv, throughput, token_bucket_shape)
-from rtpshape.metrics import format_jitter
+from rtpshape.metrics import format_jitter, match_packets
 from rtpshape.reporting import jitter_csv
 
 from oracles import format_decimal_exact, jitter_exact, random_received_trace
@@ -256,6 +256,47 @@ class TestCompare:
         cfg = TokenBucketConfig(rate=Fraction(10**9), capacity_tokens=10**6)
         report = compare(trace, token_bucket_shape(trace, cfg))
         assert report.pdv_max_reduction_pct is None
+
+    def test_streams_past_the_seq_wrap(self):
+        # 70,000 packets: seqs 0..4463 occur twice; added latency is
+        # recomputed per packet by send time, which the shaper leaves alone
+        sent = generate_audio(AudioGenConfig(), 70_000 * 20_000)
+        trace = apply_channel(sent, ChannelModel(jitter=UniformJitter(0, 60_000),
+                                                 loss_prob=Fraction(1, 100), seed=3))
+        result = leaky_bucket_shape(trace, LeakyBucketConfig(2, 20_000))
+        assert result.dropped
+        report = compare(trace, result)
+        arrival = {p.send_ts_us: p.recv_ts_us for p in trace.packets}
+        added = [p.recv_ts_us - arrival[p.send_ts_us] for p in result.shaped.packets]
+        assert report.added_latency_max_us == max(added)
+        assert report.added_latency_mean_us == Fraction(sum(added), len(added))
+        assert report.drops_introduced == len(result.dropped)
+
+    def test_match_follows_the_order_across_wraps(self):
+        # the first packet (seq 65535) is left out, so the wanted keys start
+        # after the wrap
+        trace = trace_from([(65535, 0, 0), (0, 10, 10), (1, 20, 20)])
+        keys = [p[:2] + (p.send_ts_us,) for p in trace.packets]
+        assert match_packets(keys, keys[1:]) == [1, 2]
+        assert match_packets(keys, [(1, 1, 20)]) == [2]
+        with pytest.raises(InconsistentInputError):
+            match_packets(keys, [(0, 2, 10)])  # unknown ssrc
+        with pytest.raises(InconsistentInputError):
+            match_packets(keys, [keys[2], keys[1]])  # out of order
+
+    @pytest.mark.parametrize("n, picks", [
+        (40_000, [35_000]),                  # the only drop, past half a period
+        (100_000, [10_000, 50_000, 90_000]),  # drops 40,000 packets apart
+        (150_000, [1_000, 140_000]),          # seq 8,928 recurs twice between
+    ])
+    def test_match_sparse_picks_of_a_long_stream(self, n, picks):
+        keys = [(k % 65536, 7, 20_000 * k) for k in range(n)]
+        assert match_packets(keys, [keys[k] for k in picks]) == picks
+
+    def test_duplicate_identity_in_before_trace(self):
+        trace = trace_from([(7, 0, 0), (7, 0, 10)])  # the same packet twice
+        with pytest.raises(InconsistentInputError, match="duplicate"):
+            compare(trace, leaky_bucket_shape(trace, LeakyBucketConfig()))
 
     def test_identity_mismatch(self):
         trace = trace_from([(0, 0, 10), (1, 100, 110)])

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from rtpshape import (LeakyBucketConfig, MediaPacket, PipelineStageError,
-                      ShapingPreconditionError, StreamKind, StreamTrace,
+                      ShapeResult, ShapingPreconditionError, StreamKind, StreamTrace,
                       TokenBucketConfig, leaky_bucket_shape, run_pipeline,
                       token_bucket_shape)
 
-from oracles import (burst_scaled, burst_scaled_brute, leaky_oracle,
-                     random_leaky_config, random_received_trace,
-                     random_token_config, token_delay_bound_us, token_oracle)
+from oracles import (burst_scaled, burst_scaled_brute, leaky_bucket_shape_reference,
+                     leaky_oracle, random_leaky_config, random_received_trace,
+                     random_token_config, token_bucket_shape_reference,
+                     token_delay_bound_us, token_oracle)
 
 
 def received_trace(entries, size=125):
@@ -54,11 +55,21 @@ class TestLeakyBucket:
         r = leaky_bucket_shape(trace, LeakyBucketConfig(drain_interval_us=100))
         assert [p.recv_ts_us for p in r.shaped.packets] == [0, 100]
 
+    def test_idle_bucket_sends_at_once_before_time_zero(self):
+        trace = received_trace([-500, -490])
+        r = leaky_bucket_shape(trace, LeakyBucketConfig(drain_interval_us=100))
+        assert [p.recv_ts_us for p in r.shaped.packets] == [-500, -400]
+
     def test_missing_arrival_is_precondition_error(self):
         trace = StreamTrace(StreamKind.AUDIO,
                             (MediaPacket(0, 1, 96, False, 0, None, 125),))
         with pytest.raises(ShapingPreconditionError):
             leaky_bucket_shape(trace, LeakyBucketConfig())
+
+    def test_immediate_departure_is_one_occupancy_row(self):
+        trace = received_trace([5])
+        r = leaky_bucket_shape(trace, LeakyBucketConfig())
+        assert r.occupancy == ((5, 0, 0, 0),)
 
     def test_audio_configuration_bounds_bucket(self):
         # telephony-style audio: 125-byte CBR packets with jittered arrivals,
@@ -109,6 +120,21 @@ class TestTokenBucket:
                                 initial_tokens=0, queue_limit_bytes=200)
         r = token_bucket_shape(trace, cfg)
         assert [(p.seq, reason) for p, reason in r.dropped] == [(2, "queue full")]
+
+    def test_immediate_departure_is_two_occupancy_rows(self):
+        # the packet is sampled in the queue, then leaving it
+        trace = received_trace([(5000, 80)])
+        cfg = TokenBucketConfig(rate=Fraction(1000), capacity_tokens=100)
+        r = token_bucket_shape(trace, cfg)
+        assert r.occupancy == ((5000, 1, 80, 100), (5000, 0, 0, 20))
+
+    def test_oversized_packet_dropped_on_queue_limit_does_not_raise(self):
+        trace = received_trace([(0, 500), (10, 50)])
+        cfg = TokenBucketConfig(rate=Fraction(100), capacity_tokens=100,
+                                queue_limit_bytes=100)
+        r = token_bucket_shape(trace, cfg)
+        assert [(p.seq, reason) for p, reason in r.dropped] == [(0, "queue full")]
+        assert [p.seq for p in r.shaped.packets] == [1]
 
     def test_oversized_packet_raises(self):
         trace = received_trace([(0, 500)])
@@ -225,6 +251,51 @@ class TestSharedInvariants:
             assert [(p.seq, t) for p, t in deps] == \
                 [(p.seq, p.recv_ts_us) for p in result.shaped.packets]
             assert [p.seq for p in drops] == [p.seq for p, _ in result.dropped]
+
+
+def shape_or_error(shaper, trace, cfg):
+    try:
+        return shaper(trace, cfg)
+    except ShapingPreconditionError as exc:
+        return str(exc)
+
+
+class TestAgainstSeparateLoops:
+    """The one FIFO-server loop against the two loops it replaced: the whole
+    ShapeResult, occupancy samples included, or the same error."""
+
+    def test_leaky(self):
+        rng = random.Random(505)
+        for _ in range(400):
+            trace = random_received_trace(rng, max_packets=80, min_t=-1000, max_t=2000)
+            cfg = random_leaky_config(rng)
+            assert leaky_bucket_shape(trace, cfg) == leaky_bucket_shape_reference(trace, cfg)
+
+    @pytest.mark.parametrize("queue_limit", [False, True])
+    def test_token(self, queue_limit):
+        # a third of the configs hold fewer tokens than the largest packet;
+        # with a queue limit no larger than the capacity, every oversized
+        # packet is dropped before it could raise
+        rng = random.Random(606 if queue_limit else 707)
+        outcomes = set()
+        for _ in range(400):
+            trace = random_received_trace(rng, max_packets=80, min_t=-1000, max_t=2000)
+            cfg = random_token_config(rng)
+            if rng.random() < 1 / 3:
+                cap = rng.randint(20, 99)
+                cfg = dataclasses.replace(cfg, capacity_tokens=cap, initial_tokens=None,
+                                          queue_limit_bytes=rng.randint(1, cap)
+                                          if queue_limit else None)
+            elif not queue_limit:
+                cfg = dataclasses.replace(cfg, queue_limit_bytes=None)
+            got = shape_or_error(token_bucket_shape, trace, cfg)
+            assert got == shape_or_error(token_bucket_shape_reference, trace, cfg)
+            outcomes.add((type(got), max(p.size_bytes for p in trace.packets)
+                          > cfg.capacity_tokens))
+        # (outcome, trace holds an oversized packet): without a queue limit
+        # an oversized packet raises; with one it is dropped instead
+        assert outcomes == ({(ShapeResult, True), (ShapeResult, False)} if queue_limit
+                            else {(str, True), (ShapeResult, False)})
 
 
 class TestPipeline:
