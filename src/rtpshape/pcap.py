@@ -1,9 +1,18 @@
 """Classic-PCAP ingestion: Ethernet II / IPv4 / UDP dissection with an RTP heuristic.
 
-Deliberately narrow: classic libpcap format only, Ethernet link type, IPv4,
-UDP. A UDP payload is treated as RTP when it is at least 12 bytes long and
-its version bits read 2; like Wireshark's "decode as RTP", this is a
-heuristic, and ``port_filter`` lets callers disambiguate.
+Deliberately narrow: classic libpcap format only, Ethernet link type.
+A frame is dissected when it is Ethernet II carrying IPv4 (header options
+allowed) carrying UDP. Only unfragmented datagrams and first fragments are
+read: a later fragment (non-zero fragment offset) carries no UDP header
+(RFC 791) and is skipped. A UDP payload is treated as RTP when it is at
+least 12 bytes long and its version bits read 2; like Wireshark's "decode
+as RTP", this is a heuristic, and ``port_filter`` lets callers disambiguate.
+A payload cut by the snaplen is sized from the UDP length field.
+
+Ordering contract: one StreamTrace per SSRC, in the order each SSRC first
+appears in the file. A stream's packets are sorted by capture timestamp,
+and packets with equal timestamps keep their capture order. Time 0 is the
+earliest RTP packet's timestamp, wherever in the file it sits.
 
 Captures carry only arrival times, so imported packets get
 ``send_ts_us == recv_ts_us`` by convention.
@@ -12,7 +21,7 @@ Captures carry only arrival times, so imported packets get
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
+from operator import itemgetter
 from typing import Optional
 
 from .model import MediaPacket, StreamKind, StreamTrace, check_trace
@@ -22,6 +31,12 @@ MAGIC_SWAPPED = b"\xd4\xc3\xb2\xa1"
 LINKTYPE_ETHERNET = 1
 ETHERTYPE_IPV4 = 0x0800
 PROTO_UDP = 17
+
+_ENDIAN = {MAGIC_NATIVE: ">", MAGIC_SWAPPED: "<"}
+# UDP header (sport, dport, length, checksum skipped) then the fixed RTP
+# header (b0, b1, seq, timestamp skipped, ssrc): 20 contiguous bytes
+_UDP_RTP = struct.Struct(">HHH2xBBH4xI")
+_U16 = struct.Struct(">H")
 
 
 class PcapError(Exception):
@@ -44,72 +59,6 @@ class PcapLinkTypeError(PcapError):
     """Capture uses a link type other than Ethernet."""
 
 
-def _parse_rtp(payload: bytes, payload_len: int) -> Optional[tuple[int, int, int, bool, int]]:
-    """Return (seq, ssrc, payload_type, marker, media_bytes) or None."""
-    if payload_len < 12 or len(payload) < 12:
-        return None
-    b0 = payload[0]
-    if b0 >> 6 != 2:
-        return None
-    padding = bool(b0 & 0x20)
-    extension = bool(b0 & 0x10)
-    cc = b0 & 0x0F
-    marker = bool(payload[1] & 0x80)
-    pt = payload[1] & 0x7F
-    seq, = struct.unpack_from(">H", payload, 2)
-    ssrc, = struct.unpack_from(">I", payload, 8)
-
-    header_len = 12 + 4 * cc
-    if extension:
-        if len(payload) < header_len + 4:
-            return None
-        ext_words, = struct.unpack_from(">H", payload, header_len + 2)
-        header_len += 4 + 4 * ext_words
-    pad_len = 0
-    if padding:
-        if payload_len > len(payload):
-            return None  # snaplen cut the padding byte off; cannot size it
-        pad_len = payload[payload_len - 1]
-    media_bytes = payload_len - header_len - pad_len
-    if media_bytes < 1:
-        return None
-    return seq, ssrc, pt, marker, media_bytes
-
-
-def _parse_frame(frame: bytes, port_filter: Optional[int]):
-    """Dissect Ethernet II -> IPv4 -> UDP -> RTP; None when not RTP/UDP."""
-    if len(frame) < 14:
-        return None
-    ethertype, = struct.unpack_from(">H", frame, 12)
-    if ethertype != ETHERTYPE_IPV4:
-        return None
-    ip = frame[14:]
-    if len(ip) < 20:
-        return None
-    if ip[0] >> 4 != 4:
-        return None
-    ihl = (ip[0] & 0x0F) * 4
-    if ihl < 20 or len(ip) < ihl:
-        return None
-    if ip[9] != PROTO_UDP:
-        return None
-    udp = ip[ihl:]
-    if len(udp) < 8:
-        return None
-    sport, dport, ulen = struct.unpack_from(">HHH", udp, 0)
-    if port_filter is not None and port_filter not in (sport, dport):
-        return None
-    if ulen < 8:
-        return None
-    payload_len = ulen - 8
-    payload = udp[8:8 + payload_len]
-    if len(payload) < payload_len:
-        # snaplen-truncated payload; cannot dissect reliably
-        if len(payload) < 12:
-            return None
-    return _parse_rtp(payload, payload_len)
-
-
 def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTrace]:
     """Parse a classic PCAP byte stream into one StreamTrace per RTP SSRC.
 
@@ -117,48 +66,86 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
     Streams whose packets all share one size are labelled audio, the rest
     video.
     """
-    if len(data) < 4 or data[0:4] not in (MAGIC_NATIVE, MAGIC_SWAPPED):
+    endian = _ENDIAN.get(bytes(data[0:4]))
+    if endian is None:
         raise PcapFormatError("missing classic PCAP magic")
-    endian = ">" if data[0:4] == MAGIC_NATIVE else "<"
     if len(data) < 24:
         raise PcapFormatError("truncated global header")
-    _, _, _, _, _, _, network = struct.unpack(endian + "IHHiIII", data[:24])
+    network, = struct.unpack_from(endian + "I", data, 20)
     if network != LINKTYPE_ETHERNET:
         raise PcapLinkTypeError(f"unsupported link type {network} (need Ethernet)")
 
+    # Every read below stays inside its record: each offset is checked
+    # against the record's end before the bytes at it are read. Nothing is
+    # copied out of `data`.
+    record_header = struct.Struct(endian + "III").unpack_from
+    udp_rtp = _UDP_RTP.unpack_from
+    u16 = _U16.unpack_from
     found: list[tuple[int, int, int, int, bool, int]] = []  # ts, seq, ssrc, pt, marker, size
-    offset = 24
+    append = found.append
+    total = len(data)
+    end = 24
     record = 0
-    while offset < len(data):
-        if len(data) - offset < 16:
+    while end < total:
+        if total - end < 16:
             raise PcapTruncatedError(record, "record header cut short")
-        ts_sec, ts_usec, incl_len, _ = struct.unpack_from(endian + "IIII", data, offset)
-        offset += 16
-        if incl_len > len(data) - offset:
+        ts_sec, ts_usec, incl_len = record_header(data, end)
+        start = end + 16
+        end = start + incl_len
+        if end > total:
             raise PcapTruncatedError(record, "record body cut short")
-        frame = data[offset:offset + incl_len]
-        offset += incl_len
-        parsed = _parse_frame(frame, port_filter)
-        if parsed is not None:
-            seq, ssrc, pt, marker, size = parsed
-            found.append((ts_sec * 10**6 + ts_usec, seq, ssrc, pt, marker, size))
         record += 1
+
+        ip = start + 14
+        if ip + 20 > end or (data[ip - 2] << 8 | data[ip - 1]) != ETHERTYPE_IPV4:
+            continue  # too short for Ethernet + IPv4, or not IPv4
+        vihl = data[ip]
+        ihl = (vihl & 0x0F) * 4
+        if vihl >> 4 != 4 or ihl < 20 or ip + ihl > end or data[ip + 9] != PROTO_UDP:
+            continue
+        if data[ip + 6] & 0x1F or data[ip + 7]:
+            continue  # a later fragment: its first bytes are not a UDP header
+        udp = ip + ihl
+        if udp + 20 > end:
+            continue  # no room for UDP plus a 12-byte RTP header
+        sport, dport, ulen, b0, b1, seq, ssrc = udp_rtp(data, udp)
+        if port_filter is not None and port_filter != sport and port_filter != dport:
+            continue
+        payload_len = ulen - 8
+        if payload_len < 12 or b0 >> 6 != 2:
+            continue
+        rtp = udp + 8
+        avail = min(payload_len, end - rtp)  # snaplen may cut the datagram
+        header_len = 12 + 4 * (b0 & 0x0F)
+        if b0 & 0x10:  # extension header
+            if avail < header_len + 4:
+                continue
+            header_len += 4 + 4 * u16(data, rtp + header_len + 2)[0]
+        pad_len = 0
+        if b0 & 0x20:
+            if payload_len > avail:
+                continue  # snaplen cut the padding byte off; cannot size it
+            pad_len = data[rtp + payload_len - 1]
+        media_bytes = payload_len - header_len - pad_len
+        if media_bytes > 0:
+            append((ts_sec * 10**6 + ts_usec, seq, ssrc, b1 & 0x7F, b1 > 0x7F, media_bytes))
 
     if not found:
         return []
 
-    t0 = min(item[0] for item in found)
-    by_ssrc: "OrderedDict[int, list[tuple[int, int]]]" = OrderedDict()
-    for order, (ts, seq, ssrc, pt, marker, size) in enumerate(found):
+    first_seen = dict.fromkeys(map(itemgetter(2), found))
+    streams: dict[int, list[MediaPacket]] = {ssrc: [] for ssrc in first_seen}
+    found.sort(key=itemgetter(0))  # stable: equal times keep capture order
+    t0 = found[0][0]
+    new = tuple.__new__
+    packet = MediaPacket
+    for ts, seq, ssrc, pt, marker, media_bytes in found:
         rel = ts - t0
-        pkt = MediaPacket(seq, ssrc, pt, marker, rel, rel, size)
-        by_ssrc.setdefault(ssrc, []).append((order, pkt))
+        streams[ssrc].append(new(packet, (seq, ssrc, pt, marker, rel, rel, media_bytes)))
 
     traces = []
-    for ssrc, items in by_ssrc.items():
-        items.sort(key=lambda it: (it[1].recv_ts_us, it[0]))
-        packets = tuple(pkt for _, pkt in items)
-        sizes = {p.size_bytes for p in packets}
+    for packets in streams.values():
+        sizes = {p[6] for p in packets}
         kind = StreamKind.AUDIO if len(sizes) == 1 else StreamKind.VIDEO
         traces.append(check_trace(StreamTrace(kind=kind, packets=packets)))
     return traces

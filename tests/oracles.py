@@ -10,19 +10,25 @@ The burst helpers give the network-calculus delay bound a token bucket must meet
 jitter and decimal references compute in exact rationals what the library
 computes in Q64 fixed point and integer rounding. The `*_reference`
 renderers are the straightforward per-point versions of the figure and CSV
-writers; the library's must produce the same bytes.
+writers; the library's must produce the same bytes. `import_pcap_reference`
+is the pcap importer as it was written before it read fields in place: it
+slices out each layer, parses RTP in its own function and sorts each stream
+by (time, capture order). Its one edit is the skip of later IPv4 fragments.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+import struct
+from collections import OrderedDict, deque
 from fractions import Fraction
 from typing import Optional
 
 from rtpshape import (LeakyBucketConfig, MediaPacket, StreamKind, StreamTrace,
                       TokenBucketConfig)
-from rtpshape.model import CSV_HEADER
+from rtpshape.model import CSV_HEADER, check_trace
+from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGIC_SWAPPED,
+                           PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
 from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
                               ShapeResult, ShapingPreconditionError)
 from rtpshape.reporting import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
@@ -491,3 +497,125 @@ def render_svg_reference(report: PanelReport) -> str:
         out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
+
+
+def _parse_rtp(payload: bytes, payload_len: int) -> Optional[tuple[int, int, int, bool, int]]:
+    """Return (seq, ssrc, payload_type, marker, media_bytes) or None."""
+    if payload_len < 12 or len(payload) < 12:
+        return None
+    b0 = payload[0]
+    if b0 >> 6 != 2:
+        return None
+    padding = bool(b0 & 0x20)
+    extension = bool(b0 & 0x10)
+    cc = b0 & 0x0F
+    marker = bool(payload[1] & 0x80)
+    pt = payload[1] & 0x7F
+    seq, = struct.unpack_from(">H", payload, 2)
+    ssrc, = struct.unpack_from(">I", payload, 8)
+
+    header_len = 12 + 4 * cc
+    if extension:
+        if len(payload) < header_len + 4:
+            return None
+        ext_words, = struct.unpack_from(">H", payload, header_len + 2)
+        header_len += 4 + 4 * ext_words
+    pad_len = 0
+    if padding:
+        if payload_len > len(payload):
+            return None  # snaplen cut the padding byte off; cannot size it
+        pad_len = payload[payload_len - 1]
+    media_bytes = payload_len - header_len - pad_len
+    if media_bytes < 1:
+        return None
+    return seq, ssrc, pt, marker, media_bytes
+
+
+def _parse_frame(frame: bytes, port_filter: Optional[int]):
+    """Dissect Ethernet II -> IPv4 -> UDP -> RTP; None when not RTP/UDP."""
+    if len(frame) < 14:
+        return None
+    ethertype, = struct.unpack_from(">H", frame, 12)
+    if ethertype != ETHERTYPE_IPV4:
+        return None
+    ip = frame[14:]
+    if len(ip) < 20:
+        return None
+    if ip[0] >> 4 != 4:
+        return None
+    ihl = (ip[0] & 0x0F) * 4
+    if ihl < 20 or len(ip) < ihl:
+        return None
+    if ip[9] != PROTO_UDP:
+        return None
+    if struct.unpack_from(">H", ip, 6)[0] & 0x1FFF:
+        return None  # a later fragment carries no UDP header (RFC 791)
+    udp = ip[ihl:]
+    if len(udp) < 8:
+        return None
+    sport, dport, ulen = struct.unpack_from(">HHH", udp, 0)
+    if port_filter is not None and port_filter not in (sport, dport):
+        return None
+    if ulen < 8:
+        return None
+    payload_len = ulen - 8
+    payload = udp[8:8 + payload_len]
+    if len(payload) < payload_len:
+        # snaplen-truncated payload; cannot dissect reliably
+        if len(payload) < 12:
+            return None
+    return _parse_rtp(payload, payload_len)
+
+
+def import_pcap_reference(data: bytes, port_filter: Optional[int] = None) -> list[StreamTrace]:
+    """Parse a classic PCAP byte stream into one StreamTrace per RTP SSRC.
+
+    Arrival timestamps are offset so the earliest RTP packet sits at 0.
+    Streams whose packets all share one size are labelled audio, the rest
+    video.
+    """
+    if len(data) < 4 or data[0:4] not in (MAGIC_NATIVE, MAGIC_SWAPPED):
+        raise PcapFormatError("missing classic PCAP magic")
+    endian = ">" if data[0:4] == MAGIC_NATIVE else "<"
+    if len(data) < 24:
+        raise PcapFormatError("truncated global header")
+    _, _, _, _, _, _, network = struct.unpack(endian + "IHHiIII", data[:24])
+    if network != LINKTYPE_ETHERNET:
+        raise PcapLinkTypeError(f"unsupported link type {network} (need Ethernet)")
+
+    found: list[tuple[int, int, int, int, bool, int]] = []  # ts, seq, ssrc, pt, marker, size
+    offset = 24
+    record = 0
+    while offset < len(data):
+        if len(data) - offset < 16:
+            raise PcapTruncatedError(record, "record header cut short")
+        ts_sec, ts_usec, incl_len, _ = struct.unpack_from(endian + "IIII", data, offset)
+        offset += 16
+        if incl_len > len(data) - offset:
+            raise PcapTruncatedError(record, "record body cut short")
+        frame = data[offset:offset + incl_len]
+        offset += incl_len
+        parsed = _parse_frame(frame, port_filter)
+        if parsed is not None:
+            seq, ssrc, pt, marker, size = parsed
+            found.append((ts_sec * 10**6 + ts_usec, seq, ssrc, pt, marker, size))
+        record += 1
+
+    if not found:
+        return []
+
+    t0 = min(item[0] for item in found)
+    by_ssrc: "OrderedDict[int, list[tuple[int, int]]]" = OrderedDict()
+    for order, (ts, seq, ssrc, pt, marker, size) in enumerate(found):
+        rel = ts - t0
+        pkt = MediaPacket(seq, ssrc, pt, marker, rel, rel, size)
+        by_ssrc.setdefault(ssrc, []).append((order, pkt))
+
+    traces = []
+    for ssrc, items in by_ssrc.items():
+        items.sort(key=lambda it: (it[1].recv_ts_us, it[0]))
+        packets = tuple(pkt for _, pkt in items)
+        sizes = {p.size_bytes for p in packets}
+        kind = StreamKind.AUDIO if len(sizes) == 1 else StreamKind.VIDEO
+        traces.append(check_trace(StreamTrace(kind=kind, packets=packets)))
+    return traces

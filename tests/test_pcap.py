@@ -3,9 +3,11 @@ import struct
 
 import pytest
 
-from rtpshape import (PcapError, PcapFormatError, PcapLinkTypeError,
+from rtpshape import (MediaPacket, PcapError, PcapFormatError, PcapLinkTypeError,
                       PcapTruncatedError, StreamKind, TraceValidationError,
                       import_pcap, validate_trace)
+
+from oracles import import_pcap_reference
 
 
 def rtp_payload(ssrc, seq, media_len, pt=96, marker=False, cc=0, rtp_ts=0):
@@ -15,12 +17,17 @@ def rtp_payload(ssrc, seq, media_len, pt=96, marker=False, cc=0, rtp_ts=0):
             + struct.pack(">I", ssrc) + bytes(4 * cc) + bytes(media_len))
 
 
-def udp_frame(payload, sport=5000, dport=5004):
-    udp = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
-    ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(udp), 0, 0, 64, 17, 0,
-                     bytes(4), bytes(4)) + udp
+def ipv4_frame(body, frag=0):
+    """Ethernet II + a 20-byte IPv4 header carrying UDP; `frag` is the
+    flags and fragment-offset field."""
+    ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(body), 0, frag, 64, 17, 0,
+                     bytes(4), bytes(4)) + body
     eth = bytes(6) + bytes(6) + struct.pack(">H", 0x0800)
     return eth + ip
+
+
+def udp_frame(payload, sport=5000, dport=5004):
+    return ipv4_frame(struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload)
 
 
 def build_pcap(records, linktype=1):
@@ -122,3 +129,166 @@ def test_fuzz_total_over_random_blobs():
         except (PcapError, TraceValidationError):
             continue
         assert isinstance(traces, list)
+
+
+MF = 0x2000  # IPv4 "more fragments" flag; the low 13 bits are the offset in 8-byte words
+
+
+def test_only_first_ipv4_fragment_is_dissected():
+    # a 3000-byte datagram in 1480-byte fragments; the second fragment's
+    # first 20 bytes happen to read as a UDP header plus an RTP v2 header
+    fake = struct.pack(">HHHH", 5000, 5004, 1000, 0) + rtp_payload(0x0BADF00D, 1, 0)
+    rtp = rtp_payload(ssrc=0xCAFE, seq=7, media_len=1460) + fake + bytes(1500)
+    datagram = struct.pack(">HHHH", 5000, 5004, 8 + len(rtp), 0) + rtp
+    first = ipv4_frame(datagram[:1480], frag=MF)
+    later = ipv4_frame(datagram[1480:2960], frag=MF | 185)
+    dont_fragment = ipv4_frame(datagram[:1480], frag=0x4000)  # as if cut by the snaplen
+
+    assert import_pcap(build_pcap([(0, later)])) == []
+    for records in ([(0, first)], [(0, first), (10, later)], [(0, dont_fragment)]):
+        traces = import_pcap(build_pcap(records))
+        assert [[(p.ssrc, p.size_bytes) for p in t.packets] for t in traces] == \
+            [[(0xCAFE, 2980)]]  # sized from the UDP length
+
+
+def test_streams_in_order_of_first_capture_not_first_time():
+    a = udp_frame(rtp_payload(0xA, 0, 50))
+    b = udp_frame(rtp_payload(0xB, 0, 60))
+    traces = import_pcap(build_pcap([(1000, a), (400, b)]))
+    assert [t.packets[0].ssrc for t in traces] == [0xA, 0xB]
+    assert [t.packets[0].recv_ts_us for t in traces] == [600, 0]
+
+
+def test_equal_timestamps_keep_capture_order():
+    # 65535 -> 0 is forward across the wrap, so only capture order is right
+    records = [(500, udp_frame(rtp_payload(7, seq, 40))) for seq in (65535, 0, 1)]
+    records.insert(1, (500, udp_frame(rtp_payload(8, 9, 40))))
+    records.append((300, udp_frame(rtp_payload(7, 65534, 40))))
+    traces = import_pcap(build_pcap(records))
+    assert [[p.seq for p in t.packets] for t in traces] == [[65534, 65535, 0, 1], [9]]
+    assert [p.recv_ts_us for p in traces[0].packets] == [0, 200, 200, 200]
+
+
+def test_time_zero_is_the_earliest_rtp_packet():
+    noise = udp_frame(bytes([0x12, 0x34]) + bytes(20), sport=5353, dport=53)
+    records = [(100, noise), (1000, udp_frame(rtp_payload(1, 0, 50))),
+               (700, udp_frame(rtp_payload(2, 0, 50)))]
+    traces = import_pcap(build_pcap(records))
+    assert [(t.packets[0].ssrc, t.packets[0].recv_ts_us) for t in traces] == [(1, 300), (2, 0)]
+
+
+def random_rtp_frame(rng, ssrcs, next_seq):
+    """An Ethernet frame that is RTP over UDP over IPv4, or nearly so: each
+    layer sometimes carries a field the dissector must bound or reject."""
+    ssrc = rng.choice(ssrcs)
+    seq = next_seq[ssrc]
+    draw = rng.random()  # mostly in order; sometimes a duplicate or a reordering
+    step = 0 if draw < 0.01 else -1 if draw < 0.04 else rng.choice((1, 1, 1, 1, 2))
+    next_seq[ssrc] = (seq + step) & 0xFFFF
+    cc = rng.choice((0, 0, rng.randint(0, 15)))
+    b0 = (0x80 if rng.random() < 0.9 else rng.getrandbits(2) << 6) | cc
+    ext = b""
+    if rng.random() < 0.3:
+        b0 |= 0x10
+        words = rng.randint(0, 3)
+        ext = rng.randbytes(2) + struct.pack(">H", words) + rng.randbytes(4 * words)
+    pad = b""
+    if rng.random() < 0.3:
+        b0 |= 0x20
+        n = rng.randint(1, 8) if rng.random() < 0.8 else rng.getrandbits(8)
+        pad = bytes(rng.randint(0, 7)) + bytes([n])
+    rtp = (struct.pack(">BBHII", b0, rng.getrandbits(8), seq, rng.getrandbits(32), ssrc)
+           + rng.randbytes(4 * cc) + ext + rng.randbytes(rng.randint(0, 40)) + pad)
+    if rng.random() < 0.1:
+        rtp = rtp[:rng.randint(0, len(rtp))]
+
+    ulen = 8 + len(rtp)
+    draw = rng.random()
+    if draw < 0.05:
+        ulen = rng.randint(0, 7)
+    elif draw < 0.12:
+        ulen += rng.randint(1, 50)  # claims more than the record holds
+    elif draw < 0.25:
+        ulen -= rng.randint(0, len(rtp))  # bytes past the datagram's end
+    port = rng.choice((5004, 5006, 53))
+    udp = struct.pack(">HHHH", port, rng.choice((port, 40000)), ulen, 0) + rtp
+    if rng.random() < 0.2:
+        udp += rng.randbytes(rng.randint(1, 12))  # e.g. Ethernet padding
+
+    ihl = 5 if rng.random() < 0.7 else rng.randint(0, 15)
+    options = rng.randbytes(4 * max(ihl - 5, 0))
+    version = 4 if rng.random() < 0.95 else rng.choice((0, 6, 15))
+    proto = 17 if rng.random() < 0.9 else 6
+    frag = rng.choice((0, 0, 0, 0, 0x4000, MF, MF | rng.randint(1, 0x1FFF),
+                       rng.randint(1, 0x1FFF)))
+    ip = struct.pack(">BBHHHBBH4s4s", version << 4 | ihl, 0,
+                     (20 + len(options) + len(udp)) & 0xFFFF, 0, frag, 64, proto, 0,
+                     bytes(4), bytes(4))
+    return bytes(12) + b"\x08\x00" + ip + options + udp
+
+
+def random_capture(rng, endian):
+    """A small classic pcap: RTP on up to four SSRCs among noise frames,
+    with equal and out-of-order timestamps and snaplen-cut records."""
+    out = [struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)]
+    ssrcs = [rng.getrandbits(32) for _ in range(rng.randint(1, 4))]
+    next_seq = {ssrc: rng.randrange(1 << 16) for ssrc in ssrcs}
+    ts = rng.randrange(10**6, 10**9) * 10**6
+    for _ in range(rng.randint(0, 30)):
+        ts += rng.choice((0, 0, 1, 20_000, 20_000, -15_000))
+        draw = rng.random()
+        if draw < 0.06:
+            frame = rng.randbytes(rng.randint(0, 40))
+        elif draw < 0.12:
+            frame = bytes(12) + rng.choice((b"\x86\xdd", b"\x08\x06")) + rng.randbytes(40)
+        else:
+            frame = random_rtp_frame(rng, ssrcs, next_seq)
+        kept = frame if rng.random() < 0.85 else frame[:rng.randint(0, len(frame))]
+        out.append(struct.pack(endian + "IIII", ts // 10**6, ts % 10**6, len(kept), len(frame))
+                   + kept)
+    if rng.random() < 0.05:
+        out.append(rng.randbytes(rng.randint(1, 15)))  # a record header cut short
+    return b"".join(out)
+
+
+def import_outcome(importer, data, port_filter):
+    try:
+        traces = importer(data, port_filter)
+    except PcapError as exc:
+        return type(exc), str(exc), getattr(exc, "record_index", None)
+    except TraceValidationError as exc:
+        return type(exc), str(exc)
+    for trace in traces:
+        for p in trace.packets:
+            assert type(p) is MediaPacket and type(p.marker) is bool
+    return traces
+
+
+def mutated(rng, data):
+    if rng.random() < 0.5 or not data:
+        return data[:rng.randint(0, len(data))]
+    flipped = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        flipped[rng.randrange(len(flipped))] = rng.getrandbits(8)
+    return bytes(flipped)
+
+
+def test_import_matches_reference_dissector():
+    rng = random.Random(606)
+    streams = 0
+    errors: set[type] = set()
+    for _ in range(500):
+        for endian in "<>":
+            capture = random_capture(rng, endian)
+            for data in (capture, mutated(rng, capture), mutated(rng, capture)):
+                for port_filter in (None, 5004, 40000, 9):
+                    got = import_outcome(import_pcap, data, port_filter)
+                    assert got == import_outcome(import_pcap_reference, data, port_filter)
+                    if isinstance(got, list):
+                        streams += len(got)
+                    else:
+                        errors.add(got[0])
+    # the generator reaches the stream builder and every error
+    assert streams > 2000
+    assert errors == {PcapFormatError, PcapLinkTypeError, PcapTruncatedError,
+                      TraceValidationError}
