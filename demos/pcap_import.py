@@ -4,8 +4,8 @@ their jitter.
 To stay self-contained, the demo first assembles a tiny classic-format pcap
 in memory: one audio-like stream (constant 160-byte packets every 20 ms with
 wobbly capture timestamps) interleaved with DNS noise that the importer must
-ignore. It then imports the capture, classifies the stream, and runs the
-standard metrics over it.
+ignore. It then imports the capture and runs the standard metrics over
+the stream.
 
 Run with:  python3 demos/pcap_import.py
 """
@@ -53,8 +53,7 @@ def main():
 
     trace = traces[0]
     p = trace.packets[0]
-    print(f"stream ssrc=0x{p.ssrc:X}, kind={trace.kind.value}, "
-          f"{len(trace)} packets of {p.size_bytes} bytes")
+    print(f"stream ssrc=0x{p.ssrc:X}, {len(trace)} packets of {p.size_bytes} bytes")
 
     report = metrics_report(trace)
     print(f"duration: {report.duration_us} us, {report.total_bytes} bytes, "
@@ -63,7 +62,7 @@ def main():
     # a capture records only arrival times, so the importer sets send = recv
     # and the delay metrics come out zero by construction; re-anchoring the
     # send times on the stream's nominal 20 ms grid exposes the capture jitter
-    nominal = StreamTrace(trace.kind, tuple(
+    nominal = StreamTrace(tuple(
         p._replace(send_ts_us=20000 * i) for i, p in enumerate(trace.packets)
     ))
     report = metrics_report(nominal)

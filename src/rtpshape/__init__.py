@@ -1,8 +1,8 @@
 """Traffic shaping and jitter analysis for RTP-style media streams."""
 
-from .model import (MediaPacket, StreamKind, StreamTrace, TraceFormatError,
-                    TraceValidationError, Violation, check_trace, read_trace_csv,
-                    validate_trace, write_trace_csv)
+from .model import (MediaPacket, StreamTrace, TraceFormatError, TraceValidationError,
+                    Violation, check_trace, read_trace_csv, validate_trace,
+                    write_trace_csv)
 from .pcap import (PcapError, PcapFormatError, PcapLinkTypeError,
                    PcapTruncatedError, import_pcap)
 from .shaping import (LeakyBucketConfig, OccupancySample, PipelineStageError,
@@ -22,7 +22,7 @@ from .scenario import ConfigError, ScenarioConfig, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "MediaPacket", "StreamKind", "StreamTrace", "TraceFormatError",
+    "MediaPacket", "StreamTrace", "TraceFormatError",
     "TraceValidationError", "Violation", "check_trace", "read_trace_csv",
     "validate_trace", "write_trace_csv",
     "PcapError", "PcapFormatError", "PcapLinkTypeError", "PcapTruncatedError",

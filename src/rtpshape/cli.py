@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from . import reporting
-from .model import (TS_MAX, StreamKind, StreamTrace, TraceFormatError, TraceValidationError,
+from .model import (TS_MAX, StreamTrace, TraceFormatError, TraceValidationError,
                     Violation, check_trace, read_trace_csv, write_trace_csv)
 from .scenario import ConfigError, ScenarioConfig, parse_scenario
 from .shaping import (ShapeResult, ShaperConfig, ShapingPreconditionError,
@@ -40,8 +40,8 @@ def _load_scenario(path: str) -> ScenarioConfig:
     return parse_scenario(text)
 
 
-def _read_trace(path: str, kind: StreamKind) -> StreamTrace:
-    return read_trace_csv(Path(path).read_bytes(), kind)
+def _read_trace(path: str) -> StreamTrace:
+    return read_trace_csv(Path(path).read_bytes())
 
 
 def _write(path: Path, data: str | bytes) -> None:
@@ -107,9 +107,7 @@ def cmd_shape(args) -> int:
     scenario = _load_scenario(args.config)
     if not scenario.pipeline:
         raise ConfigError("pipeline is empty; nothing to shape")
-    kind = StreamKind.AUDIO if isinstance(scenario.generator, AudioGenConfig) \
-        else StreamKind.VIDEO
-    trace = _read_trace(args.input, kind)
+    trace = _read_trace(args.input)
     final, results = run_pipeline(list(scenario.pipeline), trace)
     stage_csv = write_trace_csv(trace)
     for k, result in enumerate(results):
@@ -120,7 +118,7 @@ def cmd_shape(args) -> int:
 
 
 def _reconstruct_result(before: StreamTrace, prefix: str) -> ShapeResult:
-    shaped = read_trace_csv(Path(prefix + "shaped.csv").read_bytes(), before.kind)
+    shaped = _read_trace(prefix + "shaped.csv")
     rows = reporting.read_drops_csv(Path(prefix + "drops.csv").read_bytes())
     # a drop's timestamp is its arrival at the stage: recv_ts_us in `before`
     found = metrics_mod.match_packets([p[:2] + (p.recv_ts_us,) for p in before.packets],
@@ -133,7 +131,7 @@ def cmd_analyze(args) -> int:
     window = 10**6
     if args.config:
         window = _load_scenario(args.config).throughput_window_us
-    trace = _read_trace(args.input, StreamKind.AUDIO)
+    trace = _read_trace(args.input)
     out_prefix = args.output or ""
     if args.result is None:
         report = metrics_mod.metrics_report(trace, window)
@@ -167,10 +165,8 @@ def _report_stage(scenario: ScenarioConfig, prefix: str, k: int,
     if not 0 <= k < len(scenario.pipeline):
         raise ConfigError(f"config has no pipeline stage {k}")
     base = _stage_prefix(prefix, k)
-    kind = StreamKind.AUDIO if isinstance(scenario.generator, AudioGenConfig) \
-        else StreamKind.VIDEO
-    incoming = read_trace_csv(Path(base + "input.csv").read_bytes(), kind)
-    shaped = read_trace_csv(Path(base + "shaped.csv").read_bytes(), kind)
+    incoming = _read_trace(base + "input.csv")
+    shaped = _read_trace(base + "shaped.csv")
     occupancy = reporting.read_occupancy_csv(Path(base + "occupancy.csv").read_bytes())
     result = ShapeResult(shaped=shaped, dropped=(), occupancy=occupancy)
     return _render_stage(scenario.pipeline[k], incoming, result, svg_path)

@@ -241,9 +241,8 @@ def compare(before: StreamTrace, result: ShapeResult,
     found = match_packets(keys, [p[:2] + (p.send_ts_us,) for p in shaped])
     added = [p.recv_ts_us - before.packets[i].recv_ts_us for p, i in zip(shaped, found)]
 
-    after = StreamTrace(kind=before.kind, packets=shaped)
     before_report = metrics_report(before, window_us)
-    after_report = metrics_report(after, window_us)
+    after_report = metrics_report(result.shaped, window_us)
     pdv_before = before_report.pdv_stats["max"] if before_report.pdv_stats else None
     pdv_after = after_report.pdv_stats["max"] if after_report.pdv_stats else None
     return ComparisonReport(

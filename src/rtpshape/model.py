@@ -5,7 +5,6 @@ Time is integer microseconds everywhere; no floating-point timestamps.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -31,11 +30,6 @@ class TraceValidationError(ValueError):
         super().__init__("; ".join(f"packet {v.index}: {v.message}" for v in self.violations))
 
 
-class StreamKind(enum.Enum):
-    AUDIO = "audio"
-    VIDEO = "video"
-
-
 class MediaPacket(NamedTuple):
     """One RTP-style packet. recv_ts_us is None until a channel or capture
     assigns an arrival time."""
@@ -56,13 +50,13 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class StreamTrace:
-    """Time-ordered packet sequence for one stream.
+    """Time-ordered packet sequence for one stream: every packet carries the
+    SSRC of the first.
 
     Packets are sorted by the active timestamp: recv_ts_us when every packet
     has one, send_ts_us otherwise.
     """
 
-    kind: StreamKind
     packets: tuple[MediaPacket, ...]
 
     def __post_init__(self) -> None:
@@ -70,10 +64,6 @@ class StreamTrace:
 
     def __len__(self) -> int:
         return len(self.packets)
-
-    @property
-    def all_received(self) -> bool:
-        return all(p.recv_ts_us is not None for p in self.packets)
 
     def active_timestamps(self) -> list[int]:
         """Timestamps the trace is ordered by (recv when complete, else send)."""
@@ -84,20 +74,16 @@ class StreamTrace:
 
 
 def extended_seqs(packets: Iterable[MediaPacket]) -> list[int]:
-    """The extended (unwrapped) sequence number of each packet, per SSRC.
+    """The extended (unwrapped) sequence number of each packet.
 
     Each 16-bit seq becomes the value congruent to it that is nearest the
-    extended seq of the previous packet of its SSRC; an SSRC's first packet
-    keeps its own seq.
+    extended seq of the previous packet; the first packet keeps its own seq.
     """
-    last: dict[int, int] = {}
-    out = []
+    out: list[int] = []
     for p in packets:
-        seq, ssrc = p[0], p[1]
-        prev = last.get(ssrc, seq)
-        ext = prev + (seq - prev + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF
-        last[ssrc] = ext
-        out.append(ext)
+        seq = p[0]
+        prev = out[-1] if out else seq
+        out.append(prev + (seq - prev + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF)
     return out
 
 
@@ -109,11 +95,14 @@ def _seq_forward(a: int, b: int) -> bool:
 def validate_trace(trace: StreamTrace) -> list[Violation]:
     """Collect every invariant violation; an empty list means the trace is valid."""
     out: list[Violation] = []
+    ssrc0 = trace.packets[0][1] if trace.packets else None
     for i, (seq, ssrc, pt, _, send, recv, size) in enumerate(trace.packets):
         if not 0 <= seq < SEQ_MOD:
             out.append(Violation(i, f"seq {seq} outside 16-bit range"))
         if not 0 <= ssrc < SSRC_MOD:
             out.append(Violation(i, f"ssrc {ssrc} outside 32-bit range"))
+        if ssrc != ssrc0:
+            out.append(Violation(i, f"ssrc {ssrc} differs from packet 0's ssrc {ssrc0}"))
         if not 0 <= pt < PT_MOD:
             out.append(Violation(i, f"payload_type {pt} outside 7-bit range"))
         if not 0 <= send <= TS_MAX:
@@ -132,17 +121,16 @@ def validate_trace(trace: StreamTrace) -> list[Violation]:
             out.append(Violation(i, "unsorted: active timestamp decreases"))
         elif t == prev_t:
             a, b = trace.packets[i - 1], trace.packets[i]
-            if a.ssrc == b.ssrc and a.seq != b.seq and not _seq_forward(a.seq, b.seq):
+            if a.seq != b.seq and not _seq_forward(a.seq, b.seq):
                 out.append(Violation(i, "tie not broken by seq order"))
 
-    # Duplicates compare extended sequence numbers per SSRC, so a seq reused
-    # after a wrap is a new packet and a resent one is not.
-    keys = list(zip([p[1] for p in trace.packets], extended_seqs(trace.packets)))
+    # Duplicates compare extended sequence numbers, so a seq reused after a
+    # wrap is a new packet and a resent one is not.
+    keys = extended_seqs(trace.packets)
     first_at = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     if len(first_at) < len(keys):
-        out += [Violation(i, f"duplicate (ssrc {ssrc}, extended seq {ext}) "
-                             f"(first at {first_at[ssrc, ext]})")
-                for i, (ssrc, ext) in enumerate(keys) if first_at[ssrc, ext] != i]
+        out += [Violation(i, f"duplicate extended seq {ext} (first at {first_at[ext]})")
+                for i, ext in enumerate(keys) if first_at[ext] != i]
     return out
 
 
@@ -193,7 +181,7 @@ def csv_rows(data: bytes, header: str, width: int) -> Iterator[tuple[int, list[s
         yield row, fields
 
 
-def read_trace_csv(data: bytes, kind: StreamKind) -> StreamTrace:
+def read_trace_csv(data: bytes) -> StreamTrace:
     """Parse the canonical trace CSV back into a validated StreamTrace."""
     packets: list[MediaPacket] = []
     for row, fields in csv_rows(data, CSV_HEADER, 7):
@@ -206,4 +194,4 @@ def read_trace_csv(data: bytes, kind: StreamKind) -> StreamTrace:
         size = parse_int(fields[6], -TS_MAX - 1, TS_MAX, row, "size_bytes")
         packets.append(MediaPacket(seq, ssrc, pt, bool(marker), send, recv, size))
 
-    return check_trace(StreamTrace(kind=kind, packets=tuple(packets)))
+    return check_trace(StreamTrace(tuple(packets)))

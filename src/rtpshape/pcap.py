@@ -24,7 +24,7 @@ import struct
 from operator import itemgetter
 from typing import Optional
 
-from .model import MediaPacket, StreamKind, StreamTrace, check_trace
+from .model import MediaPacket, StreamTrace, check_trace
 
 MAGIC_NATIVE = b"\xa1\xb2\xc3\xd4"
 MAGIC_SWAPPED = b"\xd4\xc3\xb2\xa1"
@@ -63,8 +63,6 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
     """Parse a classic PCAP byte stream into one StreamTrace per RTP SSRC.
 
     Arrival timestamps are offset so the earliest RTP packet sits at 0.
-    Streams whose packets all share one size are labelled audio, the rest
-    video.
     """
     endian = _ENDIAN.get(bytes(data[0:4]))
     if endian is None:
@@ -143,9 +141,4 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
         rel = ts - t0
         streams[ssrc].append(new(packet, (seq, ssrc, pt, marker, rel, rel, media_bytes)))
 
-    traces = []
-    for packets in streams.values():
-        sizes = {p[6] for p in packets}
-        kind = StreamKind.AUDIO if len(sizes) == 1 else StreamKind.VIDEO
-        traces.append(check_trace(StreamTrace(kind=kind, packets=packets)))
-    return traces
+    return [check_trace(StreamTrace(packets)) for packets in streams.values()]

@@ -233,7 +233,7 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
         occ_append(new(sample, (t, len(queue), queued_bytes, tokens_at(t))))
 
     return ShapeResult(
-        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped)),
+        shaped=StreamTrace(tuple(shaped)),
         dropped=tuple(dropped),
         occupancy=tuple(occupancy),
     )

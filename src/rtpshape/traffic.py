@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .model import MediaPacket, SEQ_MOD, StreamKind, StreamTrace
+from .model import MediaPacket, SEQ_MOD, StreamTrace
 
 US_PER_S = 10**6
 
@@ -124,7 +124,7 @@ def generate_audio(cfg: AudioGenConfig, duration_us: int) -> StreamTrace:
                     k * cfg.ptime_us, None, cfg.payload_bytes)
         for k in range(count)
     )
-    return StreamTrace(kind=StreamKind.AUDIO, packets=packets)
+    return StreamTrace(packets)
 
 
 def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTrace:
@@ -152,7 +152,7 @@ def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTr
                                        remaining == 0, ts, None, frag))
             seq += 1
         k += 1
-    return StreamTrace(kind=StreamKind.VIDEO, packets=tuple(packets))
+    return StreamTrace(tuple(packets))
 
 
 _SM64_GAMMA = 0x9E3779B97F4A7C15
@@ -200,4 +200,4 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
         recv = pkt.send_ts_us + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
         survivors.append((recv, i, pkt._replace(recv_ts_us=recv)))
     survivors.sort(key=lambda item: (item[0], item[1]))
-    return StreamTrace(kind=trace.kind, packets=tuple(pkt for _, _, pkt in survivors))
+    return StreamTrace(tuple(pkt for _, _, pkt in survivors))

@@ -24,8 +24,7 @@ from collections import OrderedDict, deque
 from fractions import Fraction
 from typing import Optional
 
-from rtpshape import (LeakyBucketConfig, MediaPacket, StreamKind, StreamTrace,
-                      TokenBucketConfig)
+from rtpshape import LeakyBucketConfig, MediaPacket, StreamTrace, TokenBucketConfig
 from rtpshape.model import CSV_HEADER, check_trace
 from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGIC_SWAPPED,
                            PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
@@ -187,7 +186,7 @@ def leaky_bucket_shape_reference(trace: StreamTrace, cfg: LeakyBucketConfig) -> 
         next_tick += drain
 
     return ShapeResult(
-        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped)),
+        shaped=StreamTrace(tuple(shaped)),
         dropped=tuple(dropped),
         occupancy=tuple(occupancy),
     )
@@ -282,7 +281,7 @@ def token_bucket_shape_reference(trace: StreamTrace, cfg: TokenBucketConfig) -> 
     depart_until(None)
 
     return ShapeResult(
-        shaped=StreamTrace(kind=trace.kind, packets=tuple(shaped)),
+        shaped=StreamTrace(tuple(shaped)),
         dropped=tuple(dropped),
         occupancy=tuple(occupancy),
     )
@@ -366,7 +365,7 @@ def random_received_trace(rng: random.Random, max_packets=200, max_t=3000,
         MediaPacket(k % 65536, 7, 96, False, t, t, rng.randint(1, max_size))
         for k, t in enumerate(times)
     )
-    return StreamTrace(kind=StreamKind.AUDIO, packets=packets)
+    return StreamTrace(packets)
 
 
 def random_leaky_config(rng: random.Random) -> LeakyBucketConfig:
@@ -615,7 +614,5 @@ def import_pcap_reference(data: bytes, port_filter: Optional[int] = None) -> lis
     for ssrc, items in by_ssrc.items():
         items.sort(key=lambda it: (it[1].recv_ts_us, it[0]))
         packets = tuple(pkt for _, pkt in items)
-        sizes = {p.size_bytes for p in packets}
-        kind = StreamKind.AUDIO if len(sizes) == 1 else StreamKind.VIDEO
-        traces.append(check_trace(StreamTrace(kind=kind, packets=packets)))
+        traces.append(check_trace(StreamTrace(packets)))
     return traces

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from rtpshape import (AudioGenConfig, ChannelModel, LeakyBucketConfig,
-                      MediaPacket, PcapError, StreamKind, StreamTrace,
+                      MediaPacket, PcapError, StreamTrace,
                       TokenBucketConfig, TraceValidationError, UniformJitter,
                       VideoGenConfig, apply_channel, generate_audio,
                       generate_video, import_pcap, interarrival_jitter,
@@ -74,8 +74,7 @@ def test_1_audio_leaky_bucket_restores_periodicity(announce):
         assert all(g == 20000 for g in gaps[last_irregular + 1:])
 
         # over that tail the delay is constant, so delay variation vanishes
-        tail = StreamTrace(StreamKind.AUDIO,
-                           result.shaped.packets[last_irregular + 2:])
+        tail = StreamTrace(result.shaped.packets[last_irregular + 2:])
         _, tail_stats = pdv(tail)
         assert tail_stats["max"] == 0
 
@@ -160,7 +159,7 @@ def test_4_metric_hand_examples(announce):
     with announce(4, "metric hand-computed examples"):
         # smoothed interarrival jitter recurrence, applied by hand:
         # sends 0/20000/40000, receives 0/25000/45000
-        trace = StreamTrace(StreamKind.AUDIO, tuple(
+        trace = StreamTrace(tuple(
             MediaPacket(k, 1, 0, False, s, r, 125)
             for k, (s, r) in enumerate([(0, 0), (20000, 25000), (40000, 45000)])
         ))
@@ -169,7 +168,7 @@ def test_4_metric_hand_examples(announce):
         assert final == Fraction("292.96875")
 
         # constant delay: zero jitter and zero delay variation
-        flat = StreamTrace(StreamKind.AUDIO, tuple(
+        flat = StreamTrace(tuple(
             MediaPacket(k, 1, 0, False, 20000 * k, 20000 * k + 700, 125)
             for k in range(20)
         ))
@@ -181,7 +180,7 @@ def test_4_metric_hand_examples(announce):
         # loss across the 16-bit wrap: 65534, 65535, 0, 3 received means the
         # range spans 6 sequence numbers and 2 of them never arrived
         from rtpshape import loss
-        wrapped = StreamTrace(StreamKind.AUDIO, tuple(
+        wrapped = StreamTrace(tuple(
             MediaPacket(s, 1, 0, False, 10 * i, 10 * i, 125)
             for i, s in enumerate([65534, 65535, 0, 3])
         ))
@@ -260,7 +259,6 @@ def test_5_figure_panels(announce, tmp_path):
 def _random_trace_for_csv(rng):
     n = rng.randint(1, 60)
     received = rng.random() < 0.5
-    kind = rng.choice([StreamKind.AUDIO, StreamKind.VIDEO])
     ssrc = rng.randrange(2**32)
     pt = rng.randrange(128)
     start_seq = rng.randrange(2**16)
@@ -276,7 +274,7 @@ def _random_trace_for_csv(rng):
         packets.append(MediaPacket((start_seq + k) % 2**16, ssrc, pt,
                                    rng.random() < 0.2, send, recv,
                                    rng.randint(1, 2000)))
-    return StreamTrace(kind, tuple(packets))
+    return StreamTrace(tuple(packets))
 
 
 def test_6_round_trips_and_robustness(announce):
@@ -284,7 +282,7 @@ def test_6_round_trips_and_robustness(announce):
         rng = random.Random(606)
         for _ in range(100):
             trace = _random_trace_for_csv(rng)
-            assert read_trace_csv(write_trace_csv(trace), trace.kind) == trace
+            assert read_trace_csv(write_trace_csv(trace)) == trace
 
         # a hand-assembled capture of one 125-byte RTP packet
         frame = udp_frame(rtp_payload(ssrc=0xDEADBEEF, seq=7, media_len=125))

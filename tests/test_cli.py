@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import rtpshape
 from rtpshape import (ConfigError, LeakyBucketConfig, MediaPacket, ShapeResult,
-                      StreamKind, StreamTrace, TokenBucketConfig, UniformJitter, cli,
+                      StreamTrace, TokenBucketConfig, UniformJitter, cli,
                       leaky_bucket_shape, parse_scenario, read_trace_csv,
                       write_trace_csv)
 from rtpshape.cli import main
@@ -110,9 +110,9 @@ class TestGenerate:
     def test_writes_trace_and_reports_count(self, tmp_path, audio_cfg, capsys):
         out = tmp_path / "trace.csv"
         assert main(["generate", "--config", audio_cfg, "--output", str(out)]) == 0
-        trace = read_trace_csv(out.read_bytes(), StreamKind.AUDIO)
+        trace = read_trace_csv(out.read_bytes())
         assert len(trace) == 100
-        assert trace.all_received  # channel applied
+        assert None not in (p.recv_ts_us for p in trace.packets)  # channel applied
         assert "packets=100" in capsys.readouterr().out
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
@@ -157,8 +157,7 @@ class TestShape:
                      "--output", prefix]) == 0
         for name in ("input.csv", "shaped.csv", "drops.csv", "occupancy.csv"):
             assert (tmp_path / f"out-stage0.{name}").exists()
-        shaped = read_trace_csv((tmp_path / "out-stage0.shaped.csv").read_bytes(),
-                                StreamKind.AUDIO)
+        shaped = read_trace_csv((tmp_path / "out-stage0.shaped.csv").read_bytes())
         drops = (tmp_path / "out-stage0.drops.csv").read_text().splitlines()
         assert len(shaped) + (len(drops) - 1) == 100
 
@@ -240,12 +239,12 @@ class TestAnalyze:
     def test_result_with_one_drop_past_half_a_period(self, tmp_path):
         # the only drop is packet 35,000 of 40,000: more than 32,768 seqs
         # from the stream's first packet, with no other drop in between
-        before = StreamTrace(StreamKind.AUDIO, tuple(
+        before = StreamTrace(tuple(
             MediaPacket(k, 1, 0, False, 20_000 * k, 20_000 * k + 5, 160)
             for k in range(40_000)))
         packets = before.packets
         expected = ShapeResult(
-            shaped=StreamTrace(StreamKind.AUDIO, packets[:35_000] + packets[35_001:]),
+            shaped=StreamTrace(packets[:35_000] + packets[35_001:]),
             dropped=((packets[35_000], "bucket full"),), occupancy=())
         prefix = str(tmp_path / "s-")
         cli._write_stage(prefix, 0, write_trace_csv(before), expected)
@@ -272,6 +271,28 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "jitter_final_us,insufficient-data" in out
         assert "pdv_max_us,0" in out
+
+
+# Two loss-free 10-packet streams in one file: SSRC 1 with seqs 0-9 and
+# SSRC 2 with seqs 1000-1009. Measured as one stream, loss would read 990.
+TWO_SSRC_CSV = "seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n" + "".join(
+    f"{k},1,0,0,{20_000 * k},{20_000 * k + 100},160\n"
+    f"{1000 + k},2,0,0,{20_000 * k + 10},{20_000 * k + 110},160\n" for k in range(10))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{csv}"],
+    ["analyze", "--input", "{csv}", "--output", "{dir}/p."],
+    ["shape", "--config", "{cfg}", "--input", "{csv}", "--output", "{dir}/p."],
+], ids=["analyze", "analyze-output", "shape"])
+def test_second_ssrc_exits_2(tmp_path, audio_cfg, argv):
+    csv = tmp_path / "two.csv"
+    csv.write_text(TWO_SSRC_CSV)
+    proc = run_cli(*[a.format(csv=csv, dir=tmp_path, cfg=audio_cfg) for a in argv])
+    assert_usage_error(proc, "ssrc 2 differs from packet 0's ssrc 1")
+    assert "loss_count" not in proc.stdout
+    assert not (tmp_path / "p.summary.csv").exists()
+    assert not (tmp_path / "p.stage0.input.csv").exists()
 
 
 class TestRunAndReport:
@@ -386,11 +407,11 @@ def test_run_and_report_agree(tmp_path, config):
     out = tmp_path / "run"
     assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
     stages = len(parse_scenario(config).pipeline)
-    read_trace_csv((out / "input.csv").read_bytes(), StreamKind.AUDIO)
+    read_trace_csv((out / "input.csv").read_bytes())
     for k in range(stages):
         base = f"stage{k}."
         for name in ("input.csv", "shaped.csv"):
-            read_trace_csv((out / (base + name)).read_bytes(), StreamKind.AUDIO)
+            read_trace_csv((out / (base + name)).read_bytes())
         read_drops_csv((out / (base + "drops.csv")).read_bytes())
         read_occupancy_csv((out / (base + "occupancy.csv")).read_bytes())
         svg = tmp_path / "report" / f"{base}svg"

@@ -5,7 +5,7 @@ import pytest
 
 from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter, InconsistentInputError,
                       InsufficientDataError, LeakyBucketConfig, MediaPacket,
-                      MetricPreconditionError, StreamKind, StreamTrace,
+                      MetricPreconditionError, StreamTrace,
                       TokenBucketConfig, UniformJitter, apply_channel, compare,
                       format_decimal, generate_audio, interarrival_jitter, leaky_bucket_shape,
                       loss, metrics_report, pdv, throughput, token_bucket_shape)
@@ -17,13 +17,13 @@ from oracles import format_decimal_exact, jitter_exact, random_received_trace
 Q64 = 1 << 64
 
 
-def trace_from(rows, kind=StreamKind.AUDIO):
+def trace_from(rows):
     """rows: (seq, send, recv) or (seq, send, recv, size)."""
     packets = tuple(
         MediaPacket(r[0], 1, 96, False, r[1], r[2], r[3] if len(r) > 3 else 125)
         for r in rows
     )
-    return StreamTrace(kind, packets)
+    return StreamTrace(packets)
 
 
 class TestJitter:
@@ -49,8 +49,7 @@ class TestJitter:
             interarrival_jitter(trace_from([(0, 0, 10)]))
 
     def test_missing_recv(self):
-        trace = StreamTrace(StreamKind.AUDIO,
-                            (MediaPacket(0, 1, 96, False, 0, None, 125),
+        trace = StreamTrace((MediaPacket(0, 1, 96, False, 0, None, 125),
                              MediaPacket(1, 1, 96, False, 100, None, 125)))
         with pytest.raises(MetricPreconditionError):
             interarrival_jitter(trace)
@@ -191,7 +190,7 @@ class TestLoss:
         seqs = [0, 1, 1, 2]
         packets = tuple(MediaPacket(s, 1, 96, False, i * 10, i * 10, 125)
                         for i, s in enumerate(seqs))
-        count, rate, dups = loss(StreamTrace(StreamKind.AUDIO, packets))
+        count, rate, dups = loss(StreamTrace(packets))
         assert count == 0 and dups == 1
 
 
@@ -201,7 +200,7 @@ class TestThroughput:
         assert throughput(trace, 10**6) == ((0, 625),)
 
     def test_empty_trace(self):
-        assert throughput(StreamTrace(StreamKind.AUDIO, ()), 1000) == ()
+        assert throughput(StreamTrace(()), 1000) == ()
 
     def test_half_open_windows(self):
         trace = trace_from([(0, 0, 0), (1, 999, 999), (2, 1000, 1000)])
@@ -316,7 +315,7 @@ class TestReportAndFormatting:
 
     def test_empty_trace_is_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            metrics_report(StreamTrace(StreamKind.AUDIO, ()))
+            metrics_report(StreamTrace(()))
 
     @pytest.mark.parametrize("value,expected", [
         (0, "0"),

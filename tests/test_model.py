@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket, StreamKind,
+from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket,
                       StreamTrace, TraceFormatError, TraceValidationError,
                       apply_channel, generate_audio, read_trace_csv,
                       validate_trace, write_trace_csv)
@@ -15,11 +15,11 @@ def pkt(seq=0, ssrc=1, pt=96, marker=False, send=0, recv=None, size=125):
 
 
 def test_validate_empty_trace():
-    assert validate_trace(StreamTrace(StreamKind.AUDIO, ())) == []
+    assert validate_trace(StreamTrace(())) == []
 
 
 def test_validate_unsorted():
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(seq=0, send=20000), pkt(seq=1, send=10000)))
+    trace = StreamTrace((pkt(seq=0, send=20000), pkt(seq=1, send=10000)))
     violations = validate_trace(trace)
     assert len(violations) == 1
     assert violations[0].index == 1
@@ -27,16 +27,16 @@ def test_validate_unsorted():
 
 
 def test_validate_negative_delay():
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(send=10, recv=5),))
+    trace = StreamTrace((pkt(send=10, recv=5),))
     violations = validate_trace(trace)
     assert len(violations) == 1
     assert "negative delay" in violations[0].message
 
 
 def test_validate_size_and_ranges():
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(size=0),))
+    trace = StreamTrace((pkt(size=0),))
     assert any("size_bytes" in v.message for v in validate_trace(trace))
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(seq=70000),))
+    trace = StreamTrace((pkt(seq=70000),))
     assert any("16-bit" in v.message for v in validate_trace(trace))
 
 
@@ -47,18 +47,18 @@ def test_validate_size_and_ranges():
     (pkt(size=TS_MAX + 1), f"size_bytes {TS_MAX + 1} > {TS_MAX}"),
 ])
 def test_validate_enforces_the_csv_ranges(packet, message):
-    violations = validate_trace(StreamTrace(StreamKind.AUDIO, (packet,)))
+    violations = validate_trace(StreamTrace((packet,)))
     assert [v.message for v in violations] == [message]
 
 
 def test_largest_valid_values_round_trip():
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(send=TS_MAX, recv=TS_MAX, size=TS_MAX),))
+    trace = StreamTrace((pkt(send=TS_MAX, recv=TS_MAX, size=TS_MAX),))
     assert validate_trace(trace) == []
-    assert read_trace_csv(write_trace_csv(trace), StreamKind.AUDIO) == trace
+    assert read_trace_csv(write_trace_csv(trace)) == trace
 
 
 def test_validate_duplicate_in_window():
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(seq=5, send=0), pkt(seq=5, send=10)))
+    trace = StreamTrace((pkt(seq=5, send=0), pkt(seq=5, send=10)))
     assert any("duplicate" in v.message for v in validate_trace(trace))
 
 
@@ -74,71 +74,70 @@ def test_seq_reused_after_wrap_is_not_a_duplicate():
 def test_duplicate_after_wrap_is_flagged():
     seqs = [k % 65536 for k in range(65536 + 10)] + [5]  # seq 5 of the second cycle, again
     packets = tuple(pkt(seq=s, send=10 * i) for i, s in enumerate(seqs))
-    trace = StreamTrace(StreamKind.AUDIO, packets)
+    trace = StreamTrace(packets)
     violations = validate_trace(trace)
     assert [(v.index, "duplicate" in v.message) for v in violations] == \
         [(len(seqs) - 1, True)]
     assert "first at 65541" in violations[0].message
 
 
-def test_each_ssrc_unwraps_its_own_seqs():
-    # the same seq on two SSRCs is no duplicate, and ssrc 2 running most of
-    # a cycle ahead must not move where ssrc 1's resent seq 5 unwraps to
+def test_second_ssrc_is_flagged():
+    # a trace is one stream: each packet on another SSRC than packet 0's is
+    # reported, naming both
     seqs = [(5, 1), (5, 2), (30000, 2), (60000, 2), (5, 1)]
-    trace = StreamTrace(StreamKind.AUDIO, tuple(pkt(seq=seq, ssrc=ssrc, send=10 * i)
-                                                for i, (seq, ssrc) in enumerate(seqs)))
-    assert [v.index for v in validate_trace(trace)] == [4]
+    trace = StreamTrace(tuple(pkt(seq=seq, ssrc=ssrc, send=10 * i)
+                              for i, (seq, ssrc) in enumerate(seqs)))
+    flagged = [v for v in validate_trace(trace) if "differs" in v.message]
+    assert [v.index for v in flagged] == [1, 2, 3]
+    assert all(v.message == "ssrc 2 differs from packet 0's ssrc 1" for v in flagged)
 
 
 def test_write_empty_trace_is_header_only():
-    data = write_trace_csv(StreamTrace(StreamKind.AUDIO, ()))
+    data = write_trace_csv(StreamTrace(()))
     assert data == b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n"
 
 
 def test_write_single_packet_row():
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(seq=0, ssrc=1, pt=96, send=0,
-                                               recv=50000, size=125),))
+    trace = StreamTrace((pkt(seq=0, ssrc=1, pt=96, send=0, recv=50000, size=125),))
     lines = write_trace_csv(trace).decode().splitlines()
     assert lines[1] == "0,1,96,0,0,50000,125"
 
 
 def test_absent_recv_written_as_empty_field():
-    trace = StreamTrace(StreamKind.AUDIO, (pkt(recv=None),))
+    trace = StreamTrace((pkt(recv=None),))
     lines = write_trace_csv(trace).decode().splitlines()
     assert lines[1].split(",")[5] == ""
 
 
 def test_read_header_only():
-    trace = read_trace_csv(b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n",
-                           StreamKind.VIDEO)
+    trace = read_trace_csv(b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n")
     assert len(trace) == 0
-    assert trace.kind is StreamKind.VIDEO
 
 
 def test_read_bad_header():
     with pytest.raises(TraceFormatError, match="line 1"):
-        read_trace_csv(b"nope\n", StreamKind.AUDIO)
+        read_trace_csv(b"nope\n")
 
 
 def test_read_zero_size_is_validation_error():
     data = (b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n"
             b"0,1,96,0,0,,0\n")
     with pytest.raises(TraceValidationError, match="size_bytes"):
-        read_trace_csv(data, StreamKind.AUDIO)
+        read_trace_csv(data)
 
 
 def test_read_out_of_range_seq_is_parse_error():
     data = (b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n"
             b"70000,1,96,0,0,,125\n")
     with pytest.raises(TraceFormatError, match="seq"):
-        read_trace_csv(data, StreamKind.AUDIO)
+        read_trace_csv(data)
 
 
 def test_read_non_integer_field_names_row_and_column():
     data = (b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n"
             b"0,1,96,0,zero,,125\n")
     with pytest.raises(TraceFormatError, match="row 1.*send_ts_us"):
-        read_trace_csv(data, StreamKind.AUDIO)
+        read_trace_csv(data)
 
 
 def random_valid_trace(rng):
@@ -156,7 +155,7 @@ def random_valid_trace(rng):
         packets = [p._replace(recv_ts_us=None) for p in packets]
     else:
         packets.sort(key=lambda p: (p.recv_ts_us, p.seq))
-    return StreamTrace(StreamKind.AUDIO, tuple(packets))
+    return StreamTrace(tuple(packets))
 
 
 def test_csv_round_trip_on_seeded_random_traces():
@@ -165,4 +164,4 @@ def test_csv_round_trip_on_seeded_random_traces():
         trace = random_valid_trace(rng)
         if validate_trace(trace):
             continue
-        assert read_trace_csv(write_trace_csv(trace), trace.kind) == trace
+        assert read_trace_csv(write_trace_csv(trace)) == trace

@@ -4,7 +4,7 @@ import struct
 import pytest
 
 from rtpshape import (MediaPacket, PcapError, PcapFormatError, PcapLinkTypeError,
-                      PcapTruncatedError, StreamKind, TraceValidationError,
+                      PcapTruncatedError, TraceValidationError,
                       import_pcap, validate_trace)
 
 from oracles import import_pcap_reference
@@ -104,7 +104,7 @@ def test_port_filter():
     assert [t.packets[0].ssrc for t in traces] == [1]
 
 
-def test_streams_split_by_ssrc_and_classified():
+def test_streams_split_by_ssrc():
     records = []
     for k in range(4):
         records.append((k * 1000, udp_frame(rtp_payload(10, k, 125))))
@@ -112,8 +112,6 @@ def test_streams_split_by_ssrc_and_classified():
     traces = import_pcap(build_pcap(records))
     by_ssrc = {t.packets[0].ssrc: t for t in traces}
     assert set(by_ssrc) == {10, 20}
-    assert by_ssrc[10].kind is StreamKind.AUDIO  # constant size
-    assert by_ssrc[20].kind is StreamKind.VIDEO
     for t in traces:
         assert validate_trace(t) == []
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtpshape import (MediaPacket, StreamKind, StreamTrace, TraceFormatError,
+from rtpshape import (MediaPacket, StreamTrace, TraceFormatError,
                       leaky_bucket_shape, token_bucket_shape, write_trace_csv)
 from rtpshape.reporting import (Panel, PanelReport, drops_csv, occupancy_csv, panel_report,
                                 read_drops_csv, read_occupancy_csv, render_svg)
@@ -61,14 +61,14 @@ class TestAgainstReference:
         assert render_svg(PanelReport(())) == render_svg_reference(PanelReport(()))
 
     def test_trace_rows_without_arrival_and_with_marker(self):
-        trace = StreamTrace(StreamKind.VIDEO, (
+        trace = StreamTrace((
             MediaPacket(0, 1, 96, True, 0, None, 1200),
             MediaPacket(1, 1, 96, False, 10, None, 300),
             MediaPacket(2, 1, 96, True, 20, 25, 40),
         ))
         assert write_trace_csv(trace) == write_trace_csv_reference(trace)
-        assert write_trace_csv(StreamTrace(StreamKind.AUDIO, ())) == \
-            write_trace_csv_reference(StreamTrace(StreamKind.AUDIO, ()))
+        assert write_trace_csv(StreamTrace(())) == \
+            write_trace_csv_reference(StreamTrace(()))
 
     # Few distinct values, as in real panels, plus the full integer range.
     values = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))

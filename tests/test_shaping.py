@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rtpshape import (LeakyBucketConfig, MediaPacket, PipelineStageError,
-                      ShapeResult, ShapingPreconditionError, StreamKind, StreamTrace,
+                      ShapeResult, ShapingPreconditionError, StreamTrace,
                       TokenBucketConfig, leaky_bucket_shape, run_pipeline,
                       token_bucket_shape)
 
@@ -22,12 +22,12 @@ def received_trace(entries, size=125):
         t = entry[0] if isinstance(entry, tuple) else entry
         s = entry[1] if isinstance(entry, tuple) and len(entry) > 1 else size
         packets.append(MediaPacket(k, 1, 96, False, t, t, s))
-    return StreamTrace(StreamKind.AUDIO, tuple(packets))
+    return StreamTrace(tuple(packets))
 
 
 class TestLeakyBucket:
     def test_empty_trace(self):
-        r = leaky_bucket_shape(StreamTrace(StreamKind.AUDIO, ()), LeakyBucketConfig())
+        r = leaky_bucket_shape(StreamTrace(()), LeakyBucketConfig())
         assert r.shaped.packets == ()
         assert r.dropped == ()
         assert r.occupancy == ()
@@ -61,8 +61,7 @@ class TestLeakyBucket:
         assert [p.recv_ts_us for p in r.shaped.packets] == [-500, -400]
 
     def test_missing_arrival_is_precondition_error(self):
-        trace = StreamTrace(StreamKind.AUDIO,
-                            (MediaPacket(0, 1, 96, False, 0, None, 125),))
+        trace = StreamTrace((MediaPacket(0, 1, 96, False, 0, None, 125),))
         with pytest.raises(ShapingPreconditionError):
             leaky_bucket_shape(trace, LeakyBucketConfig())
 
@@ -88,7 +87,7 @@ class TestLeakyBucket:
 class TestTokenBucket:
     def test_empty_trace(self):
         cfg = TokenBucketConfig(rate=Fraction(1000), capacity_tokens=100)
-        r = token_bucket_shape(StreamTrace(StreamKind.AUDIO, ()), cfg)
+        r = token_bucket_shape(StreamTrace(()), cfg)
         assert r.shaped.packets == () and r.dropped == () and r.occupancy == ()
 
     def test_full_bucket_passes_packet_unchanged(self):
@@ -322,8 +321,7 @@ class TestPipeline:
         assert results[1].dropped == ()
 
     def test_stage_error_carries_index(self):
-        trace = StreamTrace(StreamKind.AUDIO,
-                            (MediaPacket(0, 1, 96, False, 0, None, 125),))
+        trace = StreamTrace((MediaPacket(0, 1, 96, False, 0, None, 125),))
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline([LeakyBucketConfig()], trace)
         assert exc.value.stage == 0

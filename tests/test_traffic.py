@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter,
                       GenerationError, NoJitter, UniformJitter, VideoGenConfig,
                       apply_channel, generate_audio, generate_video, pdv,
-                      validate_trace)
+                      read_trace_csv, validate_trace, write_trace_csv)
 
 
 class TestAudio:
@@ -148,3 +150,43 @@ class TestChannel:
             s2 = s1 + 0x9E3779B97F4A7C15 & mask
             expected[p.seq] = p.send_ts_us + lo + mix(s2) % (hi - lo + 1)
         assert {p.seq: p.recv_ts_us for p in out.packets} == expected
+
+
+SSRCS = st.integers(0, 2**32 - 1)
+PAYLOAD_TYPES = st.integers(0, 127)
+
+# generated traces, each at least one packet interval and at most 1 s long
+AUDIO = st.builds(AudioGenConfig, ptime_us=st.integers(1000, 60_000),
+                  payload_bytes=st.integers(1, 1500), ssrc=SSRCS,
+                  payload_type=PAYLOAD_TYPES).flatmap(
+    lambda cfg: st.integers(cfg.ptime_us, 1_000_000).map(
+        lambda duration: generate_audio(cfg, duration)))
+VIDEO = st.builds(
+    lambda fps, gop, p, extra, jitter_pct, mtu, ssrc, pt: VideoGenConfig(
+        fps, gop, p + extra, p, jitter_pct, mtu, ssrc, pt),
+    fps=st.integers(1, 60), gop=st.integers(1, 30), p=st.integers(1, 3000),
+    extra=st.integers(0, 12_000), jitter_pct=st.integers(0, 100),
+    mtu=st.integers(64, 1500), ssrc=SSRCS, pt=PAYLOAD_TYPES).flatmap(
+    lambda cfg: st.tuples(st.integers(-(-10**6 // cfg.fps), 1_000_000),
+                          st.integers(0, 2**64 - 1)).map(
+        lambda args: generate_video(cfg, *args)))
+JITTERS = st.one_of(
+    st.just(NoJitter()),
+    st.tuples(st.integers(0, 50_000), st.integers(0, 50_000)).map(
+        lambda b: UniformJitter(min(b), max(b))),
+    st.builds(ExponentialJitter, st.integers(0, 100_000)))
+CHANNELS = st.none() | st.builds(
+    ChannelModel, base_delay_us=st.integers(0, 200_000), jitter=JITTERS,
+    loss_prob=st.integers(0, 99).map(lambda n: Fraction(n, 100)),
+    seed=st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sent=AUDIO | VIDEO, channel=CHANNELS)
+def test_generated_traces_are_valid_and_round_trip(sent, channel):
+    """Whatever the scenario parameters, a generated or impaired trace is
+    valid and its CSV reads back to the same trace."""
+    traces = [sent] if channel is None else [sent, apply_channel(sent, channel)]
+    for trace in traces:
+        assert validate_trace(trace) == []
+        assert read_trace_csv(write_trace_csv(trace)) == trace
