@@ -1,15 +1,20 @@
 """Command-line surface: generate | shape | analyze | report | run.
 
 Exit codes: 0 success, 2 usage/config/validation problems, 3 I/O problems.
-Diagnostics go to stderr; machine-readable output goes to files or stdout.
+Every check runs before the first file is written, so a subcommand that
+exits 2 writes nothing. Diagnostics go to stderr; machine-readable output
+goes to files or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Optional, Sequence, Union
 
 from . import metrics as metrics_mod
 from . import reporting
@@ -31,6 +36,17 @@ _USAGE_ERRORS = (ConfigError, TraceFormatError, TraceValidationError,
                  metrics_mod.MetricPreconditionError,
                  metrics_mod.InconsistentInputError)
 
+Files = Iterable[tuple[str, Union[str, bytes]]]  # (name, serialized) pairs
+StageNames = namedtuple("StageNames", "input shaped drops occupancy figure")
+
+
+def _stage_names(prefix: str, k: Optional[int] = None) -> StageNames:
+    """The run-directory layout: stage k's file names under `prefix`, or with
+    no k, those starting with `prefix`; `run`'s input.csv has prefix ""."""
+    base = prefix if k is None else f"{prefix}stage{k}."
+    return StageNames(*(base + name for name in ("input.csv", "shaped.csv", "drops.csv",
+                                                 "occupancy.csv", "figure.svg")))
+
 
 def _load_scenario(path: str) -> ScenarioConfig:
     try:
@@ -44,9 +60,12 @@ def _read_trace(path: str) -> StreamTrace:
     return read_trace_csv(Path(path).read_bytes())
 
 
-def _write(path: Path, data: str | bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data.encode("ascii") if isinstance(data, str) else data)
+def _write_files(prefix: str, files: Files) -> None:
+    """Write each (name, serialized) pair to `prefix + name` as it comes."""
+    for name, data in files:
+        path = Path(prefix + name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode("ascii") if isinstance(data, str) else data)
 
 
 def _generate_trace(scenario: ScenarioConfig, seed_override=None) -> StreamTrace:
@@ -62,44 +81,67 @@ def _generate_trace(scenario: ScenarioConfig, seed_override=None) -> StreamTrace
     return check_trace(trace)
 
 
-def _stage_prefix(prefix: str, k: int) -> str:
-    return f"{prefix}stage{k}."
+def _execute(scenario: ScenarioConfig, trace: StreamTrace, measure: bool) -> tuple:
+    """The core of `shape` and `run`: shape `trace` and, if `measure`, measure
+    it and the output. It makes every check, so it fails before any write."""
+    final, results = run_pipeline(list(scenario.pipeline), trace)
+    for k, result in enumerate(results):
+        # Departures never decrease, so the last one bounds every timestamp the
+        # stage writes; past TS_MAX its CSVs could not be read back.
+        shaped = result.shaped.packets
+        if shaped and shaped[-1].recv_ts_us > TS_MAX:
+            raise TraceValidationError([Violation(
+                len(shaped) - 1, f"stage {k}: departure {shaped[-1].recv_ts_us} > {TS_MAX}")])
+    if not measure:
+        return results, None
+    window = scenario.throughput_window_us
+    if not results:
+        return results, metrics_mod.metrics_report(trace, window)
+    dropped = tuple(d for r in results for d in r.dropped)
+    return results, metrics_mod.compare(trace, ShapeResult(final, dropped, ()), window)
 
 
-def _write_stage(prefix: str, k: int, incoming_csv: bytes, result: ShapeResult) -> bytes:
-    """Write stage k's CSVs; `incoming_csv` is its input trace, serialized.
-    Returns the shaped trace's CSV, which is the next stage's input."""
-    # Departures never decrease, so the last one bounds every timestamp the
-    # stage writes; past TS_MAX its CSVs could not be read back.
-    shaped = result.shaped.packets
-    if shaped and shaped[-1].recv_ts_us > TS_MAX:
-        raise TraceValidationError([Violation(
-            len(shaped) - 1, f"stage {k}: departure {shaped[-1].recv_ts_us} > {TS_MAX}")])
-    base = _stage_prefix(prefix, k)
-    shaped_csv = write_trace_csv(result.shaped)
-    _write(Path(base + "input.csv"), incoming_csv)
-    _write(Path(base + "shaped.csv"), shaped_csv)
-    _write(Path(base + "drops.csv"), reporting.drops_csv(result))
-    _write(Path(base + "occupancy.csv"), reporting.occupancy_csv(result))
-    return shaped_csv
+def _stage_files(trace: StreamTrace, trace_csv: bytes, results: Sequence[ShapeResult],
+                 configs: Sequence[ShaperConfig] = ()) -> Files:
+    """Each stage's CSVs, and given the stage configs, its figure. Each trace
+    is serialized once: a stage's shaped CSV is the next stage's input."""
+    for k, result in enumerate(results):
+        names = _stage_names("", k)
+        shaped_csv = write_trace_csv(result.shaped)
+        yield names.input, trace_csv
+        yield names.shaped, shaped_csv
+        yield names.drops, reporting.drops_csv(result)
+        yield names.occupancy, reporting.occupancy_csv(result)
+        if configs:
+            yield from _figure_files(names.figure,
+                                     reporting.panel_report(trace, result, configs[k]))
+        trace, trace_csv = result.shaped, shaped_csv
 
 
-def _write_metrics(prefix: str, report: metrics_mod.MetricsReport) -> None:
-    _write(Path(prefix + "summary.csv"), reporting.summary_csv(report))
-    _write(Path(prefix + "jitter.csv"), reporting.jitter_csv(report))
-    _write(Path(prefix + "pdv.csv"), reporting.pdv_csv(report))
-    _write(Path(prefix + "throughput.csv"), reporting.throughput_csv(report))
+def _figure_files(svg: str, panel: reporting.PanelReport) -> Files:
+    yield svg, reporting.render_svg(panel)
+    yield str(Path(svg).with_suffix(".panels.csv")), reporting.panels_csv(panel)
+
+
+def _metrics_files(sides: tuple[str, str], measured) -> Files:
+    """One trace's metrics under the prefix `sides[0]`; or comparison.csv,
+    then the input's metrics under `sides[0]` and the output's under `sides[1]`."""
+    compared = isinstance(measured, metrics_mod.ComparisonReport)
+    if compared:
+        yield "comparison.csv", reporting.comparison_csv(measured)
+    for side, report in zip(sides, (measured.before, measured.after) if compared else [measured]):
+        yield side + "summary.csv", reporting.summary_csv(report)
+        yield side + "jitter.csv", reporting.jitter_csv(report)
+        yield side + "pdv.csv", reporting.pdv_csv(report)
+        yield side + "throughput.csv", reporting.throughput_csv(report)
 
 
 def cmd_generate(args) -> int:
     scenario = _load_scenario(args.config)
     trace = _generate_trace(scenario, args.seed)
-    _write(Path(args.output), write_trace_csv(trace))
-    duration = 0
-    if trace.packets:
-        ts = trace.active_timestamps()
-        duration = ts[-1] - ts[0]
-    print(f"packets={len(trace)} duration_us={duration}")
+    _write_files("", [(args.output, write_trace_csv(trace))])
+    ts = trace.active_timestamps()
+    print(f"packets={len(trace)} duration_us={ts[-1] - ts[0] if ts else 0}")
     return EXIT_OK
 
 
@@ -108,18 +150,17 @@ def cmd_shape(args) -> int:
     if not scenario.pipeline:
         raise ConfigError("pipeline is empty; nothing to shape")
     trace = _read_trace(args.input)
-    final, results = run_pipeline(list(scenario.pipeline), trace)
-    stage_csv = write_trace_csv(trace)
-    for k, result in enumerate(results):
-        stage_csv = _write_stage(args.output, k, stage_csv, result)
-    print(f"stages={len(results)} shaped={len(final)} "
+    results, _ = _execute(scenario, trace, measure=False)
+    _write_files(args.output, _stage_files(trace, write_trace_csv(trace), results))
+    print(f"stages={len(results)} shaped={len(results[-1].shaped)} "
           f"dropped={sum(len(r.dropped) for r in results)}")
     return EXIT_OK
 
 
 def _reconstruct_result(before: StreamTrace, prefix: str) -> ShapeResult:
-    shaped = _read_trace(prefix + "shaped.csv")
-    rows = reporting.read_drops_csv(Path(prefix + "drops.csv").read_bytes())
+    names = _stage_names(prefix)
+    shaped = _read_trace(names.shaped)
+    rows = reporting.read_drops_csv(Path(names.drops).read_bytes())
     # a drop's timestamp is its arrival at the stage: recv_ts_us in `before`
     found = metrics_mod.match_packets([p[:2] + (p.recv_ts_us,) for p in before.packets],
                                       [row[:3] for row in rows])
@@ -128,90 +169,46 @@ def _reconstruct_result(before: StreamTrace, prefix: str) -> ShapeResult:
 
 
 def cmd_analyze(args) -> int:
-    window = 10**6
-    if args.config:
-        window = _load_scenario(args.config).throughput_window_us
+    window = (_load_scenario(args.config) if args.config else ScenarioConfig).throughput_window_us
     trace = _read_trace(args.input)
-    out_prefix = args.output or ""
     if args.result is None:
-        report = metrics_mod.metrics_report(trace, window)
-        if out_prefix:
-            _write_metrics(out_prefix, report)
-        sys.stdout.write(reporting.summary_csv(report))
+        measured = metrics_mod.metrics_report(trace, window)
+        sides, shown = ("", ""), reporting.summary_csv(measured)
     else:
-        result = _reconstruct_result(trace, args.result)
-        comparison = metrics_mod.compare(trace, result, window)
-        if out_prefix:
-            _write(Path(out_prefix + "comparison.csv"),
-                   reporting.comparison_csv(comparison))
-            _write_metrics(out_prefix + "before.", comparison.before)
-            _write_metrics(out_prefix + "after.", comparison.after)
-        sys.stdout.write(reporting.comparison_csv(comparison))
+        measured = metrics_mod.compare(trace, _reconstruct_result(trace, args.result), window)
+        sides, shown = ("before.", "after."), reporting.comparison_csv(measured)
+    if args.output:
+        _write_files(args.output, _metrics_files(sides, measured))
+    sys.stdout.write(shown)
     return EXIT_OK
-
-
-def _render_stage(cfg: ShaperConfig, incoming: StreamTrace, result: ShapeResult,
-                  svg_path: str) -> reporting.PanelReport:
-    """Write one stage's figure (SVG and panels CSV) from its result."""
-    panel = reporting.panel_report(incoming, result, cfg)
-    _write(Path(svg_path), reporting.render_svg(panel))
-    _write(Path(svg_path).with_suffix(".panels.csv"), reporting.panels_csv(panel))
-    return panel
-
-
-def _report_stage(scenario: ScenarioConfig, prefix: str, k: int,
-                  svg_path: str) -> reporting.PanelReport:
-    """Read stage k's CSVs under `prefix` and render its figure."""
-    if not 0 <= k < len(scenario.pipeline):
-        raise ConfigError(f"config has no pipeline stage {k}")
-    base = _stage_prefix(prefix, k)
-    incoming = _read_trace(base + "input.csv")
-    shaped = _read_trace(base + "shaped.csv")
-    occupancy = reporting.read_occupancy_csv(Path(base + "occupancy.csv").read_bytes())
-    result = ShapeResult(shaped=shaped, dropped=(), occupancy=occupancy)
-    return _render_stage(scenario.pipeline[k], incoming, result, svg_path)
 
 
 def cmd_report(args) -> int:
     scenario = _load_scenario(args.config)
-    panel = _report_stage(scenario, args.input, args.stage, args.output)
+    if not 0 <= args.stage < len(scenario.pipeline):
+        raise ConfigError(f"config has no pipeline stage {args.stage}")
+    names = _stage_names(args.input, args.stage)
+    incoming, shaped = _read_trace(names.input), _read_trace(names.shaped)
+    occupancy = reporting.read_occupancy_csv(Path(names.occupancy).read_bytes())
+    panel = reporting.panel_report(incoming, ShapeResult(shaped, (), occupancy),
+                                   scenario.pipeline[args.stage])
+    _write_files("", _figure_files(args.output, panel))
     print(f"panels={len(panel.panels)}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args.config)
-    window = scenario.throughput_window_us
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     trace = _generate_trace(scenario, args.seed)
-    stage_csv = write_trace_csv(trace)
-    _write(out / "input.csv", stage_csv)
-
-    if not scenario.pipeline:
-        _write_metrics(str(out / "metrics.input."), metrics_mod.metrics_report(trace, window))
-        print(f"packets={len(trace)} stages=0")
-        return EXIT_OK
-
-    final, results = run_pipeline(list(scenario.pipeline), trace)
-    prefix = str(out) + "/"
-    current = trace
-    for k, (cfg, result) in enumerate(zip(scenario.pipeline, results)):
-        stage_csv = _write_stage(prefix, k, stage_csv, result)
-        _render_stage(cfg, current, result, str(out / f"stage{k}.figure.svg"))
-        current = result.shaped
-    combined = ShapeResult(
-        shaped=final,
-        dropped=tuple(d for r in results for d in r.dropped),
-        occupancy=(),
-    )
-    # compare() measures the input trace too; its report is the input's.
-    comparison = metrics_mod.compare(trace, combined, window)
-    _write_metrics(str(out / "metrics.input."), comparison.before)
-    _write(out / "comparison.csv", reporting.comparison_csv(comparison))
-    _write_metrics(str(out / "metrics.output."), comparison.after)
-    print(f"packets={len(trace)} shaped={len(final)} "
-          f"dropped={len(combined.dropped)} stages={len(results)}")
+    results, measured = _execute(scenario, trace, measure=True)
+    trace_csv = write_trace_csv(trace)
+    _write_files(f"{args.output}/", chain(
+        [(_stage_names("").input, trace_csv)],
+        _stage_files(trace, trace_csv, results, scenario.pipeline),
+        _metrics_files(("metrics.input.", "metrics.output."), measured)))
+    shaped = f" shaped={len(results[-1].shaped)} dropped={measured.drops_introduced}" \
+        if results else ""
+    print(f"packets={len(trace)}{shaped} stages={len(results)}")
     return EXIT_OK
 
 
@@ -263,16 +260,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as exc:
-        cause = exc.cause
+    except (PipelineStageError, OSError, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        cause = exc.cause if isinstance(exc, PipelineStageError) else exc
         return EXIT_USAGE if isinstance(cause, _USAGE_ERRORS) else EXIT_IO
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -238,6 +238,9 @@ def compare(before: StreamTrace, result: ShapeResult,
         raise InconsistentInputError("before trace has duplicate (seq, ssrc, send_ts_us) identities")
     _require_both_ts(before)
     shaped = result.shaped.packets
+    if before.packets and not shaped:
+        raise InsufficientDataError("every packet was dropped: there is no shaped trace "
+                                    "to compare")
     found = match_packets(keys, [p[:2] + (p.send_ts_us,) for p in shaped])
     added = [p.recv_ts_us - before.packets[i].recv_ts_us for p, i in zip(shaped, found)]
 

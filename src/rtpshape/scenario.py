@@ -230,7 +230,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                      for k in range(len(stage_indices)))
 
     analysis = _Section(entries, "analysis")
-    window = analysis.get_int("throughput_window_us", 10**6)
+    window = analysis.get_int("throughput_window_us", ScenarioConfig.throughput_window_us)
     analysis.check_no_extras()
     if window < 1:
         raise ConfigError("analysis.throughput_window_us must be >= 1")

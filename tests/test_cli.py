@@ -232,7 +232,7 @@ class TestAnalyze:
         expected = leaky_bucket_shape(before, scenario.pipeline[0])
         assert len(expected.dropped) > 100
         prefix = str(tmp_path / "s-")
-        cli._write_stage(prefix, 0, write_trace_csv(before), expected)
+        cli._write_files(prefix, cli._stage_files(before, write_trace_csv(before), [expected]))
         result = cli._reconstruct_result(before, prefix + "stage0.")
         assert result.dropped == expected.dropped
 
@@ -247,7 +247,7 @@ class TestAnalyze:
             shaped=StreamTrace(packets[:35_000] + packets[35_001:]),
             dropped=((packets[35_000], "bucket full"),), occupancy=())
         prefix = str(tmp_path / "s-")
-        cli._write_stage(prefix, 0, write_trace_csv(before), expected)
+        cli._write_files(prefix, cli._stage_files(before, write_trace_csv(before), [expected]))
         assert cli._reconstruct_result(before, prefix + "stage0.") == expected
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["analyze", "--input", prefix + "stage0.input.csv",
@@ -293,6 +293,64 @@ def test_second_ssrc_exits_2(tmp_path, audio_cfg, argv):
     assert "loss_count" not in proc.stdout
     assert not (tmp_path / "p.summary.csv").exists()
     assert not (tmp_path / "p.stage0.input.csv").exists()
+
+
+# Stage 0 is ordinary; stage 1 departs its second packet past 2**63 - 1 us.
+STAGE1_OVERFLOW_CONFIG = AUDIO_CONFIG + """\
+pipeline.1.type = leaky
+pipeline.1.capacity_packets = 15
+pipeline.1.drain_interval_us = 10000000000000000000000
+"""
+
+# Each 125-byte packet is larger than the 100-byte queue and finds no tokens.
+DROP_ALL_CONFIG = "".join(line for line in AUDIO_CONFIG.splitlines(keepends=True)
+                          if not line.startswith("pipeline")) + """\
+pipeline.0.type = token
+pipeline.0.rate = 100
+pipeline.0.capacity_tokens = 200
+pipeline.0.initial_tokens = 0
+pipeline.0.queue_limit_bytes = 100
+"""
+
+
+def files_under(path: Path) -> list[Path]:
+    return [p for p in path.rglob("*") if p.is_file()] if path.exists() else []
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("run", STAGE1_OVERFLOW_CONFIG, "stage 1: departure"),
+    ("shape", STAGE1_OVERFLOW_CONFIG, "stage 1: departure"),
+    ("run", DROP_ALL_CONFIG, "every packet was dropped"),
+], ids=["run-stage1-overflow", "shape-stage1-overflow", "run-drop-all"])
+def test_exit_2_writes_nothing(tmp_path, audio_cfg, command, config, message):
+    """Every check runs before the first write, so a late one leaves no
+    partial output."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    trace_path = tmp_path / "trace.csv"
+    assert main(["generate", "--config", audio_cfg, "--output", str(trace_path)]) == 0
+    out = tmp_path / "out"
+    args = ["--input", trace_path, "--output", f"{out}/s-"] if command == "shape" \
+        else ["--output", out]
+    proc = run_cli(command, "--config", cfg, *args)
+    assert_usage_error(proc, message)
+    assert files_under(out) == []
+
+
+def test_analyze_result_with_every_packet_dropped_exits_2(tmp_path, audio_cfg):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(DROP_ALL_CONFIG)
+    trace_path = tmp_path / "trace.csv"
+    assert main(["generate", "--config", audio_cfg, "--output", str(trace_path)]) == 0
+    prefix = str(tmp_path / "s-")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["shape", "--config", str(cfg), "--input", str(trace_path),
+                     "--output", prefix]) == 0
+    assert read_trace_csv((tmp_path / "s-stage0.shaped.csv").read_bytes()).packets == ()
+    proc = run_cli("analyze", "--input", trace_path, "--result", prefix + "stage0.",
+                   "--output", tmp_path / "m-")
+    assert_usage_error(proc, "every packet was dropped: there is no shaped trace to compare")
+    assert not list(tmp_path.glob("m-*"))
 
 
 class TestRunAndReport:
@@ -425,6 +483,7 @@ def test_run_and_report_agree(tmp_path, config):
 CONTRACT_CASES = {
     # command: (the input file it reads, argv after the command)
     "generate": ("cfg", ["--config", "{cfg}", "--output", "{out}/t.csv"]),
+    "run-config": ("cfg", ["--config", "{cfg}", "--output", "{out}/r"]),
     "shape-config": ("cfg", ["--config", "{cfg}", "--input", "{run}/input.csv",
                              "--output", "{out}/s-"]),
     "shape-trace": ("run/input.csv", ["--config", "{cfg}", "--input", "{run}/input.csv",
@@ -462,8 +521,9 @@ def mangled(data: bytes):
 
 @pytest.mark.parametrize("case", list(CONTRACT_CASES))
 def test_exit_code_contract_on_arbitrary_input(contract_dir, case):
-    """Whatever bytes the input holds, main returns 0, 2 or 3 and lets no
-    exception escape. A generated config is arbitrary bytes only, because a
+    """Whatever bytes the input holds, main returns 0, 2 or 3, lets no
+    exception escape, and writes nothing when it returns 2. A config that
+    generates a trace (generate, run) is arbitrary bytes only, because a
     mangled valid one could ask for an unbounded trace."""
     name, argv = CONTRACT_CASES[case]
     target = contract_dir / name
@@ -471,7 +531,7 @@ def test_exit_code_contract_on_arbitrary_input(contract_dir, case):
     command = case.split("-")[0]
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(data=st.binary(max_size=200) if command == "generate" else mangled(original))
+    @given(data=st.binary(max_size=200) if command in ("generate", "run") else mangled(original))
     def check(data):
         target.write_bytes(data)
         with tempfile.TemporaryDirectory() as out:
@@ -480,7 +540,9 @@ def test_exit_code_contract_on_arbitrary_input(contract_dir, case):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, *args])
-        assert code in (0, 2, 3)
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert files_under(Path(out)) == []
 
     try:
         check()
