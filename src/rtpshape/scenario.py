@@ -1,27 +1,30 @@
 """Scenario config files: a flat, line-oriented ``section.key = value``
 format (ASCII, ``#`` comments) describing one end-to-end experiment.
 
-Sections:
+A section's keys are the fields of the config class it builds, and that
+class states each field's type and default and checks the values. A field
+with no default is required; any other key is an error.
 
-  generator.kind = audio | video
-  generator.duration_us, generator.seed, plus the generator's own fields
-  channel.base_delay_us, channel.jitter (none | uniform(lo,hi) |
-      exponential(mean)), channel.loss_prob (integer, decimal or n/d),
-      channel.seed -- the whole section is optional
-  pipeline.<k>.type = leaky | token, plus that shaper's fields; stages are
-      numbered 0..n-1 and may be absent entirely
+  generator.kind = audio | video picks AudioGenConfig | VideoGenConfig; the
+      section also holds generator.duration_us (required) and
+      generator.seed (default 0)
+  channel.* builds ChannelModel; jitter is none | uniform(lo,hi) |
+      exponential(mean), loss_prob an integer, decimal or n/d; the whole
+      section is optional
+  pipeline.<k>.type = leaky | token picks LeakyBucketConfig |
+      TokenBucketConfig; stages are numbered 0..n-1 and may be absent
   analysis.throughput_window_us
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 from .shaping import LeakyBucketConfig, ShaperConfig, TokenBucketConfig
-from .traffic import (AudioGenConfig, ChannelModel, ExponentialJitter, NoJitter,
-                      UniformJitter, VideoGenConfig)
+from .traffic import (AudioGenConfig, ChannelModel, ExponentialJitter, JitterModel,
+                      NoJitter, UniformJitter, VideoGenConfig)
 
 
 class ConfigError(ValueError):
@@ -38,8 +41,11 @@ class ScenarioConfig:
     throughput_window_us: int = 10**6
 
 
-def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
-    entries: dict[str, tuple[str, int]] = {}
+Entries = dict[str, tuple[str, int]]  # key -> (value, line number)
+
+
+def _parse_lines(text: str) -> Entries:
+    entries: Entries = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -56,185 +62,122 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-class _Section:
-    def __init__(self, entries: dict[str, tuple[str, int]], prefix: str):
-        self.prefix = prefix
-        self.items = {key[len(prefix) + 1:]: val
-                      for key, val in entries.items()
-                      if key.startswith(prefix + ".")}
-        self.used: set[str] = set()
+_JITTERS = {"none": NoJitter, "uniform": UniformJitter, "exponential": ExponentialJitter}
 
-    def __bool__(self) -> bool:
-        return bool(self.items)
 
-    def get(self, name: str, default=None) -> Optional[str]:
-        self.used.add(name)
-        if name in self.items:
-            return self.items[name][0]
-        return default
+def _parse_jitter(raw: str) -> JitterModel:
+    """``none``, or a jitter class's name and one integer per field of that
+    class: ``uniform(lo,hi)``, ``exponential(mean)``."""
+    name, paren, args = raw.partition("(")
+    cls = _JITTERS.get(name)
+    values = args[:-1].split(",") if args.endswith(")") else []
+    if cls is None or bool(paren) == (cls is NoJitter) or len(values) != len(fields(cls)):
+        raise ValueError(raw)
+    numbers = [int(value) for value in values]
+    try:
+        return cls(*numbers)
+    except ValueError as exc:
+        raise ConfigError(f"channel.jitter: {exc}") from None
 
-    def get_int(self, name: str, default: Optional[int] = None) -> Optional[int]:
-        raw = self.get(name)
-        if raw is None:
-            return default
+
+# How a value of each field type is read, and what a bad value was meant to be.
+_PARSERS = {int: (int, "an integer"), Optional[int]: (int, "an integer"),
+            Fraction: (Fraction, "a rational"),
+            JitterModel: (_parse_jitter, "none, uniform(lo,hi) or exponential(mean)")}
+
+# The key that picks a section's config class, and the class for each value.
+_KINDS = {"generator": ("kind", {"audio": AudioGenConfig, "video": VideoGenConfig}),
+          "pipeline": ("type", {"leaky": LeakyBucketConfig, "token": TokenBucketConfig})}
+
+
+def _parsers(cls, names) -> dict[str, tuple]:
+    hints = get_type_hints(cls)
+    return {name: _PARSERS[hints[name]] for name in names}
+
+
+def _spec(cls) -> tuple[dict[str, tuple], list[str]]:
+    """The parser of each of cls's fields, and the fields with no default."""
+    return (_parsers(cls, [f.name for f in fields(cls)]),
+            [f.name for f in fields(cls) if f.default is f.default_factory is MISSING])
+
+
+# Resolved once: get_type_hints costs more than a whole parse.
+_SPECS = {cls: _spec(cls) for cls in (AudioGenConfig, VideoGenConfig, ChannelModel,
+                                       LeakyBucketConfig, TokenBucketConfig)}
+# ScenarioConfig's fields that are set from the generator and analysis sections.
+_RUN_KEYS = {"generator": _parsers(ScenarioConfig, ("duration_us", "seed")),
+             "analysis": _parsers(ScenarioConfig, ("throughput_window_us",))}
+
+
+def _read(prefix: str, items: Entries, parsers: dict[str, tuple]) -> dict[str, object]:
+    values = {}
+    for name, (raw, line) in items.items():
+        if name not in parsers:
+            raise ConfigError(f"line {line}: unknown key {prefix}.{name}")
+        parse, what = parsers[name]
         try:
-            return int(raw)
-        except ValueError:
-            line = self.items[name][1]
-            raise ConfigError(f"line {line}: {self.prefix}.{name} must be an integer, "
-                              f"got {raw!r}") from None
-
-    def get_fraction(self, name: str, default=None):
-        raw = self.get(name)
-        if raw is None:
-            return default
-        try:
-            return Fraction(raw)
+            values[name] = parse(raw)
+        except ConfigError:
+            raise
         except (ValueError, ZeroDivisionError):
-            line = self.items[name][1]
-            raise ConfigError(f"line {line}: {self.prefix}.{name} must be a rational, "
+            raise ConfigError(f"line {line}: {prefix}.{name} must be {what}, "
                               f"got {raw!r}") from None
-
-    def check_no_extras(self) -> None:
-        extras = set(self.items) - self.used
-        if extras:
-            name = sorted(extras)[0]
-            line = self.items[name][1]
-            raise ConfigError(f"line {line}: unknown key {self.prefix}.{name}")
+    return values
 
 
-def _parse_jitter(raw: str, line_hint: str):
-    text = raw.strip()
-    if text == "none":
-        return NoJitter()
-    for name, cls, arity in (("uniform", UniformJitter, 2),
-                             ("exponential", ExponentialJitter, 1)):
-        if text.startswith(name + "(") and text.endswith(")"):
-            args = text[len(name) + 1:-1].split(",")
-            if len(args) != arity:
-                raise ConfigError(f"{line_hint}: {name} jitter takes {arity} argument(s)")
-            try:
-                return cls(*(int(a.strip()) for a in args))
-            except ValueError as exc:
-                raise ConfigError(f"{line_hint}: {exc}") from None
-    raise ConfigError(f"{line_hint}: jitter must be none, uniform(lo,hi) "
-                      f"or exponential(mean), got {raw!r}")
+def _build(prefix: str, cls, items: Entries):
+    parsers, required = _SPECS[cls]
+    values = _read(prefix, items, parsers)
+    for name in required:
+        if name not in values:
+            raise ConfigError(f"{prefix}.{name} is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
 
 
-def _build_generator(section: _Section):
-    kind = section.get("kind")
+def _build_kind(prefix: str, items: Entries):
+    key, kinds = _KINDS[prefix.split(".")[0]]
+    kind, _ = items.pop(key, (None, 0))
     if kind is None:
-        raise ConfigError("generator.kind is required")
-    duration = section.get_int("duration_us")
-    if duration is None:
-        raise ConfigError("generator.duration_us is required")
-    seed = section.get_int("seed", 0)
-    try:
-        if kind == "audio":
-            cfg = AudioGenConfig(
-                ptime_us=section.get_int("ptime_us", 20000),
-                payload_bytes=section.get_int("payload_bytes", 125),
-                ssrc=section.get_int("ssrc", AudioGenConfig.ssrc),
-                payload_type=section.get_int("payload_type", AudioGenConfig.payload_type),
-            )
-        elif kind == "video":
-            cfg = VideoGenConfig(
-                fps=section.get_int("fps", 25),
-                gop=section.get_int("gop", 12),
-                i_frame_bytes=section.get_int("i_frame_bytes", 8000),
-                p_frame_bytes=section.get_int("p_frame_bytes", 1500),
-                size_jitter_pct=section.get_int("size_jitter_pct", 20),
-                mtu_payload_bytes=section.get_int("mtu_payload_bytes", 1200),
-                ssrc=section.get_int("ssrc", VideoGenConfig.ssrc),
-                payload_type=section.get_int("payload_type", VideoGenConfig.payload_type),
-            )
-        else:
-            raise ConfigError(f"generator.kind must be audio or video, got {kind!r}")
-    except ValueError as exc:
-        raise ConfigError(f"generator: {exc}") from None
-    section.check_no_extras()
-    return cfg, duration, seed
-
-
-def _build_channel(section: _Section) -> Optional[ChannelModel]:
-    if not section:
-        return None
-    jitter_raw = section.get("jitter", "none")
-    try:
-        channel = ChannelModel(
-            base_delay_us=section.get_int("base_delay_us", 0),
-            jitter=_parse_jitter(jitter_raw, "channel.jitter"),
-            loss_prob=section.get_fraction("loss_prob", Fraction(0)),
-            seed=section.get_int("seed", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from None
-    section.check_no_extras()
-    return channel
-
-
-def _build_stage(section: _Section, index: int) -> ShaperConfig:
-    kind = section.get("type")
-    try:
-        if kind == "leaky":
-            stage = LeakyBucketConfig(
-                capacity_packets=section.get_int("capacity_packets", 15),
-                drain_interval_us=section.get_int("drain_interval_us", 20000),
-            )
-        elif kind == "token":
-            rate = section.get_fraction("rate")
-            capacity = section.get_int("capacity_tokens")
-            if rate is None or capacity is None:
-                raise ConfigError(f"pipeline.{index}: token stage needs rate "
-                                  "and capacity_tokens")
-            stage = TokenBucketConfig(
-                rate=rate,
-                capacity_tokens=capacity,
-                initial_tokens=section.get_int("initial_tokens"),
-                queue_limit_bytes=section.get_int("queue_limit_bytes"),
-            )
-        else:
-            raise ConfigError(f"pipeline.{index}.type must be leaky or token, "
-                              f"got {kind!r}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"pipeline.{index}: {exc}") from None
-    section.check_no_extras()
-    return stage
+        raise ConfigError(f"{prefix}.{key} is required")
+    if kind not in kinds:
+        raise ConfigError(f"{prefix}.{key} must be {' or '.join(kinds)}, got {kind!r}")
+    return _build(prefix, kinds[kind], items)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    entries = _parse_lines(text)
-
-    known_sections = {"generator", "channel", "analysis"}
-    stage_indices: set[int] = set()
-    for key, (_, lineno) in entries.items():
-        section = key.split(".", 1)[0]
+    sections: dict[str, Entries] = {"generator": {}, "channel": {}, "analysis": {}}
+    stages: dict[int, Entries] = {}
+    for key, (raw, line) in _parse_lines(text).items():
+        section, name = key.split(".", 1)
         if section == "pipeline":
-            parts = key.split(".")
-            if len(parts) < 3 or not parts[1].isdigit():
-                raise ConfigError(f"line {lineno}: pipeline keys look like "
-                                  "pipeline.<index>.<field>")
-            stage_indices.add(int(parts[1]))
-        elif section not in known_sections:
-            raise ConfigError(f"line {lineno}: unknown section {section!r}")
+            index, _, name = name.partition(".")
+            if not (name and index.isdecimal() and index == str(int(index))):
+                raise ConfigError(f"line {line}: pipeline keys look like pipeline."
+                                  "<index>.<field>, <index> written 0, 1, 2, ...")
+            stages.setdefault(int(index), {})[name] = (raw, line)
+        elif section in sections:
+            sections[section][name] = (raw, line)
+        else:
+            raise ConfigError(f"line {line}: unknown section {section!r}")
 
-    if stage_indices and stage_indices != set(range(len(stage_indices))):
-        raise ConfigError(f"pipeline stages must be numbered 0..n-1, got "
-                          f"{sorted(stage_indices)}")
+    if sorted(stages) != list(range(len(stages))):
+        raise ConfigError(f"pipeline stages must be numbered 0..n-1, got {sorted(stages)}")
 
-    generator, duration, seed = _build_generator(_Section(entries, "generator"))
-    channel = _build_channel(_Section(entries, "channel"))
-    pipeline = tuple(_build_stage(_Section(entries, f"pipeline.{k}"), k)
-                     for k in range(len(stage_indices)))
-
-    analysis = _Section(entries, "analysis")
-    window = analysis.get_int("throughput_window_us", ScenarioConfig.throughput_window_us)
-    analysis.check_no_extras()
-    if window < 1:
+    generator = sections["generator"]
+    run = _read("generator", {name: generator.pop(name) for name in _RUN_KEYS["generator"]
+                              if name in generator}, _RUN_KEYS["generator"])
+    gen = _build_kind("generator", generator)
+    if "duration_us" not in run:
+        raise ConfigError("generator.duration_us is required")
+    channel = _build("channel", ChannelModel, sections["channel"]) \
+        if sections["channel"] else None
+    pipeline = tuple(_build_kind(f"pipeline.{k}", stages[k])
+                     for k in range(len(stages)))
+    analysis = _read("analysis", sections["analysis"], _RUN_KEYS["analysis"])
+    if analysis.get("throughput_window_us", ScenarioConfig.throughput_window_us) < 1:
         raise ConfigError("analysis.throughput_window_us must be >= 1")
-
-    return ScenarioConfig(generator=generator, duration_us=duration, seed=seed,
-                          channel=channel, pipeline=pipeline,
-                          throughput_window_us=window)
+    return ScenarioConfig(generator=gen, channel=channel, pipeline=pipeline,
+                          **{"seed": 0, **run, **analysis})

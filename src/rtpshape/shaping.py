@@ -65,8 +65,7 @@ class TokenBucketConfig:
             raise ValueError("rate must be > 0")
         if self.capacity_tokens < 1:
             raise ValueError("capacity_tokens must be >= 1")
-        init = self.capacity_tokens if self.initial_tokens is None else self.initial_tokens
-        if not 0 <= init <= self.capacity_tokens:
+        if not 0 <= self.start_tokens <= self.capacity_tokens:
             raise ValueError("initial_tokens must lie in [0, capacity_tokens]")
         if self.queue_limit_bytes is not None and self.queue_limit_bytes < 1:
             raise ValueError("queue_limit_bytes must be >= 1")

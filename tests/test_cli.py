@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,14 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rtpshape
-from rtpshape import (ConfigError, LeakyBucketConfig, MediaPacket, ShapeResult,
-                      StreamTrace, TokenBucketConfig, UniformJitter, cli,
-                      leaky_bucket_shape, parse_scenario, read_trace_csv,
-                      write_trace_csv)
+from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitter,
+                      LeakyBucketConfig, MediaPacket, NoJitter, ScenarioConfig,
+                      ShapeResult, StreamTrace, TokenBucketConfig, UniformJitter,
+                      VideoGenConfig, cli, leaky_bucket_shape, parse_scenario,
+                      read_trace_csv, write_trace_csv)
 from rtpshape.cli import main
 from rtpshape.reporting import read_drops_csv, read_occupancy_csv
 
 from test_acceptance import AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG
+from test_pinned import README_SCENARIO
 
 AUDIO_CONFIG = """\
 # telephony-style CBR audio scenario
@@ -90,6 +93,192 @@ class TestScenarioParsing:
             parse_scenario(AUDIO_CONFIG.replace("pipeline.0", "pipeline.1"))
         with pytest.raises(ConfigError, match="jitter"):
             parse_scenario(AUDIO_CONFIG.replace("uniform(0,15000)", "gauss(3)"))
+
+
+# Every key each section accepts, each once: with an audio generator and a
+# leaky and a token stage, and with a video generator.
+EVERY_KEY_AUDIO_CONFIG = """\
+generator.kind = audio
+generator.duration_us = 1000000
+generator.seed = 1
+generator.ptime_us = 20000
+generator.payload_bytes = 125
+generator.ssrc = 7
+generator.payload_type = 0
+channel.base_delay_us = 0
+channel.jitter = none
+channel.loss_prob = 0
+channel.seed = 0
+pipeline.0.type = leaky
+pipeline.0.capacity_packets = 15
+pipeline.0.drain_interval_us = 20000
+pipeline.1.type = token
+pipeline.1.rate = 1000
+pipeline.1.capacity_tokens = 200
+pipeline.1.initial_tokens = 0
+pipeline.1.queue_limit_bytes = 100
+analysis.throughput_window_us = 1000000
+"""
+
+EVERY_KEY_VIDEO_CONFIG = """\
+generator.kind = video
+generator.duration_us = 1000000
+generator.seed = 1
+generator.fps = 25
+generator.gop = 12
+generator.i_frame_bytes = 8000
+generator.p_frame_bytes = 1500
+generator.size_jitter_pct = 20
+generator.mtu_payload_bytes = 1200
+generator.ssrc = 7
+generator.payload_type = 96
+"""
+
+
+def keys_by_section(config: str) -> dict[str, set[str]]:
+    sections: dict[str, set[str]] = {}
+    for line in config.splitlines():
+        section, name = line.split(" = ")[0].rsplit(".", 1)
+        sections.setdefault(section, set()).add(name)
+    return sections
+
+
+@pytest.mark.parametrize("config", [EVERY_KEY_AUDIO_CONFIG, EVERY_KEY_VIDEO_CONFIG],
+                         ids=["audio", "video"])
+def test_accepted_keys_are_pinned(config):
+    """Each section accepts exactly the keys written above: none of the
+    field names of any config class, nor "kind" or "type", is accepted where
+    it is not listed. A field added to a config class changes this test."""
+    parse_scenario(config)
+    candidates = {f.name for cls in (AudioGenConfig, VideoGenConfig, ChannelModel,
+                                     LeakyBucketConfig, TokenBucketConfig, ScenarioConfig)
+                  for f in fields(cls)} | {"kind", "type"}
+    for section, names in keys_by_section(config).items():
+        for name in sorted(candidates - names):
+            with pytest.raises(ConfigError, match=f"unknown key {section}.{name}$"):
+                parse_scenario(config + f"{section}.{name} = 1\n")
+
+
+def readme_section() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme[readme.index("Scenario configs are"):readme.index("## Demos")]
+
+
+def test_readme_example_is_the_pinned_scenario():
+    example = readme_section().split("```")[1]
+    assert parse_scenario(example) == parse_scenario(README_SCENARIO)
+
+
+def test_readme_lists_every_key_with_its_default():
+    """The README's key table names every accepted key, and writing a key at
+    the default it gives parses the same as leaving the key out."""
+    rows = re.findall(r"^\| `([a-z_.K]+)` \| ([^|]+) \| ([^|]+) \|$", readme_section(), re.M)
+    listed = {key.replace(".K.", ".0.") for key, _, _ in rows}
+    every = {f"{section}.{name}".replace("pipeline.1.", "pipeline.0.")
+             for config in (EVERY_KEY_AUDIO_CONFIG, EVERY_KEY_VIDEO_CONFIG)
+             for section, names in keys_by_section(config).items() for name in names}
+    assert listed == every
+    kinds = {"audio": "generator.kind = audio\n", "video": "generator.kind = video\n",
+             "leaky": "pipeline.0.type = leaky\n",
+             "token": "pipeline.0.type = token\npipeline.0.rate = 1\n"
+                      "pipeline.0.capacity_tokens = 1\n"}
+    for key, default, meaning in rows:
+        if not re.fullmatch(r"`[^`]+`", default.strip()):
+            continue  # required, or a default the config cannot spell
+        kind = meaning.split(":")[0]  # "audio: packet interval" is an audio key
+        base = kinds["video" if kind == "video" else "audio"] + \
+            "generator.duration_us = 1000000\n" + kinds["token" if kind == "token" else "leaky"]
+        line = f"{key.replace('.K.', '.0.')} = {default.strip().strip('`')}\n"
+        with_default, without = parse_scenario(base + line), parse_scenario(base)
+        assert with_default.channel in (None, ChannelModel()), key
+        assert replace(with_default, channel=None) == without, key
+
+
+JITTER_NAMES = {NoJitter: "none", UniformJitter: "uniform",
+                ExponentialJitter: "exponential"}
+KIND_NAMES = {AudioGenConfig: "audio", VideoGenConfig: "video",
+              LeakyBucketConfig: "leaky", TokenBucketConfig: "token"}
+
+
+def config_value(value) -> str:
+    if type(value) in JITTER_NAMES:
+        args = ",".join(str(getattr(value, f.name)) for f in fields(value))
+        return f"{JITTER_NAMES[type(value)]}({args})" if args else "none"
+    return str(value)
+
+
+def section_lines(prefix: str, cfg, omit_defaults: bool) -> list[str]:
+    return [f"{prefix}.{f.name} = {config_value(getattr(cfg, f.name))}"
+            for f in fields(cfg) if getattr(cfg, f.name) is not None
+            and not (omit_defaults and getattr(cfg, f.name) == f.default)]
+
+
+def config_text(sc: ScenarioConfig, omit_defaults: bool) -> str:
+    lines = [f"generator.kind = {KIND_NAMES[type(sc.generator)]}",
+             f"generator.duration_us = {sc.duration_us}"]
+    lines += [f"generator.seed = {sc.seed}"] if sc.seed or not omit_defaults else []
+    lines += section_lines("generator", sc.generator, omit_defaults)
+    if sc.channel is not None:
+        # an all-default channel still needs one key to be present
+        lines += section_lines("channel", sc.channel, omit_defaults) or \
+            [f"channel.seed = {sc.channel.seed}"]
+    for k, stage in enumerate(sc.pipeline):
+        lines += [f"pipeline.{k}.type = {KIND_NAMES[type(stage)]}"]
+        lines += section_lines(f"pipeline.{k}", stage, omit_defaults)
+    if sc.throughput_window_us != ScenarioConfig.throughput_window_us or not omit_defaults:
+        lines += [f"analysis.throughput_window_us = {sc.throughput_window_us}"]
+    return "".join(line + "\n" for line in lines)
+
+
+def configs(cls, required=None, **optional):
+    """Instances of cls from its required fields and any subset of the
+    optional ones; draws that fail cls's own checks are discarded."""
+    def build(kwargs):
+        try:
+            return cls(**kwargs)
+        except ValueError:
+            return None
+    return st.fixed_dictionaries(required or {}, optional=optional) \
+        .map(build).filter(lambda cfg: cfg is not None)
+
+
+SIZES = st.integers(0, 10**6)
+POSITIVE = st.integers(1, 10**6)
+SCENARIOS = configs(
+    ScenarioConfig,
+    required=dict(
+        generator=configs(AudioGenConfig, ptime_us=st.integers(1000, 10**6),
+                          payload_bytes=POSITIVE, ssrc=st.integers(0, 2**32 - 1),
+                          payload_type=st.integers(0, 127))
+        | configs(VideoGenConfig, fps=POSITIVE, gop=POSITIVE, i_frame_bytes=POSITIVE,
+                  p_frame_bytes=POSITIVE, size_jitter_pct=st.integers(0, 100),
+                  mtu_payload_bytes=st.integers(64, 10**4),
+                  ssrc=st.integers(0, 2**32 - 1), payload_type=st.integers(0, 127)),
+        duration_us=st.integers(1, 10**9),
+        seed=st.integers(0, 2),
+        channel=st.none() | configs(
+            ChannelModel, base_delay_us=SIZES, seed=st.integers(0, 2**64),
+            loss_prob=st.fractions(0, 1, max_denominator=10**4),
+            jitter=st.just(NoJitter()) | st.builds(ExponentialJitter, SIZES)
+            | configs(UniformJitter, dict(lo_us=SIZES, hi_us=SIZES))),
+        pipeline=st.lists(
+            configs(LeakyBucketConfig, capacity_packets=POSITIVE,
+                    drain_interval_us=POSITIVE)
+            | configs(TokenBucketConfig,
+                      dict(rate=st.fractions(0, 10**9, max_denominator=10**4),
+                           capacity_tokens=POSITIVE),
+                      initial_tokens=SIZES, queue_limit_bytes=POSITIVE),
+            max_size=3).map(tuple)),
+    throughput_window_us=st.integers(1, 10**7))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenario=SCENARIOS)
+def test_config_round_trip(scenario):
+    """A config written out with every field, or with the fields at their
+    defaults left out, parses back to the same ScenarioConfig."""
+    for omit_defaults in (False, True):
+        assert parse_scenario(config_text(scenario, omit_defaults)) == scenario
 
 
 @pytest.fixture
@@ -334,6 +523,29 @@ def test_exit_2_writes_nothing(tmp_path, audio_cfg, command, config, message):
         else ["--output", out]
     proc = run_cli(command, "--config", cfg, *args)
     assert_usage_error(proc, message)
+    assert files_under(out) == []
+
+
+# A stage index written other than as str(k), beside a stage 0 or alone.
+LEADING_ZERO_CONFIGS = {
+    "beside-stage-0": AUDIO_CONFIG + "pipeline.00.capacity_packets = 3\n",
+    "alone": AUDIO_CONFIG.replace("pipeline.0.", "pipeline.00."),
+}
+
+
+@pytest.mark.parametrize("config", list(LEADING_ZERO_CONFIGS.values()),
+                         ids=list(LEADING_ZERO_CONFIGS))
+def test_stage_index_with_leading_zero_exits_2(tmp_path, config):
+    """No entry goes unread: "pipeline.00" is neither stage 0 nor a stage of
+    its own, so the config is rejected at the key's first line."""
+    line = next(n for n, text in enumerate(config.splitlines(), start=1)
+                if text.startswith("pipeline.00."))
+    with pytest.raises(ConfigError, match=f"^line {line}: pipeline keys"):
+        parse_scenario(config)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert_usage_error(run_cli("run", "--config", cfg, "--output", out), f"line {line}:")
     assert files_under(out) == []
 
 
