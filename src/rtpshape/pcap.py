@@ -15,7 +15,10 @@ and packets with equal timestamps keep their capture order. Time 0 is the
 earliest RTP packet's timestamp, wherever in the file it sits.
 
 Captures carry only arrival times, so imported packets get
-``send_ts_us == recv_ts_us`` by convention.
+``send_ts_us == recv_ts_us`` by convention. A duplicated packet is imported
+like any other. Each stream is valid by construction (fields read at their
+RTP widths, media bytes > 0, one SSRC, sorted times from 0), so it is not
+validated again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import struct
 from operator import itemgetter
 from typing import Optional
 
-from .model import MediaPacket, StreamTrace, check_trace
+from .model import MediaPacket, StreamTrace
 
 MAGIC_NATIVE = b"\xa1\xb2\xc3\xd4"
 MAGIC_SWAPPED = b"\xd4\xc3\xb2\xa1"
@@ -141,4 +144,4 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
         rel = ts - t0
         streams[ssrc].append(new(packet, (seq, ssrc, pt, marker, rel, rel, media_bytes)))
 
-    return [check_trace(StreamTrace(packets)) for packets in streams.values()]
+    return [StreamTrace(packets) for packets in streams.values()]

@@ -6,7 +6,7 @@ class states each field's type and default and checks the values. A field
 with no default is required; any other key is an error.
 
   generator.kind = audio | video picks AudioGenConfig | VideoGenConfig; the
-      section also holds generator.duration_us (required) and
+      section also holds generator.duration_us (required) and, for video,
       generator.seed (default 0)
   channel.* builds ChannelModel; jitter is none | uniform(lo,hi) |
       exponential(mean), loss_prob an integer, decimal or n/d; the whole
@@ -167,8 +167,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ConfigError(f"pipeline stages must be numbered 0..n-1, got {sorted(stages)}")
 
     generator = sections["generator"]
+    video = generator.get("kind", ("",))[0] == "video"  # only video takes a seed
     run = _read("generator", {name: generator.pop(name) for name in _RUN_KEYS["generator"]
-                              if name in generator}, _RUN_KEYS["generator"])
+                              if name in generator and (video or name != "seed")},
+                _RUN_KEYS["generator"])
     gen = _build_kind("generator", generator)
     if "duration_us" not in run:
         raise ConfigError("generator.duration_us is required")

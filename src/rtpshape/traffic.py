@@ -192,12 +192,12 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     independent.
     """
     num, den = ch.loss_prob.numerator, ch.loss_prob.denominator
-    survivors: list[tuple[int, int, MediaPacket]] = []
+    survivors: list[MediaPacket] = []
     for i, pkt in enumerate(trace.packets):
         loss_word, jitter_word = _splitmix64_pair((ch.seed ^ i) & _MASK64)
         if loss_word * den < num << 64:
             continue
         recv = pkt.send_ts_us + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
-        survivors.append((recv, i, pkt._replace(recv_ts_us=recv)))
-    survivors.sort(key=lambda item: (item[0], item[1]))
-    return StreamTrace(tuple(pkt for _, _, pkt in survivors))
+        survivors.append(pkt._replace(recv_ts_us=recv))
+    survivors.sort(key=lambda pkt: pkt.recv_ts_us)  # stable: equal times keep input order
+    return StreamTrace(tuple(survivors))

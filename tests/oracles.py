@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from rtpshape import LeakyBucketConfig, MediaPacket, StreamTrace, TokenBucketConfig
-from rtpshape.model import CSV_HEADER, check_trace
+from rtpshape.model import CSV_HEADER
 from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGIC_SWAPPED,
                            PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
 from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
@@ -614,5 +614,5 @@ def import_pcap_reference(data: bytes, port_filter: Optional[int] = None) -> lis
     for ssrc, items in by_ssrc.items():
         items.sort(key=lambda it: (it[1].recv_ts_us, it[0]))
         packets = tuple(pkt for _, pkt in items)
-        traces.append(check_trace(StreamTrace(packets)))
+        traces.append(StreamTrace(packets))
     return traces

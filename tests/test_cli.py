@@ -100,7 +100,6 @@ class TestScenarioParsing:
 EVERY_KEY_AUDIO_CONFIG = """\
 generator.kind = audio
 generator.duration_us = 1000000
-generator.seed = 1
 generator.ptime_us = 20000
 generator.payload_bytes = 125
 generator.ssrc = 7
@@ -216,7 +215,8 @@ def section_lines(prefix: str, cfg, omit_defaults: bool) -> list[str]:
 def config_text(sc: ScenarioConfig, omit_defaults: bool) -> str:
     lines = [f"generator.kind = {KIND_NAMES[type(sc.generator)]}",
              f"generator.duration_us = {sc.duration_us}"]
-    lines += [f"generator.seed = {sc.seed}"] if sc.seed or not omit_defaults else []
+    if isinstance(sc.generator, VideoGenConfig) and (sc.seed or not omit_defaults):
+        lines += [f"generator.seed = {sc.seed}"]
     lines += section_lines("generator", sc.generator, omit_defaults)
     if sc.channel is not None:
         # an all-default channel still needs one key to be present
@@ -269,7 +269,8 @@ SCENARIOS = configs(
                            capacity_tokens=POSITIVE),
                       initial_tokens=SIZES, queue_limit_bytes=POSITIVE),
             max_size=3).map(tuple)),
-    throughput_window_us=st.integers(1, 10**7))
+    throughput_window_us=st.integers(1, 10**7)) \
+    .filter(lambda sc: sc.seed == 0 or isinstance(sc.generator, VideoGenConfig))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -598,6 +599,17 @@ class TestRunAndReport:
         main(["run", "--config", audio_cfg, "--output", str(b), "--seed", "99"])
         assert (a / "input.csv").read_bytes() != (b / "input.csv").read_bytes()
 
+    def test_audio_generator_seed_exits_2(self, tmp_path, capsys):
+        # only the video generator draws at random; an audio seed would be
+        # read and change nothing
+        cfg = tmp_path / "seeded-audio.cfg"
+        cfg.write_text(AUDIO_CONFIG.replace("generator.ptime_us", "generator.seed = 1\n"
+                                            "generator.ptime_us"))
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: line 3: unknown key generator.seed\n"
+        assert not (tmp_path / "run").exists()
+        assert parse_scenario(VIDEO_RUN_CONFIG).seed == 5
+
     def test_empty_pipeline_is_analysis_only(self, tmp_path):
         cfg = tmp_path / "nopipe.cfg"
         cfg.write_text("\n".join(line for line in AUDIO_CONFIG.splitlines()
@@ -665,13 +677,30 @@ HUGE_BUCKET_RUN_CONFIG = VIDEO_RUN_CONFIG.replace(
     "capacity_tokens = 20000", "capacity_tokens = 100000000000000000000")
 
 
+# The channel reorders each 60 kB I-frame's 64-byte fragments by up to
+# 100 µs, faster than the token stage sends them, so the stage sends several
+# in one microsecond in arrival order: ties out of seq order.
+TIED_DEPARTURES_RUN_CONFIG = """\
+generator.kind = video
+generator.duration_us = 1000000
+generator.i_frame_bytes = 60000
+generator.mtu_payload_bytes = 64
+channel.base_delay_us = 1000
+channel.jitter = uniform(0,100)
+channel.seed = 3
+pipeline.0.type = token
+pipeline.0.rate = 200000000
+pipeline.0.capacity_tokens = 1000
+"""
+
+
 @pytest.mark.parametrize("config", [AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG, TWO_STAGE_RUN_CONFIG,
-                                    HUGE_BUCKET_RUN_CONFIG],
-                         ids=["audio", "video", "leaky-token", "huge-bucket"])
+                                    HUGE_BUCKET_RUN_CONFIG, TIED_DEPARTURES_RUN_CONFIG],
+                         ids=["audio", "video", "leaky-token", "huge-bucket", "tied-departures"])
 def test_run_and_report_agree(tmp_path, config):
     """`run` draws each stage's figure from memory; `report` draws it from
-    the stage CSVs that `run` wrote. Both must give the same bytes, and every
-    stage CSV must read back."""
+    the stage CSVs that `run` wrote. Both must give the same bytes, every
+    stage CSV must read back, and `analyze --result` must compare each stage."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "run"
@@ -690,6 +719,8 @@ def test_run_and_report_agree(tmp_path, config):
         assert svg.read_bytes() == (out / (base + "figure.svg")).read_bytes()
         assert svg.with_suffix(".panels.csv").read_bytes() == \
             (out / (base + "figure.panels.csv")).read_bytes()
+        assert main(["analyze", "--input", str(out / (base + "input.csv")),
+                     "--result", f"{out}/{base}"]) == 0
 
 
 CONTRACT_CASES = {

@@ -5,7 +5,7 @@ import pytest
 
 from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket,
                       StreamTrace, TraceFormatError, TraceValidationError,
-                      apply_channel, generate_audio, read_trace_csv,
+                      apply_channel, generate_audio, loss, read_trace_csv,
                       validate_trace, write_trace_csv)
 from rtpshape.model import TS_MAX
 
@@ -57,9 +57,19 @@ def test_largest_valid_values_round_trip():
     assert read_trace_csv(write_trace_csv(trace)) == trace
 
 
-def test_validate_duplicate_in_window():
-    trace = StreamTrace((pkt(seq=5, send=0), pkt(seq=5, send=10)))
-    assert any("duplicate" in v.message for v in validate_trace(trace))
+def test_duplicate_is_accepted_and_counted_once_by_loss():
+    # a repeated seq is what arrived: valid, and loss counts the copy
+    trace = StreamTrace((pkt(seq=4, send=0), pkt(seq=5, send=10), pkt(seq=5, send=20)))
+    assert validate_trace(trace) == []
+    assert loss(trace) == (0, 0, 1)
+
+
+def test_ties_keep_any_seq_order():
+    # equal timestamps in the order they came in, whatever their seqs
+    trace = StreamTrace((pkt(seq=9, send=0, recv=50), pkt(seq=3, send=10, recv=50),
+                         pkt(seq=65535, send=20, recv=50), pkt(seq=1, send=30, recv=60)))
+    assert validate_trace(trace) == []
+    assert read_trace_csv(write_trace_csv(trace)) == trace
 
 
 def test_seq_reused_after_wrap_is_not_a_duplicate():
@@ -69,16 +79,15 @@ def test_seq_reused_after_wrap_is_not_a_duplicate():
     trace = apply_channel(sent, ChannelModel(loss_prob=Fraction(1, 100), seed=1))
     assert len(sent) == 70_000 and len(trace) < 70_000
     assert validate_trace(trace) == []
+    assert loss(trace)[2] == 0
 
 
-def test_duplicate_after_wrap_is_flagged():
+def test_duplicate_after_wrap_is_accepted_and_counted_once_by_loss():
     seqs = [k % 65536 for k in range(65536 + 10)] + [5]  # seq 5 of the second cycle, again
     packets = tuple(pkt(seq=s, send=10 * i) for i, s in enumerate(seqs))
     trace = StreamTrace(packets)
-    violations = validate_trace(trace)
-    assert [(v.index, "duplicate" in v.message) for v in violations] == \
-        [(len(seqs) - 1, True)]
-    assert "first at 65541" in violations[0].message
+    assert validate_trace(trace) == []
+    assert loss(trace) == (0, 0, 1)
 
 
 def test_second_ssrc_is_flagged():
@@ -124,6 +133,15 @@ def test_read_zero_size_is_validation_error():
             b"0,1,96,0,0,,0\n")
     with pytest.raises(TraceValidationError, match="size_bytes"):
         read_trace_csv(data)
+
+
+def test_validation_message_names_the_first_ten_violations():
+    trace = StreamTrace(tuple(pkt(seq=k, send=k, size=0) for k in range(10_000)))
+    exc = TraceValidationError(validate_trace(trace))
+    assert len(exc.violations) == 10_000
+    assert len(str(exc)) < 2048
+    assert str(exc).startswith("packet 0: size_bytes 0 < 1; packet 1: ")
+    assert str(exc).endswith("; ... and 9990 more")
 
 
 def test_read_out_of_range_seq_is_parse_error():

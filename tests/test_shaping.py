@@ -7,7 +7,7 @@ import pytest
 from rtpshape import (LeakyBucketConfig, MediaPacket, PipelineStageError,
                       ShapeResult, ShapingPreconditionError, StreamTrace,
                       TokenBucketConfig, leaky_bucket_shape, run_pipeline,
-                      token_bucket_shape)
+                      token_bucket_shape, validate_trace)
 
 from oracles import (burst_scaled, burst_scaled_brute, leaky_bucket_shape_reference,
                      leaky_oracle, random_leaky_config, random_received_trace,
@@ -259,16 +259,29 @@ def shape_or_error(shaper, trace, cfg):
         return str(exc)
 
 
+def assert_valid_output(result: ShapeResult, start_us: int) -> None:
+    """The shaped trace is valid once every time is moved by -start_us: the
+    random inputs below start as early as start_us = -1000 µs, below the
+    CSV's range."""
+    moved = StreamTrace(tuple(p._replace(send_ts_us=p.send_ts_us - start_us,
+                                         recv_ts_us=p.recv_ts_us - start_us)
+                              for p in result.shaped.packets))
+    assert validate_trace(moved) == []
+
+
 class TestAgainstSeparateLoops:
     """The one FIFO-server loop against the two loops it replaced: the whole
-    ShapeResult, occupancy samples included, or the same error."""
+    ShapeResult, occupancy samples included, or the same error. Every result
+    is a valid trace."""
 
     def test_leaky(self):
         rng = random.Random(505)
         for _ in range(400):
             trace = random_received_trace(rng, max_packets=80, min_t=-1000, max_t=2000)
             cfg = random_leaky_config(rng)
-            assert leaky_bucket_shape(trace, cfg) == leaky_bucket_shape_reference(trace, cfg)
+            got = leaky_bucket_shape(trace, cfg)
+            assert got == leaky_bucket_shape_reference(trace, cfg)
+            assert_valid_output(got, -1000)
 
     @pytest.mark.parametrize("queue_limit", [False, True])
     def test_token(self, queue_limit):
@@ -289,6 +302,8 @@ class TestAgainstSeparateLoops:
                 cfg = dataclasses.replace(cfg, queue_limit_bytes=None)
             got = shape_or_error(token_bucket_shape, trace, cfg)
             assert got == shape_or_error(token_bucket_shape_reference, trace, cfg)
+            if isinstance(got, ShapeResult):
+                assert_valid_output(got, -1000)
             outcomes.add((type(got), max(p.size_bytes for p in trace.packets)
                           > cfg.capacity_tokens))
         # (outcome, trace holds an oversized packet): without a queue limit
