@@ -199,6 +199,9 @@ def cmd_report(args) -> int:
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args.config)
+    if scenario.pipeline and scenario.channel is None:
+        raise ConfigError("pipeline stages need arrival times, and the config has no "
+                          "channel section to stamp them")
     trace = _generate_trace(scenario, args.seed)
     results, measured = _execute(scenario, trace, measure=True)
     trace_csv = write_trace_csv(trace)

@@ -229,13 +229,18 @@ def compare(before: StreamTrace, result: ShapeResult,
     surviving packet, and drops introduced. Shaped packets are matched to
     `before` in order by seq, ssrc and send time, which shaping leaves alone.
 
+    Packets with equal keys, such as a duplicated packet, match in order:
+    the first shaped copy to the first in `before`. That is exact when the
+    copies also share their arrival time, as in every generated or imported
+    trace. For a hand-written CSV with equal (seq, ssrc, send_ts_us) but
+    different arrivals, a dropped first copy could be assigned to the wrong
+    packet.
+
     The after-trace is the shaped trace: the original send timestamps with
     the shaper departure times as arrivals, so jitter/PDV measure end-to-end
     delay variation after shaping.
     """
     keys = [p[:2] + (p.send_ts_us,) for p in before.packets]
-    if len(set(keys)) != len(keys):
-        raise InconsistentInputError("before trace has duplicate (seq, ssrc, send_ts_us) identities")
     _require_both_ts(before)
     shaped = result.shaped.packets
     if before.packets and not shaped:

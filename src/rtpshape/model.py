@@ -5,6 +5,8 @@ Time is integer microseconds everywhere; no floating-point timestamps.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -31,6 +33,29 @@ class TraceValidationError(ValueError):
         if len(self.violations) > 10:
             shown.append(f"... and {len(self.violations) - 10} more")
         super().__init__("; ".join(shown))
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Turn the cyclic garbage collector off for the body, then restore the
+    state it was found in, also when the body raises. As a decorator, it
+    pauses each call of a function that builds a trace-sized tuple of records.
+
+    CPython never stops tracking a tuple subclass, so every MediaPacket and
+    OccupancySample stays tracked, and each full collection walks all of them.
+    Pausing is safe because these records hold only ints, bools, None and
+    strs, so they cannot form cycles. The collector is one per process: while
+    a builder runs, cycles that another thread makes wait for it to finish,
+    and builders must not run in several threads at once, since one's exit
+    can re-enable the collector under another, or leave it disabled for good.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class MediaPacket(NamedTuple):

@@ -14,8 +14,8 @@ from itertools import pairwise
 from typing import Literal
 
 from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
-from .model import (SEQ_MOD, SSRC_MOD, TS_MAX, StreamTrace, TraceFormatError, csv_rows,
-                    parse_int)
+from .model import (SEQ_MOD, SSRC_MOD, TS_MAX, StreamTrace, TraceFormatError,
+                    _collector_paused, csv_rows, parse_int)
 from .shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, LeakyBucketConfig, OccupancySample,
                       ShapeResult, ShaperConfig, TokenBucketConfig)
 
@@ -41,6 +41,7 @@ def _packet_points(trace: StreamTrace) -> tuple[tuple[int, int], ...]:
     return tuple([(recv, size) for _, _, _, _, _, recv, size in trace.packets])
 
 
+@_collector_paused()
 def panel_report(incoming: StreamTrace, result: ShapeResult,
                  cfg: ShaperConfig) -> PanelReport:
     """Figure layout for one shaping stage: dots for packets, step lines for

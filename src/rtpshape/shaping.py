@@ -15,7 +15,7 @@ from itertools import chain
 from math import inf
 from typing import NamedTuple, Optional, Union
 
-from .model import MediaPacket, StreamTrace
+from .model import MediaPacket, StreamTrace, _collector_paused
 
 DROP_BUCKET_FULL = "bucket full"
 DROP_QUEUE_FULL = "queue full"
@@ -168,6 +168,7 @@ class _TokenPolicy:
         return None
 
 
+@_collector_paused()
 def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> ShapeResult:
     """Greedy FIFO server: the queue's head departs at max(arrival, ready),
     where the policy's ready(size) is the earliest time it may send `size`

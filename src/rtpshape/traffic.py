@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .model import MediaPacket, SEQ_MOD, StreamTrace
+from .model import MediaPacket, SEQ_MOD, StreamTrace, _collector_paused
 
 US_PER_S = 10**6
 
@@ -114,6 +114,7 @@ class ChannelModel:
             raise ValueError("loss_prob must lie in [0, 1)")
 
 
+@_collector_paused()
 def generate_audio(cfg: AudioGenConfig, duration_us: int) -> StreamTrace:
     """Packets at 0, ptime, 2*ptime, ... < duration; seq wraps at 2^16."""
     if duration_us < cfg.ptime_us:
@@ -127,6 +128,7 @@ def generate_audio(cfg: AudioGenConfig, duration_us: int) -> StreamTrace:
     return StreamTrace(packets)
 
 
+@_collector_paused()
 def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTrace:
     """Frame k at floor(k*10^6/fps); I-frame when k % gop == 0; frame sizes
     jittered by a seeded uniform factor, then fragmented to the MTU with all
@@ -184,6 +186,7 @@ def _sample_jitter(model: JitterModel, word: int) -> int:
     raise TypeError(f"unknown jitter model: {model!r}")
 
 
+@_collector_paused()
 def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     """Stamp arrival times and apply loss; deterministic per (trace, seed).
 
@@ -193,11 +196,12 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     """
     num, den = ch.loss_prob.numerator, ch.loss_prob.denominator
     survivors: list[MediaPacket] = []
+    new = tuple.__new__
     for i, pkt in enumerate(trace.packets):
         loss_word, jitter_word = _splitmix64_pair((ch.seed ^ i) & _MASK64)
         if loss_word * den < num << 64:
             continue
-        recv = pkt.send_ts_us + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
-        survivors.append(pkt._replace(recv_ts_us=recv))
+        recv = pkt[4] + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
+        survivors.append(new(MediaPacket, pkt[:5] + (recv, pkt[6])))
     survivors.sort(key=lambda pkt: pkt.recv_ts_us)  # stable: equal times keep input order
     return StreamTrace(tuple(survivors))

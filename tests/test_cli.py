@@ -17,9 +17,10 @@ import rtpshape
 from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitter,
                       LeakyBucketConfig, MediaPacket, NoJitter, ScenarioConfig,
                       ShapeResult, StreamTrace, TokenBucketConfig, UniformJitter,
-                      VideoGenConfig, cli, leaky_bucket_shape, parse_scenario,
-                      read_trace_csv, write_trace_csv)
+                      VideoGenConfig, cli, format_decimal, leaky_bucket_shape,
+                      parse_scenario, read_trace_csv, write_trace_csv)
 from rtpshape.cli import main
+from rtpshape.model import CSV_HEADER
 from rtpshape.reporting import read_drops_csv, read_occupancy_csv
 
 from test_acceptance import AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG
@@ -383,7 +384,31 @@ class TestShape:
         assert "arrival" in capsys.readouterr().err
 
 
+# Ten packets 20 ms apart with packet 3 captured twice, as a mirrored port
+# records it: both copies share seq, ssrc, send and arrival time.
+REPEATED_PACKET_CSV = CSV_HEADER + "\n" + "".join(
+    f"{k},1,0,0,{20_000 * k},{20_000 * k + 100},125\n" for k in [0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9])
+
+
 class TestAnalyze:
+    def test_result_with_a_repeated_packet(self, tmp_path, audio_cfg, capsys):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(REPEATED_PACKET_CSV)
+        prefix = str(tmp_path / "s-")
+        assert main(["shape", "--config", audio_cfg, "--input", str(trace_path),
+                     "--output", prefix]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(trace_path),
+                     "--result", prefix + "stage0."]) == 0
+        before = read_trace_csv(trace_path.read_bytes())
+        result = leaky_bucket_shape(before, parse_scenario(AUDIO_CONFIG).pipeline[0])
+        arrival = {(p.seq, p.send_ts_us): p.recv_ts_us for p in before.packets}
+        added = [p.recv_ts_us - arrival[p.seq, p.send_ts_us] for p in result.shaped.packets]
+        assert len(added) == 11 and max(added) > 0
+        out = capsys.readouterr().out
+        assert f"added_latency_max_us,{max(added)}\n" in out
+        assert f"added_latency_mean_us,{format_decimal(Fraction(sum(added), 11))}\n" in out
+
     def test_single_trace_summary(self, tmp_path, audio_cfg, capsys):
         cfg = tmp_path / "clean.cfg"
         cfg.write_text(AUDIO_CONFIG.replace("uniform(0,15000)", "none"))
@@ -609,6 +634,20 @@ class TestRunAndReport:
         assert capsys.readouterr().err == "error: line 3: unknown key generator.seed\n"
         assert not (tmp_path / "run").exists()
         assert parse_scenario(VIDEO_RUN_CONFIG).seed == 5
+
+    def test_pipeline_without_channel_exits_2_before_generating(self, tmp_path, capsys,
+                                                                monkeypatch):
+        cfg = tmp_path / "nochan.cfg"
+        cfg.write_text("\n".join(line for line in AUDIO_CONFIG.splitlines()
+                                 if not line.startswith("channel")) + "\n")
+
+        def generate(*args):
+            raise AssertionError("generated a trace no stage can shape")
+
+        monkeypatch.setattr(cli, "generate_audio", generate)
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 2
+        assert "channel" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_empty_pipeline_is_analysis_only(self, tmp_path):
         cfg = tmp_path / "nopipe.cfg"

@@ -293,9 +293,13 @@ class TestCompare:
         assert match_packets(keys, [keys[k] for k in picks]) == picks
 
     def test_duplicate_identity_in_before_trace(self):
-        trace = trace_from([(7, 0, 0), (7, 0, 10)])  # the same packet twice
-        with pytest.raises(InconsistentInputError, match="duplicate"):
-            compare(trace, leaky_bucket_shape(trace, LeakyBucketConfig()))
+        # the same (seq, ssrc, send) twice: the copies match in order
+        trace = trace_from([(7, 0, 0), (7, 0, 10)])
+        result = leaky_bucket_shape(trace, LeakyBucketConfig())
+        assert [p.recv_ts_us for p in result.shaped.packets] == [0, 20_000]
+        report = compare(trace, result)
+        assert report.added_latency_max_us == 19_990
+        assert report.added_latency_mean_us == Fraction(19_990, 2)
 
     def test_identity_mismatch(self):
         trace = trace_from([(0, 0, 10), (1, 100, 110)])

@@ -188,6 +188,52 @@ class TestDelayBound:
         assert (with_drops > 0) == queue_limit
 
 
+class TestGreedyShaperGuarantees:
+    """A greedy shaper's output already conforms to its own shaping curve
+    (Le Boudec & Thiran, Network Calculus, LNCS 2050, section 1.5)."""
+
+    @pytest.mark.parametrize("shaper", ["leaky", "token"])
+    def test_reshaping_the_output_changes_nothing(self, shaper):
+        rng = random.Random(909 if shaper == "leaky" else 919)
+        changed = 0
+        for _ in range(300):
+            trace = random_received_trace(rng)
+            if shaper == "leaky":
+                cfg, shape_with = random_leaky_config(rng), leaky_bucket_shape
+            else:
+                cfg, shape_with = random_token_config(rng), token_bucket_shape
+            shaped = shape_with(trace, cfg).shaped
+            again = shape_with(shaped, cfg)
+            assert again.shaped == shaped
+            assert again.dropped == ()
+            changed += shaped != trace
+        assert changed > 100  # the first pass delays or drops packets of many traces
+
+    def test_token_output_burst_within_capacity(self):
+        rng = random.Random(929)
+        tight = 0
+        for _ in range(300):
+            trace = random_received_trace(rng)
+            cfg = random_token_config(rng)
+            burst = burst_scaled(token_bucket_shape(trace, cfg).shaped, cfg.rate)
+            capacity = cfg.capacity_tokens * cfg.rate.denominator * 10**6
+            assert burst <= capacity
+            tight += burst > capacity - cfg.rate.denominator * 10**6 * 100
+        assert tight > 0  # some output bursts come within 100 bytes of the bound
+
+    def test_leaky_departures_a_drain_interval_apart(self):
+        rng = random.Random(939)
+        tight = 0
+        for _ in range(300):
+            trace = random_received_trace(rng)
+            cfg = random_leaky_config(rng)
+            deps = [p.recv_ts_us for p in leaky_bucket_shape(trace, cfg).shaped.packets]
+            gaps = [b - a for a, b in zip(deps, deps[1:])]
+            assert all(gap >= cfg.drain_interval_us for gap in gaps)
+            tight += cfg.drain_interval_us in gaps
+        assert tight > 200  # the bound is met with equality, not just held
+
+
 def conservation_holds(trace, result):
     shaped_ids = [(p.ssrc, p.seq) for p in result.shaped.packets]
     dropped_ids = [(p.ssrc, p.seq) for p, _ in result.dropped]
