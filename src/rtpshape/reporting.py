@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
-from typing import Literal
+from typing import Iterator, Literal
 
 from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
-from .model import (SEQ_MOD, SSRC_MOD, TS_MAX, StreamTrace, TraceFormatError,
-                    _collector_paused, csv_rows, parse_int)
+from .model import (_CHUNK_ROWS, SEQ_MOD, SSRC_MOD, TS_MAX, StreamTrace, TraceFormatError,
+                    _collector_paused, _format_rows, csv_rows, parse_int)
 from .shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, LeakyBucketConfig, OccupancySample,
                       ShapeResult, ShaperConfig, TokenBucketConfig)
 
@@ -65,9 +64,8 @@ def panel_report(incoming: StreamTrace, result: ShapeResult,
 
 
 def occupancy_csv(result: ShapeResult) -> str:
-    lines = [OCCUPANCY_HEADER]
-    lines += [f"{t},{qp},{qb},{tok}" for t, qp, qb, tok in result.occupancy]
-    return "\n".join(lines) + "\n"
+    return "".join([OCCUPANCY_HEADER + "\n",
+                    *_format_rows("%s,%s,%s,%s\n", result.occupancy)])
 
 
 def read_occupancy_csv(data: bytes) -> tuple[OccupancySample, ...]:
@@ -83,9 +81,8 @@ def read_occupancy_csv(data: bytes) -> tuple[OccupancySample, ...]:
 
 
 def drops_csv(result: ShapeResult) -> str:
-    lines = [DROPS_HEADER]
-    lines += [f"{p.seq},{p.ssrc},{p.recv_ts_us},{reason}" for p, reason in result.dropped]
-    return "\n".join(lines) + "\n"
+    rows = [(p[0], p[1], p[5], reason) for p, reason in result.dropped]
+    return "".join([DROPS_HEADER + "\n", *_format_rows("%s,%s,%s,%s\n", rows)])
 
 
 def read_drops_csv(data: bytes) -> list[tuple[int, int, int, str]]:
@@ -102,11 +99,11 @@ def read_drops_csv(data: bytes) -> list[tuple[int, int, int, str]]:
 
 
 def panels_csv(report: PanelReport) -> str:
-    lines = ["panel,kind,ts_us,value"]
+    chunks = ["panel,kind,ts_us,value\n"]
     for panel in report.panels:
-        head = f"{panel.title},{panel.kind},"
-        lines += [f"{head}{ts},{v}" for ts, v in panel.points]
-    return "\n".join(lines) + "\n"
+        head = f"{panel.title},{panel.kind},".replace("%", "%%")
+        chunks += _format_rows(head + "%s,%s\n", panel.points)
+    return "".join(chunks)
 
 
 def _fmt(value) -> str:
@@ -163,16 +160,13 @@ def jitter_csv(report: MetricsReport) -> str:
 
 
 def pdv_csv(report: MetricsReport) -> str:
-    lines = ["index,pdv_us"]
-    if report.pdv_per_packet_us:
-        lines += [f"{i},{v}" for i, v in enumerate(report.pdv_per_packet_us)]
-    return "\n".join(lines) + "\n"
+    rows = enumerate(report.pdv_per_packet_us or ())
+    return "".join(["index,pdv_us\n", *_format_rows("%s,%s\n", rows)])
 
 
 def throughput_csv(report: MetricsReport) -> str:
-    lines = ["window_start_us,bytes"]
-    lines += [f"{start},{total}" for start, total in report.throughput_series]
-    return "\n".join(lines) + "\n"
+    return "".join(["window_start_us,bytes\n",
+                    *_format_rows("%s,%s\n", report.throughput_series)])
 
 
 PANEL_WIDTH = 800
@@ -183,6 +177,45 @@ MARGIN_TOP = 30
 MARGIN_BOTTOM = 30
 
 
+def _xs(chunk, t_lo, t_span, inner_w) -> tuple[list, str]:
+    """Each point's x, and the `%` spec that writes it as the per-point
+    f-string `{x:.2f}` did: the floats with `%.2f`, or, when some time makes
+    x another type (a Fraction), each x formatted here by format(x, ".2f"),
+    with that type's own rounding (and its error where it has no `.2f`)."""
+    xs = [(t - t_lo) / t_span * inner_w for t, _ in chunk]
+    if set(map(type, xs)) <= {float}:
+        return xs, "%.2f"
+    return [format(x, ".2f") for x in xs], "%s"
+
+
+def _scatter_chunks(points, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
+    """One <circle> line per point, a chunk of points per `%`."""
+    for i in range(0, len(points), _CHUNK_ROWS):
+        chunk = points[i:i + _CHUNK_ROWS]
+        args = [None] * (2 * len(chunk))
+        args[0::2], x_spec = _xs(chunk, t_lo, t_span, inner_w)
+        args[1::2] = [ys[v] for _, v in chunk]
+        circle = f'<circle cx="{x_spec}" cy="%s" r="1.5" fill="steelblue"/>\n'
+        yield (circle * len(chunk)) % tuple(args)
+
+
+def _step_chunks(points, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
+    """The step line's coordinates after its first point: each later point
+    first at the previous point's value, then at its own. A chunk's first
+    point is its predecessor's successor, so chunks start at point 1."""
+    for i in range(1, len(points), _CHUNK_ROWS):
+        chunk = points[i - 1:i + _CHUNK_ROWS]  # the chunk, after its predecessor
+        m = len(chunk) - 1
+        xs, x_spec = _xs(chunk[1:], t_lo, t_span, inner_w)
+        xs = (((x_spec + ",") * m) % tuple(xs)).split(",")
+        y = [ys[v] for _, v in chunk]
+        args = [None] * (4 * m)
+        args[0::4] = args[2::4] = xs[:m]
+        args[1::4] = y[:m]
+        args[3::4] = y[1:]
+        yield (" %s,%s %s,%s" * m) % tuple(args)
+
+
 def render_svg(report: PanelReport) -> str:
     """Standalone SVG: one vertically stacked <g class="panel"> per panel,
     <circle> dots for scatter panels, a step <polyline> for occupancy.
@@ -190,59 +223,51 @@ def render_svg(report: PanelReport) -> str:
     Point (t, v) is drawn at x = (t - t_lo) / t_span * w and
     y = h - (v - v_lo) / v_span * h, with 2 decimals, where the panel's time
     range is [t_lo, t_lo + t_span] and its value range [v_lo, v_lo + v_span]
-    always includes 0. Each distinct value's y is formatted once.
+    always includes 0. Each distinct value's y is formatted once, and the
+    points are formatted a chunk per `%`.
     """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     total_h = PANEL_HEIGHT * len(report.panels)
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
-        f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
+           f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">\n'
+           '<rect width="100%" height="100%" fill="white"/>\n']
     for idx, panel in enumerate(report.panels):
         top = idx * PANEL_HEIGHT
-        out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">')
-        out.append(f'<text x="0" y="-10" font-size="12" font-family="sans-serif">'
-                   f'{panel.title}</text>')
-        out.append(f'<line x1="0" y1="{inner_h}" x2="{inner_w}" y2="{inner_h}" '
-                   'stroke="black" stroke-width="1"/>')
-        out.append(f'<line x1="0" y1="0" x2="0" y2="{inner_h}" '
-                   'stroke="black" stroke-width="1"/>')
-        out.append(f'<text x="{inner_w // 2}" y="{inner_h + 22}" font-size="10" '
-                   f'font-family="sans-serif" text-anchor="middle">time (us)</text>')
-        out.append(f'<text x="-8" y="{inner_h // 2}" font-size="10" '
-                   f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>')
+        out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">\n'
+                   f'<text x="0" y="-10" font-size="12" font-family="sans-serif">'
+                   f'{panel.title}</text>\n'
+                   f'<line x1="0" y1="{inner_h}" x2="{inner_w}" y2="{inner_h}" '
+                   'stroke="black" stroke-width="1"/>\n'
+                   f'<line x1="0" y1="0" x2="0" y2="{inner_h}" '
+                   'stroke="black" stroke-width="1"/>\n'
+                   f'<text x="{inner_w // 2}" y="{inner_h + 22}" font-size="10" '
+                   f'font-family="sans-serif" text-anchor="middle">time (us)</text>\n'
+                   f'<text x="-8" y="{inner_h // 2}" font-size="10" '
+                   f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>\n')
         points = panel.points
         if points:
             # tuples order by t first, so min/max of the points bound t
-            t_lo, t_hi = min(points)[0], max(points)[0]
+            (t_lo, _), (t_hi, _) = min(points), max(points)
             values = {v for _, v in points}
             v_lo, v_hi = min(min(values), 0), max(values)
             t_span = (t_hi - t_lo) or 1
             v_span = (v_hi - v_lo) or 1
             ys = {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
             out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
-                       f'font-family="sans-serif">{t_lo}</text>')
-            out.append(f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
-                       f'font-family="sans-serif" text-anchor="end">{t_hi}</text>')
-            out.append(f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
-                       f'text-anchor="end">{v_hi}</text>')
+                       f'font-family="sans-serif">{t_lo}</text>\n'
+                       f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
+                       f'font-family="sans-serif" text-anchor="end">{t_hi}</text>\n'
+                       f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
+                       f'text-anchor="end">{v_hi}</text>\n')
             if panel.kind == "scatter":
-                out.append("\n".join([
-                    f'<circle cx="{(t - t_lo) / t_span * inner_w:.2f}" cy="{ys[v]}" '
-                    'r="1.5" fill="steelblue"/>' for t, v in points]))
+                out += _scatter_chunks(points, ys, t_lo, t_span, inner_w)
             else:
-                # a step line: each later point first at the previous value
                 t0, v0 = points[0]
-                steps = "".join([
-                    f" {x},{ys[prev_v]} {x},{ys[v]}"
-                    for (_, prev_v), (t, v) in pairwise(points)
-                    for x in (f"{(t - t_lo) / t_span * inner_w:.2f}",)])
-                out.append(f'<polyline points="{(t0 - t_lo) / t_span * inner_w:.2f},'
-                           f'{ys[v0]}{steps}" fill="none" '
-                           'stroke="darkorange" stroke-width="1"/>')
-        out.append('</g>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+                out.append(f'<polyline points="{(t0 - t_lo) / t_span * inner_w:.2f},{ys[v0]}')
+                out += _step_chunks(points, ys, t_lo, t_span, inner_w)
+                out.append('" fill="none" stroke="darkorange" stroke-width="1"/>\n')
+        out.append('</g>\n')
+    out.append('</svg>\n')
+    return "".join(out)

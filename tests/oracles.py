@@ -428,6 +428,20 @@ def occupancy_csv_reference(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def drops_csv_reference(result) -> str:
+    lines = ["seq,ssrc,ts_us,reason"]
+    lines += [f"{p.seq},{p.ssrc},{p.recv_ts_us},{reason}" for p, reason in result.dropped]
+    return "\n".join(lines) + "\n"
+
+
+def panels_csv_reference(report: PanelReport) -> str:
+    lines = ["panel,kind,ts_us,value"]
+    for panel in report.panels:
+        head = f"{panel.title},{panel.kind},"
+        lines += [f"{head}{ts},{v}" for ts, v in panel.points]
+    return "\n".join(lines) + "\n"
+
+
 def _scale_reference(points, width, height):
     ts = [p[0] for p in points]
     vs = [p[1] for p in points]

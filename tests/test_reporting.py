@@ -3,6 +3,7 @@
 artifacts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from rtpshape import (MediaPacket, StreamTrace, TraceFormatError,
                       leaky_bucket_shape, token_bucket_shape, write_trace_csv)
+from rtpshape.model import _CHUNK_ROWS as CHUNK, validate_trace
 from rtpshape.reporting import (Panel, PanelReport, drops_csv, occupancy_csv, panel_report,
-                                read_drops_csv, read_occupancy_csv, render_svg)
+                                panels_csv, read_drops_csv, read_occupancy_csv, render_svg)
+from rtpshape.shaping import DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample, ShapeResult
 
-from oracles import (occupancy_csv_reference, panel_report_reference,
-                     random_leaky_config, random_received_trace, random_token_config,
-                     render_svg_reference, write_trace_csv_reference)
+from oracles import (drops_csv_reference, occupancy_csv_reference, panel_report_reference,
+                     panels_csv_reference, random_leaky_config, random_received_trace,
+                     random_token_config, render_svg_reference, write_trace_csv_reference)
 
 
 def _random_stage(seed):
@@ -38,7 +41,9 @@ class TestAgainstReference:
             panels = panel_report(trace, result, cfg)
             assert panels == panel_report_reference(trace, result, cfg), seed
             assert render_svg(panels) == render_svg_reference(panels), seed
+            assert panels_csv(panels) == panels_csv_reference(panels), seed
             assert occupancy_csv(result) == occupancy_csv_reference(result), seed
+            assert drops_csv(result) == drops_csv_reference(result), seed
             for t in (trace, result.shaped):
                 assert write_trace_csv(t) == write_trace_csv_reference(t), seed
 
@@ -82,6 +87,91 @@ class TestAgainstReference:
         report = PanelReport(tuple(Panel(f"p{i}", kind, "u", tuple(points))
                                    for i, (kind, points) in enumerate(panels)))
         assert render_svg(report) == render_svg_reference(report)
+
+
+SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+
+
+class TestChunkBoundaries:
+    """The writers format a chunk of CHUNK rows per `%`; row counts around
+    the chunk size, and fields of every type validate_trace accepts, give
+    the per-row references' bytes."""
+
+    @staticmethod
+    def _trace(n, seed=0):
+        rng = random.Random(seed)
+        return StreamTrace(tuple(
+            MediaPacket(k % 65536, 9, 96, rng.random() < 0.2, 10 * k,
+                        10 * k + rng.randint(0, 5), rng.randint(1, 1500)) for k in range(n)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_trace_drops_and_occupancy(self, n):
+        trace = self._trace(n)
+        assert write_trace_csv(trace) == write_trace_csv_reference(trace)
+        rng = random.Random(n)
+        occupancy = tuple(OccupancySample(3 * k, rng.randint(0, 50), rng.randint(0, 10**6),
+                                          rng.randint(0, 4000)) for k in range(n))
+        dropped = tuple((p, rng.choice([DROP_BUCKET_FULL, DROP_QUEUE_FULL]))
+                        for p in trace.packets)
+        result = ShapeResult(trace, dropped, occupancy)
+        assert occupancy_csv(result) == occupancy_csv_reference(result)
+        assert drops_csv(result) == drops_csv_reference(result)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_panels(self, n):
+        rng = random.Random(n)
+        points = tuple((5 * k + rng.randint(0, 4), rng.randint(-3, 40)) for k in range(n))
+        report = PanelReport((Panel("dots", "scatter", "bytes", points),
+                              Panel("line", "step", "packets", points),
+                              Panel("short line", "step", "tokens", ((1, 2), (3, 4)))))
+        assert render_svg(report) == render_svg_reference(report)
+        assert panels_csv(report) == panels_csv_reference(report)
+
+    def test_missing_arrivals_across_a_chunk_boundary(self):
+        packets = list(self._trace(2 * CHUNK + 1, seed=1).packets)
+        for k in (0, CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK):
+            packets[k] = packets[k]._replace(recv_ts_us=None)
+        trace = StreamTrace(tuple(packets))
+        assert validate_trace(trace) == []
+        assert write_trace_csv(trace) == write_trace_csv_reference(trace)
+
+    def test_marker_by_truth_value_and_non_integer_arrivals(self):
+        packets = list(self._trace(CHUNK + 1, seed=2).packets)
+        packets[3] = packets[3]._replace(marker=2)
+        packets[4] = packets[4]._replace(marker=0)
+        packets[CHUNK - 1] = packets[CHUNK - 1]._replace(recv_ts_us=10 * (CHUNK - 1) + 0.5)
+        packets[CHUNK] = packets[CHUNK]._replace(recv_ts_us=Fraction(20 * CHUNK + 3, 2))
+        trace = StreamTrace(tuple(packets))
+        assert validate_trace(trace) == []
+        csv = write_trace_csv(trace)
+        assert csv == write_trace_csv_reference(trace)
+        assert b"\n3,9,96,1," in csv and b"\n4,9,96,0," in csv
+
+    def test_percent_in_title_and_unit(self):
+        points = ((0, 1), (10, 5), (20, 3))
+        report = PanelReport(tuple(Panel(f"100% %s %d %{kind}", kind, "%s per %%", points)
+                                   for kind in ("scatter", "step")))
+        svg = render_svg(report)
+        assert svg == render_svg_reference(report)
+        assert "100% %s %d %scatter" in svg and "%s per %%" in svg
+        assert panels_csv(report) == panels_csv_reference(report)
+
+    @pytest.mark.parametrize("kind", ["scatter", "step"])
+    def test_fraction_times_format_as_the_per_point_code(self, kind):
+        # t_lo 0 and t_span 710, the inner width, so x = t: exactly 2.675
+        # rounds to 2.68, through float to 2.67
+        points = ((0, 1), (Fraction(2675, 1000), 4), (9, 2), (710, 3))
+        report = PanelReport((Panel("fractions", kind, "bytes", points),))
+        try:
+            expected = render_svg_reference(report)
+        except TypeError:  # Fraction has no ".2f" format before Python 3.12
+            with pytest.raises(TypeError):
+                render_svg(report)
+        else:
+            svg = render_svg(report)
+            assert svg == expected
+            assert ('cx="2.68"' if kind == "scatter" else " 2.68,") in svg
+        assert panels_csv(report) == panels_csv_reference(report)
 
 
 class TestStageArtifactReaders:

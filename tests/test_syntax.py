@@ -9,13 +9,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for folder in ("src", "tests", "demos", "perfbench")
-                 for path in (ROOT / folder).rglob("*.py"))
+FOLDERS = ("src", "tests", "demos", "perfbench", "bench")
+SOURCES = sorted(path for folder in FOLDERS for path in (ROOT / folder).rglob("*.py"))
 
 
 def test_sources_found():
-    assert {path.relative_to(ROOT).parts[0] for path in SOURCES} == \
-        {"src", "tests", "demos", "perfbench"}
+    assert {path.relative_to(ROOT).parts[0] for path in SOURCES} == set(FOLDERS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
