@@ -15,7 +15,10 @@ more call. A layer's `n` is the packet count of its input (for `generate`,
 of its output). The end-to-end row runs `python -m rtpshape.cli run` in a
 child process, E2E_REPEAT times: `best_s` is the best wall time, `peak_rss_mib` the child's
 largest peak RSS (`os.wait4`), and `run_dir_sha256` a digest of every file
-the run wrote, so two trees' run directories can be compared.
+the run wrote, so two trees' run directories can be compared. The end-to-end
+rows run before the layers: on Linux a child's peak RSS starts from the peak
+RSS of the process that spawned it, and the 300k-packet layers take this
+one's to 640-660 MiB, above what `rtpshape run` itself reaches.
 
 `commit` is `git rev-parse HEAD`, with `+dirty` when `src/` differs from
 it; a run made before committing therefore names the parent commit.
@@ -180,12 +183,12 @@ def main(argv=None) -> int:
     report = {"commit": commit(), "src_sha256": src_sha256(),
               "python": platform.python_version(), "cpu_count": os.cpu_count(),
               "layers": {}, "e2e": {}}
-    for size in SIZES:
-        report["layers"].update(layers_at(size))
-        print(f"layers at {size} packets done", file=sys.stderr)
     for name, config in SCENARIOS.items():
         report["e2e"][name] = e2e(config)
         print(f"e2e {name}: {report['e2e'][name]}", file=sys.stderr)
+    for size in SIZES:
+        report["layers"].update(layers_at(size))
+        print(f"layers at {size} packets done", file=sys.stderr)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
     return 0
 

@@ -1,7 +1,5 @@
-"""Packet/trace data model, validation, and the canonical trace CSV format.
-
-Time is integer microseconds everywhere; no floating-point timestamps.
-"""
+"""Packet/trace data model, the trace contract (all of it in validate_trace, field
+types included) and the canonical trace CSV format. Time is integer microseconds."""
 
 from __future__ import annotations
 
@@ -9,7 +7,6 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 SEQ_MOD = 1 << 16
@@ -19,17 +16,18 @@ PT_MOD = 1 << 7
 TS_MAX = 2**63 - 1  # largest timestamp or size an rtpshape CSV holds
 
 CSV_HEADER = "seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes"
+_COLUMNS = CSV_HEADER.split(",")
 _CSV_ROW = "%s,%s,%s,%d,%s,%s,%s\n"
 _CHUNK_ROWS = 4096  # rows per `%` format in the writers
 
 
 class TraceFormatError(ValueError):
-    """Trace CSV is malformed (bad header, wrong field count, unparseable or
-    out-of-range field)."""
+    """An rtpshape CSV is malformed: a bad header or field count, or a field
+    that does not parse (or is outside a stage CSV's range)."""
 
 
 class TraceValidationError(ValueError):
-    """A structurally well-formed trace violates a data invariant."""
+    """A trace breaks validate_trace's contract; names each violation's packet and field."""
 
     def __init__(self, violations: list["Violation"]):
         self.violations = list(violations)
@@ -120,42 +118,57 @@ def extended_seqs(packets: Iterable[MediaPacket]) -> list[int]:
     return out
 
 
+def _show(value: object) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _bad(name: str, value: object, rule: str) -> str:
+    return f"{name} {_show(value)} {rule if type(value) is int else 'is not an int'}"
+
+
 def validate_trace(trace: StreamTrace) -> list[Violation]:
-    """Collect every invariant violation; an empty list means the trace is valid:
-    every field in its CSV range, packet 0's SSRC on every packet, and an
-    active timestamp that never decreases."""
+    """Every violation of the trace contract, which only this function states ([] means
+    valid; never raises): exact ints (not bools) in the CSV ranges, recv_ts_us or None,
+    marker True/False/0/1, one SSRC, and int times that never decrease."""
     out: list[Violation] = []
     ssrc0 = trace.packets[0][1] if trace.packets else None
-    for i, (seq, ssrc, pt, _, send, recv, size) in enumerate(trace.packets):
-        if not 0 <= seq < SEQ_MOD:
-            out.append(Violation(i, f"seq {seq} outside 16-bit range"))
-        if not 0 <= ssrc < SSRC_MOD:
-            out.append(Violation(i, f"ssrc {ssrc} outside 32-bit range"))
+    for i, (seq, ssrc, pt, marker, send, recv, size) in enumerate(trace.packets):
+        if type(seq) is not int or not 0 <= seq < SEQ_MOD:
+            out.append(Violation(i, _bad("seq", seq, "outside 16-bit range")))
+        if type(ssrc) is not int or not 0 <= ssrc < SSRC_MOD:
+            out.append(Violation(i, _bad("ssrc", ssrc, "outside 32-bit range")))
         if ssrc != ssrc0:
-            out.append(Violation(i, f"ssrc {ssrc} differs from packet 0's ssrc {ssrc0}"))
-        if not 0 <= pt < PT_MOD:
-            out.append(Violation(i, f"payload_type {pt} outside 7-bit range"))
-        if not 0 <= send <= TS_MAX:
-            out.append(Violation(i, "negative send_ts_us" if send < 0
-                                 else f"send_ts_us {send} > {TS_MAX}"))
-        if not 1 <= size <= TS_MAX:
-            out.append(Violation(i, f"size_bytes {size} < 1" if size < 1
-                                 else f"size_bytes {size} > {TS_MAX}"))
-        if recv is not None and not send <= recv <= TS_MAX:
-            out.append(Violation(i, "negative delay: recv_ts_us < send_ts_us" if recv < send
-                                 else f"recv_ts_us {recv} > {TS_MAX}"))
-
+            out.append(Violation(i, f"ssrc {_show(ssrc)} differs from packet 0's ssrc "
+                                    f"{_show(ssrc0)}"))
+        if type(pt) is not int or not 0 <= pt < PT_MOD:
+            out.append(Violation(i, _bad("payload_type", pt, "outside 7-bit range")))
+        if type(marker) not in (bool, int) or marker not in (0, 1):
+            out.append(Violation(i, f"marker {_show(marker)} is not True, False, 0 or 1"))
+        if type(send) is not int or not 0 <= send <= TS_MAX:
+            out.append(Violation(i, "negative send_ts_us" if type(send) is int and send < 0
+                                 else _bad("send_ts_us", send, f"> {TS_MAX}")))
+        if type(size) is not int or not 1 <= size <= TS_MAX:
+            out.append(Violation(i, _bad("size_bytes", size, "< 1" if type(size) is int
+                                         and size < 1 else f"> {TS_MAX}")))
+        lo = send if type(send) is int else 0  # recv's lower bound
+        if recv is not None and (type(recv) is not int or not lo <= recv <= TS_MAX):
+            out.append(Violation(i, "negative delay: recv_ts_us < send_ts_us"
+                                 if type(recv) is int and recv < lo
+                                 else _bad("recv_ts_us", recv, f"> {TS_MAX}")))
     ts = trace.active_timestamps()
-    for i, (prev_t, t) in enumerate(zip(ts, ts[1:]), start=1):
-        if t < prev_t:
-            out.append(Violation(i, "unsorted: active timestamp decreases"))
+    if set(map(type, ts)) <= {int}:
+        for i, (prev_t, t) in enumerate(zip(ts, ts[1:]), start=1):
+            if t < prev_t:
+                out.append(Violation(i, "unsorted: active timestamp decreases"))
     return out
 
 
 def check_trace(trace: StreamTrace) -> StreamTrace:
     """Raise TraceValidationError unless the trace is valid."""
-    violations = validate_trace(trace)
-    if violations:
+    if violations := validate_trace(trace):
         raise TraceValidationError(violations)
     return trace
 
@@ -172,25 +185,24 @@ def _format_rows(template: str, rows: Iterable[tuple]) -> Iterator[str]:
 
 
 def write_trace_csv(trace: StreamTrace) -> bytes:
-    """Serialize to the canonical trace CSV (ASCII, LF line endings). The
-    marker is written 1 or 0 by its truth value, a missing arrival as an
-    empty field."""
-    packets = trace.packets
-    if not set(map(type, map(itemgetter(3), packets))) <= {bool}:
-        packets = [p[:3] + (1 if p[3] else 0,) + p[4:] for p in packets]
-    # recv_ts_us is the only field validate_trace lets be None
+    """Serialize to the canonical trace CSV (ASCII, LF line endings): the marker
+    as 1 or 0, a missing arrival (the one None validate_trace allows) as an empty
+    field. A trace that validate_trace accepts reads back equal."""
     return b"".join([(CSV_HEADER + "\n").encode("ascii"),
                      *(chunk.replace(",None,", ",,").encode("ascii")
-                       for chunk in _format_rows(_CSV_ROW, packets))])
+                       for chunk in _format_rows(_CSV_ROW, trace.packets))])
+
+
+def _to_int(text: str, row: int, col: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TraceFormatError(f"row {row}, column {col}: not an integer: {text!r}") from None
 
 
 def parse_int(text: str, lo: int, hi: int | float, row: int, col: str) -> int:
     """One integer field of an rtpshape CSV, checked against [lo, hi]."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise TraceFormatError(f"row {row}, column {col}: not an integer: {text!r}") from None
-    if not lo <= value <= hi:
+    if not lo <= (value := _to_int(text, row, col)) <= hi:
         raise TraceFormatError(f"row {row}, column {col}: {value} outside [{lo}, {hi}]")
     return value
 
@@ -215,16 +227,14 @@ def csv_rows(data: bytes, header: str, width: int) -> Iterator[tuple[int, list[s
 
 
 def read_trace_csv(data: bytes) -> StreamTrace:
-    """Parse the canonical trace CSV back into a validated StreamTrace."""
+    """Parse the canonical trace CSV into a StreamTrace that check_trace accepts. A
+    TraceFormatError names the row and column of a non-integer field or non-0/1 marker."""
     packets: list[MediaPacket] = []
     for row, fields in csv_rows(data, CSV_HEADER, 7):
-        seq = parse_int(fields[0], 0, SEQ_MOD - 1, row, "seq")
-        ssrc = parse_int(fields[1], 0, SSRC_MOD - 1, row, "ssrc")
-        pt = parse_int(fields[2], 0, PT_MOD - 1, row, "payload_type")
-        marker = parse_int(fields[3], 0, 1, row, "marker")
-        send = parse_int(fields[4], 0, TS_MAX, row, "send_ts_us")
-        recv = None if fields[5] == "" else parse_int(fields[5], 0, TS_MAX, row, "recv_ts_us")
-        size = parse_int(fields[6], -TS_MAX - 1, TS_MAX, row, "size_bytes")
-        packets.append(MediaPacket(seq, ssrc, pt, bool(marker), send, recv, size))
-
+        seq, ssrc, pt, marker, send, recv, size = [
+            None if text == "" and col == "recv_ts_us" else _to_int(text, row, col)
+            for col, text in zip(_COLUMNS, fields)]
+        if marker not in (0, 1):
+            raise TraceFormatError(f"row {row}, column marker: not 0 or 1: {fields[3]!r}")
+        packets.append(MediaPacket(seq, ssrc, pt, marker == 1, send, recv, size))
     return check_trace(StreamTrace(tuple(packets)))

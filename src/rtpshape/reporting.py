@@ -177,26 +177,14 @@ MARGIN_TOP = 30
 MARGIN_BOTTOM = 30
 
 
-def _xs(chunk, t_lo, t_span, inner_w) -> tuple[list, str]:
-    """Each point's x, and the `%` spec that writes it as the per-point
-    f-string `{x:.2f}` did: the floats with `%.2f`, or, when some time makes
-    x another type (a Fraction), each x formatted here by format(x, ".2f"),
-    with that type's own rounding (and its error where it has no `.2f`)."""
-    xs = [(t - t_lo) / t_span * inner_w for t, _ in chunk]
-    if set(map(type, xs)) <= {float}:
-        return xs, "%.2f"
-    return [format(x, ".2f") for x in xs], "%s"
-
-
 def _scatter_chunks(points, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
     """One <circle> line per point, a chunk of points per `%`."""
     for i in range(0, len(points), _CHUNK_ROWS):
         chunk = points[i:i + _CHUNK_ROWS]
         args = [None] * (2 * len(chunk))
-        args[0::2], x_spec = _xs(chunk, t_lo, t_span, inner_w)
+        args[0::2] = [(t - t_lo) / t_span * inner_w for t, _ in chunk]
         args[1::2] = [ys[v] for _, v in chunk]
-        circle = f'<circle cx="{x_spec}" cy="%s" r="1.5" fill="steelblue"/>\n'
-        yield (circle * len(chunk)) % tuple(args)
+        yield ('<circle cx="%.2f" cy="%s" r="1.5" fill="steelblue"/>\n' * len(chunk)) % tuple(args)
 
 
 def _step_chunks(points, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
@@ -206,8 +194,8 @@ def _step_chunks(points, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
     for i in range(1, len(points), _CHUNK_ROWS):
         chunk = points[i - 1:i + _CHUNK_ROWS]  # the chunk, after its predecessor
         m = len(chunk) - 1
-        xs, x_spec = _xs(chunk[1:], t_lo, t_span, inner_w)
-        xs = (((x_spec + ",") * m) % tuple(xs)).split(",")
+        xs = [(t - t_lo) / t_span * inner_w for t, _ in chunk[1:]]
+        xs = (("%.2f," * m) % tuple(xs)).split(",")
         y = [ys[v] for _, v in chunk]
         args = [None] * (4 * m)
         args[0::4] = args[2::4] = xs[:m]
@@ -223,8 +211,9 @@ def render_svg(report: PanelReport) -> str:
     Point (t, v) is drawn at x = (t - t_lo) / t_span * w and
     y = h - (v - v_lo) / v_span * h, with 2 decimals, where the panel's time
     range is [t_lo, t_lo + t_span] and its value range [v_lo, v_lo + v_span]
-    always includes 0. Each distinct value's y is formatted once, and the
-    points are formatted a chunk per `%`.
+    always includes 0. Times and values are ints, as a valid trace's are, so
+    every x is a float, written with `%.2f`. Each distinct value's y is
+    formatted once, and the points are formatted a chunk per `%`.
     """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket,
                       StreamTrace, TraceFormatError, TraceValidationError,
@@ -45,10 +47,34 @@ def test_validate_size_and_ranges():
     (pkt(send=TS_MAX + 1), f"send_ts_us {TS_MAX + 1} > {TS_MAX}"),
     (pkt(send=0, recv=TS_MAX + 1), f"recv_ts_us {TS_MAX + 1} > {TS_MAX}"),
     (pkt(size=TS_MAX + 1), f"size_bytes {TS_MAX + 1} > {TS_MAX}"),
+    # too long for str(): reported, not raised
+    (pkt(seq=10**5000), "seq <int too long to print> outside 16-bit range"),
 ])
 def test_validate_enforces_the_csv_ranges(packet, message):
     violations = validate_trace(StreamTrace((packet,)))
     assert [v.message for v in violations] == [message]
+
+
+@pytest.mark.parametrize("packet, message", [
+    (pkt(seq=True), "seq True is not an int"),
+    (pkt(ssrc="1"), "ssrc '1' is not an int"),
+    (pkt(pt=96.0), "payload_type 96.0 is not an int"),
+    (pkt(marker=2), "marker 2 is not True, False, 0 or 1"),
+    (pkt(marker=1.0), "marker 1.0 is not True, False, 0 or 1"),
+    (pkt(send=None), "send_ts_us None is not an int"),
+    (pkt(send=0, recv=Fraction(1, 2)), "recv_ts_us Fraction(1, 2) is not an int"),
+    (pkt(size=False), "size_bytes False is not an int"),
+    (pkt(send=0, recv=Fraction(10**5000, 3)),
+     "recv_ts_us <Fraction too long to print> is not an int"),
+])
+def test_validate_checks_field_types(packet, message):
+    violations = validate_trace(StreamTrace((packet,)))
+    assert [v.message for v in violations] == [message]
+
+
+def test_mistyped_time_is_reported_and_leaves_the_order_unchecked():
+    trace = StreamTrace((pkt(seq=0, send=20), pkt(seq=1, send="10"), pkt(seq=2, send=5)))
+    assert validate_trace(trace) == [(1, "send_ts_us '10' is not an int")]
 
 
 def test_largest_valid_values_round_trip():
@@ -144,10 +170,11 @@ def test_validation_message_names_the_first_ten_violations():
     assert str(exc).endswith("; ... and 9990 more")
 
 
-def test_read_out_of_range_seq_is_parse_error():
+def test_read_out_of_range_seq_is_validation_error():
+    # the reader converts; every range is check_trace's
     data = (b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n"
             b"70000,1,96,0,0,,125\n")
-    with pytest.raises(TraceFormatError, match="seq"):
+    with pytest.raises(TraceValidationError, match="seq 70000 outside 16-bit range"):
         read_trace_csv(data)
 
 
@@ -156,6 +183,24 @@ def test_read_non_integer_field_names_row_and_column():
             b"0,1,96,0,zero,,125\n")
     with pytest.raises(TraceFormatError, match="row 1.*send_ts_us"):
         read_trace_csv(data)
+
+
+@pytest.mark.parametrize("marker, message", [
+    ("2", "row 1, column marker: not 0 or 1: '2'"),
+    ("x", "row 1, column marker: not an integer: 'x'"),
+])
+def test_read_marker_other_than_0_or_1_is_format_error(marker, message):
+    data = (b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n"
+            + f"0,1,96,{marker},0,,125\n".encode("ascii"))
+    with pytest.raises(TraceFormatError, match=message):
+        read_trace_csv(data)
+
+
+@pytest.mark.parametrize("marker", ["1", "01", " 1", "+1"])
+def test_read_marker_is_any_integer_text_for_1(marker):
+    data = (b"seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n"
+            + f"0,1,96,{marker},0,,125\n".encode("ascii"))
+    assert read_trace_csv(data).packets[0].marker is True
 
 
 def random_valid_trace(rng):
@@ -182,4 +227,39 @@ def test_csv_round_trip_on_seeded_random_traces():
         trace = random_valid_trace(rng)
         if validate_trace(trace):
             continue
+        assert read_trace_csv(write_trace_csv(trace)) == trace
+
+
+# Field values of every kind: ints in and out of each field's range, bools,
+# floats, Fractions, None and short strs.
+EDGE_INTS = [-1, 0, 1, 127, 128, 65535, 65536, 2**32 - 1, 2**32, TS_MAX, TS_MAX + 1, 10**5000]
+ANY_FIELD = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-(2**70), 2**70),
+                      st.booleans(), st.floats(), st.fractions(), st.none(),
+                      st.text(max_size=3))
+
+
+@st.composite
+def mutated_traces(draw):
+    """A valid trace of up to 4 packets, with up to 2 fields replaced by any value."""
+    n = draw(st.integers(0, 4))
+    sends = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
+    delay = draw(st.one_of(st.none(), st.integers(0, 5000)))
+    packets = [[draw(st.integers(0, 65535)), 7, draw(st.integers(0, 127)),
+                draw(st.sampled_from([True, False, 0, 1])), send,
+                None if delay is None else send + delay, draw(st.integers(1, 1500))]
+               for send in sends]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        packet = draw(st.sampled_from(packets))
+        packet[draw(st.integers(0, 6))] = draw(ANY_FIELD)
+    return StreamTrace(tuple(MediaPacket(*p) for p in packets))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(trace=mutated_traces())
+def test_whatever_validates_round_trips(trace):
+    # validate_trace reports any field values without raising, and a trace
+    # it accepts reads back equal from what write_trace_csv makes of it
+    violations = validate_trace(trace)
+    assert isinstance(violations, list)
+    if not violations:
         assert read_trace_csv(write_trace_csv(trace)) == trace
