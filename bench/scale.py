@@ -115,9 +115,7 @@ def layers_at(size: int) -> dict:
     run("render_svg", len(leaky.shaped), reporting.render_svg, panel)
     run("panels_csv", len(leaky.shaped), reporting.panels_csv, panel)
     run("metrics_report", len(trace), metrics.metrics_report, trace, WINDOW_US)
-    dropped = leaky.dropped + token.dropped
-    run("compare", len(trace), metrics.compare,
-        trace, shaping.ShapeResult(token.shaped, dropped, ()), WINDOW_US)
+    run("compare", len(trace), metrics.compare, trace, token.shaped, WINDOW_US)
     return out
 
 

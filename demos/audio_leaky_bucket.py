@@ -36,7 +36,7 @@ def main():
     periodic = sum(1 for g in gaps if g == 20000)
     print(f"departure spacing: {periodic} of {len(gaps)} gaps are exactly 20 ms")
 
-    report = compare(recv, result)
+    report = compare(recv, result.shaped)
     before, after = report.before, report.after
     print()
     print("                  before      after")

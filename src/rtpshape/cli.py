@@ -60,6 +60,16 @@ def _read_trace(path: str) -> StreamTrace:
     return read_trace_csv(Path(path).read_bytes())
 
 
+def _read_arrived(path: str) -> StreamTrace:
+    """A stage CSV's trace; a figure places each of its packets at its arrival."""
+    trace = _read_trace(path)
+    for i, p in enumerate(trace.packets):
+        if p.recv_ts_us is None:
+            raise ShapingPreconditionError(
+                f"{path}: packet {i} has no arrival timestamp (recv_ts_us)")
+    return trace
+
+
 def _write_files(prefix: str, files: Files) -> None:
     """Write each (name, serialized) pair to `prefix + name` as it comes."""
     for name, data in files:
@@ -81,9 +91,8 @@ def _generate_trace(scenario: ScenarioConfig, seed_override=None) -> StreamTrace
     return check_trace(trace)
 
 
-def _execute(scenario: ScenarioConfig, trace: StreamTrace, measure: bool) -> tuple:
-    """The core of `shape` and `run`: shape `trace` and, if `measure`, measure
-    it and the output. It makes every check, so it fails before any write."""
+def _execute(scenario: ScenarioConfig, trace: StreamTrace) -> tuple:
+    """The pipeline's (final trace, stage results), every departure checked."""
     final, results = run_pipeline(list(scenario.pipeline), trace)
     for k, result in enumerate(results):
         # Departures never decrease, so the last one bounds every timestamp the
@@ -92,13 +101,7 @@ def _execute(scenario: ScenarioConfig, trace: StreamTrace, measure: bool) -> tup
         if shaped and shaped[-1].recv_ts_us > TS_MAX:
             raise TraceValidationError([Violation(
                 len(shaped) - 1, f"stage {k}: departure {shaped[-1].recv_ts_us} > {TS_MAX}")])
-    if not measure:
-        return results, None
-    window = scenario.throughput_window_us
-    if not results:
-        return results, metrics_mod.metrics_report(trace, window)
-    dropped = tuple(d for r in results for d in r.dropped)
-    return results, metrics_mod.compare(trace, ShapeResult(final, dropped, ()), window)
+    return final, results
 
 
 def _stage_files(trace: StreamTrace, trace_csv: bytes, results: Sequence[ShapeResult],
@@ -150,22 +153,11 @@ def cmd_shape(args) -> int:
     if not scenario.pipeline:
         raise ConfigError("pipeline is empty; nothing to shape")
     trace = _read_trace(args.input)
-    results, _ = _execute(scenario, trace, measure=False)
+    _, results = _execute(scenario, trace)
     _write_files(args.output, _stage_files(trace, write_trace_csv(trace), results))
     print(f"stages={len(results)} shaped={len(results[-1].shaped)} "
           f"dropped={sum(len(r.dropped) for r in results)}")
     return EXIT_OK
-
-
-def _reconstruct_result(before: StreamTrace, prefix: str) -> ShapeResult:
-    names = _stage_names(prefix)
-    shaped = _read_trace(names.shaped)
-    rows = reporting.read_drops_csv(Path(names.drops).read_bytes())
-    # a drop's timestamp is its arrival at the stage: recv_ts_us in `before`
-    found = metrics_mod.match_packets([p[:2] + (p.recv_ts_us,) for p in before.packets],
-                                      [row[:3] for row in rows])
-    dropped = [(before.packets[i], row[3]) for i, row in zip(found, rows)]
-    return ShapeResult(shaped=shaped, dropped=tuple(dropped), occupancy=())
 
 
 def cmd_analyze(args) -> int:
@@ -175,7 +167,8 @@ def cmd_analyze(args) -> int:
         measured = metrics_mod.metrics_report(trace, window)
         sides, shown = ("", ""), reporting.summary_csv(measured)
     else:
-        measured = metrics_mod.compare(trace, _reconstruct_result(trace, args.result), window)
+        shaped = _read_trace(_stage_names(args.result).shaped)
+        measured = metrics_mod.compare(trace, shaped, window)
         sides, shown = ("before.", "after."), reporting.comparison_csv(measured)
     if args.output:
         _write_files(args.output, _metrics_files(sides, measured))
@@ -188,7 +181,7 @@ def cmd_report(args) -> int:
     if not 0 <= args.stage < len(scenario.pipeline):
         raise ConfigError(f"config has no pipeline stage {args.stage}")
     names = _stage_names(args.input, args.stage)
-    incoming, shaped = _read_trace(names.input), _read_trace(names.shaped)
+    incoming, shaped = _read_arrived(names.input), _read_arrived(names.shaped)
     occupancy = reporting.read_occupancy_csv(Path(names.occupancy).read_bytes())
     panel = reporting.panel_report(incoming, ShapeResult(shaped, (), occupancy),
                                    scenario.pipeline[args.stage])
@@ -203,7 +196,10 @@ def cmd_run(args) -> int:
         raise ConfigError("pipeline stages need arrival times, and the config has no "
                           "channel section to stamp them")
     trace = _generate_trace(scenario, args.seed)
-    results, measured = _execute(scenario, trace, measure=True)
+    final, results = _execute(scenario, trace)
+    window = scenario.throughput_window_us
+    measured = metrics_mod.compare(trace, final, window) if results \
+        else metrics_mod.metrics_report(trace, window)
     trace_csv = write_trace_csv(trace)
     _write_files(f"{args.output}/", chain(
         [(_stage_names("").input, trace_csv)],

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .model import StreamTrace, extended_seqs
-from .shaping import ShapeResult
 
 
 class MetricPreconditionError(ValueError):
@@ -201,56 +200,45 @@ def _reduction_pct(before, after) -> Optional[Fraction]:
     return Fraction(before - after, before) * 100
 
 
-def match_packets(keys: Sequence[tuple], wanted: Iterable[tuple]) -> list[int]:
-    """The index in `keys` of each key in `wanted`.
-
-    `keys` identify the packets of a trace and `wanted` a subsequence of
-    them in the same order, such as what a shaper sent or dropped of its
-    input. A key is (seq, ssrc, timestamp). Each wanted key matches the next
-    equal key after the previous match, so a seq that recurs after a wrap
-    maps to the packet of its own period however far apart the matches are.
-    """
-    out = []
-    walk = enumerate(keys)
-    for key in wanted:
-        for i, k in walk:
-            if k == key:
-                out.append(i)
-                break
-        else:
-            raise InconsistentInputError(f"packet (ssrc {key[1]}, seq {key[0]}) not present "
-                                         "in the before trace, in its order")
-    return out
-
-
-def compare(before: StreamTrace, result: ShapeResult,
+def compare(before: StreamTrace, after: StreamTrace,
             window_us: int = 10**6) -> ComparisonReport:
     """Quantify what shaping did: metrics before vs after, added latency per
-    surviving packet, and drops introduced. Shaped packets are matched to
-    `before` in order by seq, ssrc and send time, which shaping leaves alone.
+    surviving packet, and drops introduced (the difference in packet counts).
 
-    Packets with equal keys, such as a duplicated packet, match in order:
-    the first shaped copy to the first in `before`. That is exact when the
-    copies also share their arrival time, as in every generated or imported
-    trace. For a hand-written CSV with equal (seq, ssrc, send_ts_us) but
-    different arrivals, a dropped first copy could be assigned to the wrong
-    packet.
+    `after` is what shaping sent of `before`: the original send timestamps
+    with the shaper departure times as arrivals, so jitter/PDV measure
+    end-to-end delay variation after shaping. Each packet of `after` is
+    matched to the next packet of `before` with its seq, ssrc and send time,
+    which shaping leaves alone, so a seq that recurs after a wrap maps to the
+    packet of its own period.
 
-    The after-trace is the shaped trace: the original send timestamps with
-    the shaper departure times as arrivals, so jitter/PDV measure end-to-end
-    delay variation after shaping.
+    A packet of `after` is measured against the first unmatched copy of its
+    key in `before`. That is exact when copies also share their arrival
+    time, as in every generated or imported trace. For a hand-written CSV
+    with equal (seq, ssrc, send_ts_us) but different arrivals whose first
+    copy was dropped, the added latency is measured from the dropped copy.
     """
-    keys = [p[:2] + (p.send_ts_us,) for p in before.packets]
     _require_both_ts(before)
-    shaped = result.shaped.packets
-    if before.packets and not shaped:
+    _require_both_ts(after)
+    if before.packets and not after.packets:
         raise InsufficientDataError("every packet was dropped: there is no shaped trace "
                                     "to compare")
-    found = match_packets(keys, [p[:2] + (p.send_ts_us,) for p in shaped])
-    added = [p.recv_ts_us - before.packets[i].recv_ts_us for p, i in zip(shaped, found)]
+    total, worst = 0, None
+    walk = iter(before.packets)
+    for seq, ssrc, _, _, send, recv, _ in after.packets:
+        for b_seq, b_ssrc, _, _, b_send, b_recv, _ in walk:
+            if b_seq == seq and b_ssrc == ssrc and b_send == send:
+                break
+        else:
+            raise InconsistentInputError(f"packet (ssrc {ssrc}, seq {seq}) not present "
+                                         "in the before trace, in its order")
+        added = recv - b_recv
+        total += added
+        if worst is None or added > worst:
+            worst = added
 
     before_report = metrics_report(before, window_us)
-    after_report = metrics_report(result.shaped, window_us)
+    after_report = metrics_report(after, window_us)
     pdv_before = before_report.pdv_stats["max"] if before_report.pdv_stats else None
     pdv_after = after_report.pdv_stats["max"] if after_report.pdv_stats else None
     return ComparisonReport(
@@ -259,9 +247,9 @@ def compare(before: StreamTrace, result: ShapeResult,
         pdv_max_reduction_pct=_reduction_pct(pdv_before, pdv_after),
         jitter_final_reduction_pct=_reduction_pct(before_report.jitter_final_us,
                                                   after_report.jitter_final_us),
-        added_latency_mean_us=Fraction(sum(added), len(added)) if added else Fraction(0),
-        added_latency_max_us=max(added, default=0),
-        drops_introduced=len(result.dropped),
+        added_latency_mean_us=Fraction(total, len(after)) if after.packets else Fraction(0),
+        added_latency_max_us=0 if worst is None else worst,
+        drops_introduced=len(before) - len(after),
     )
 
 

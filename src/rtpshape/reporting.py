@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
-from .model import (_CHUNK_ROWS, SEQ_MOD, SSRC_MOD, TS_MAX, StreamTrace, TraceFormatError,
-                    _collector_paused, _format_rows, csv_rows, parse_int)
-from .shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, LeakyBucketConfig, OccupancySample,
-                      ShapeResult, ShaperConfig, TokenBucketConfig)
+from .model import (_CHUNK_ROWS, TS_MAX, StreamTrace, _collector_paused, _format_rows,
+                    csv_rows, parse_int)
+from .shaping import (LeakyBucketConfig, OccupancySample, ShapeResult, ShaperConfig,
+                      TokenBucketConfig)
 
 OCCUPANCY_HEADER = "ts_us,queued_packets,queued_bytes,tokens"
 DROPS_HEADER = "seq,ssrc,ts_us,reason"
-DROP_REASONS = (DROP_BUCKET_FULL, DROP_QUEUE_FULL)
 
 
 @dataclass(frozen=True)
@@ -83,19 +82,6 @@ def read_occupancy_csv(data: bytes) -> tuple[OccupancySample, ...]:
 def drops_csv(result: ShapeResult) -> str:
     rows = [(p[0], p[1], p[5], reason) for p, reason in result.dropped]
     return "".join([DROPS_HEADER + "\n", *_format_rows("%s,%s,%s,%s\n", rows)])
-
-
-def read_drops_csv(data: bytes) -> list[tuple[int, int, int, str]]:
-    """Parse a stage's drops CSV (as written by drops_csv) into
-    (seq, ssrc, ts_us, reason) rows."""
-    rows = []
-    for row, f in csv_rows(data, DROPS_HEADER, 4):
-        if f[3] not in DROP_REASONS:
-            raise TraceFormatError(f"row {row}, column reason: unknown drop reason {f[3]!r}")
-        rows.append((parse_int(f[0], 0, SEQ_MOD - 1, row, "seq"),
-                     parse_int(f[1], 0, SSRC_MOD - 1, row, "ssrc"),
-                     parse_int(f[2], 0, TS_MAX, row, "ts_us"), f[3]))
-    return rows
 
 
 def panels_csv(report: PanelReport) -> str:

@@ -17,11 +17,11 @@ import rtpshape
 from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitter,
                       LeakyBucketConfig, MediaPacket, NoJitter, ScenarioConfig,
                       ShapeResult, StreamTrace, TokenBucketConfig, UniformJitter,
-                      VideoGenConfig, cli, format_decimal, leaky_bucket_shape,
+                      VideoGenConfig, cli, compare, format_decimal, leaky_bucket_shape,
                       parse_scenario, read_trace_csv, write_trace_csv)
 from rtpshape.cli import main
 from rtpshape.model import CSV_HEADER
-from rtpshape.reporting import read_drops_csv, read_occupancy_csv
+from rtpshape.reporting import comparison_csv, read_occupancy_csv
 
 from test_acceptance import AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG
 from test_pinned import README_SCENARIO
@@ -390,6 +390,26 @@ REPEATED_PACKET_CSV = CSV_HEADER + "\n" + "".join(
     f"{k},1,0,0,{20_000 * k},{20_000 * k + 100},125\n" for k in [0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9])
 
 
+def blank_arrival(path: Path) -> None:
+    """Empty the recv_ts_us field of packet 2 of a trace CSV."""
+    lines = path.read_text().split("\n")
+    fields = lines[3].split(",")
+    fields[5] = ""
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines))
+
+
+def shape_stage0(tmp_path, cfg) -> str:
+    """Generate a trace, shape it under the prefix "s-" and return the prefix."""
+    trace_path = tmp_path / "trace.csv"
+    prefix = str(tmp_path / "s-")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--config", cfg, "--output", str(trace_path)]) == 0
+        assert main(["shape", "--config", cfg, "--input", str(trace_path),
+                     "--output", prefix]) == 0
+    return prefix
+
+
 class TestAnalyze:
     def test_result_with_a_repeated_packet(self, tmp_path, audio_cfg, capsys):
         trace_path = tmp_path / "trace.csv"
@@ -438,8 +458,9 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(tmp_path / "absent.csv")]) == 3
 
     def test_result_past_the_seq_wrap(self, tmp_path):
-        # 70,000 packets, so seqs 0..4463 occur twice: every drop must map
-        # to the packet the shaper dropped, not to one 65,536 seqs away
+        # 70,000 packets, so seqs 0..4463 occur twice: every shaped packet
+        # must match the packet of its own period, not one 65,536 seqs away.
+        # Only the shaped CSV is read, so the stage's other files can go.
         scenario = parse_scenario(AUDIO_CONFIG.replace("2000000", str(70_000 * 20_000))
                                   .replace("uniform(0,15000)", "uniform(0,60000)")
                                   .replace("capacity_packets = 15", "capacity_packets = 2"))
@@ -448,8 +469,14 @@ class TestAnalyze:
         assert len(expected.dropped) > 100
         prefix = str(tmp_path / "s-")
         cli._write_files(prefix, cli._stage_files(before, write_trace_csv(before), [expected]))
-        result = cli._reconstruct_result(before, prefix + "stage0.")
-        assert result.dropped == expected.dropped
+        for name in ("drops.csv", "occupancy.csv"):
+            (tmp_path / f"s-stage0.{name}").unlink()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", "--input", prefix + "stage0.input.csv",
+                         "--result", prefix + "stage0.", "--output", prefix]) == 0
+        text = (tmp_path / "s-comparison.csv").read_text()
+        assert text == comparison_csv(compare(before, expected.shaped))
+        assert f"drops_introduced,{len(expected.dropped)}\n" in text
 
     def test_result_with_one_drop_past_half_a_period(self, tmp_path):
         # the only drop is packet 35,000 of 40,000: more than 32,768 seqs
@@ -463,20 +490,18 @@ class TestAnalyze:
             dropped=((packets[35_000], "bucket full"),), occupancy=())
         prefix = str(tmp_path / "s-")
         cli._write_files(prefix, cli._stage_files(before, write_trace_csv(before), [expected]))
-        assert cli._reconstruct_result(before, prefix + "stage0.") == expected
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["analyze", "--input", prefix + "stage0.input.csv",
                          "--result", prefix + "stage0."]) == 0
+        assert "drops_introduced,1\n" in out.getvalue()
 
-    def test_malformed_drops_exit_2(self, tmp_path, audio_cfg):
-        trace_path = tmp_path / "trace.csv"
-        main(["generate", "--config", audio_cfg, "--output", str(trace_path)])
-        prefix = str(tmp_path / "s-")
-        main(["shape", "--config", audio_cfg, "--input", str(trace_path),
-              "--output", prefix])
-        (tmp_path / "s-stage0.drops.csv").write_text("seq,ssrc,ts_us,reason\nx\n")
-        proc = run_cli("analyze", "--input", trace_path, "--result", prefix + "stage0.")
-        assert_usage_error(proc, "row 1: expected 4 fields, got 1")
+    def test_result_with_a_missing_arrival_exits_2(self, tmp_path, audio_cfg):
+        prefix = shape_stage0(tmp_path, audio_cfg)
+        blank_arrival(tmp_path / "s-stage0.shaped.csv")
+        proc = run_cli("analyze", "--input", prefix + "stage0.input.csv",
+                       "--result", prefix + "stage0.", "--output", tmp_path / "m-")
+        assert_usage_error(proc, "packet 2 has no recv_ts_us")
+        assert not list(tmp_path.glob("m-*"))
 
     def test_single_packet_trace(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
@@ -698,6 +723,16 @@ class TestRunAndReport:
         assert_usage_error(proc, "row 1: expected 4 fields, got 2")
         assert not (tmp_path / "f.svg").exists()
 
+    @pytest.mark.parametrize("name", ["input", "shaped"])
+    def test_report_missing_arrival_exits_2(self, tmp_path, audio_cfg, name):
+        prefix = shape_stage0(tmp_path, audio_cfg)
+        blank_arrival(tmp_path / f"s-stage0.{name}.csv")
+        proc = run_cli("report", "--config", audio_cfg, "--input", prefix,
+                       "--output", tmp_path / "f.svg")
+        assert_usage_error(proc, f"s-stage0.{name}.csv: packet 2 has no arrival timestamp "
+                                 "(recv_ts_us)")
+        assert not list(tmp_path.glob("f.*"))
+
     def test_report_missing_inputs_exits_3(self, tmp_path, audio_cfg):
         assert main(["report", "--config", audio_cfg,
                      "--input", str(tmp_path / "nope-"),
@@ -733,13 +768,21 @@ pipeline.0.capacity_tokens = 1000
 """
 
 
+# Stage 1's 500-byte queue drops 15 packets, whose stage-1 arrivals are not
+# the arrivals in input.csv.
+QUEUE_LIMIT_RUN_CONFIG = TWO_STAGE_RUN_CONFIG + "pipeline.1.queue_limit_bytes = 500\n"
+
+
 @pytest.mark.parametrize("config", [AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG, TWO_STAGE_RUN_CONFIG,
-                                    HUGE_BUCKET_RUN_CONFIG, TIED_DEPARTURES_RUN_CONFIG],
-                         ids=["audio", "video", "leaky-token", "huge-bucket", "tied-departures"])
+                                    HUGE_BUCKET_RUN_CONFIG, TIED_DEPARTURES_RUN_CONFIG,
+                                    QUEUE_LIMIT_RUN_CONFIG],
+                         ids=["audio", "video", "leaky-token", "huge-bucket", "tied-departures",
+                              "leaky-token-queue-limit"])
 def test_run_and_report_agree(tmp_path, config):
     """`run` draws each stage's figure from memory; `report` draws it from
     the stage CSVs that `run` wrote. Both must give the same bytes, every
-    stage CSV must read back, and `analyze --result` must compare each stage."""
+    stage CSV must read back, and `analyze --result` must compare each stage.
+    Comparing input.csv with the last stage, it must give `run`'s metrics."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "run"
@@ -750,7 +793,6 @@ def test_run_and_report_agree(tmp_path, config):
         base = f"stage{k}."
         for name in ("input.csv", "shaped.csv"):
             read_trace_csv((out / (base + name)).read_bytes())
-        read_drops_csv((out / (base + "drops.csv")).read_bytes())
         read_occupancy_csv((out / (base + "occupancy.csv")).read_bytes())
         svg = tmp_path / "report" / f"{base}svg"
         assert main(["report", "--config", str(cfg), "--input", str(out) + "/",
@@ -760,6 +802,14 @@ def test_run_and_report_agree(tmp_path, config):
             (out / (base + "figure.panels.csv")).read_bytes()
         assert main(["analyze", "--input", str(out / (base + "input.csv")),
                      "--result", f"{out}/{base}"]) == 0
+    prefix = str(tmp_path / "analyze" / "m-")
+    assert main(["analyze", "--config", str(cfg), "--input", str(out / "input.csv"),
+                 "--result", f"{out}/stage{stages - 1}.", "--output", prefix]) == 0
+    assert Path(prefix + "comparison.csv").read_bytes() == (out / "comparison.csv").read_bytes()
+    for kind in ("summary", "jitter", "pdv", "throughput"):
+        for side, run_side in (("before", "input"), ("after", "output")):
+            assert Path(f"{prefix}{side}.{kind}.csv").read_bytes() == \
+                (out / f"metrics.{run_side}.{kind}.csv").read_bytes(), (side, kind)
 
 
 CONTRACT_CASES = {
@@ -774,8 +824,6 @@ CONTRACT_CASES = {
                                                "--result", "{run}/stage0."]),
     "analyze-shaped": ("run/stage0.shaped.csv", ["--input", "{run}/stage0.input.csv",
                                                  "--result", "{run}/stage0."]),
-    "analyze-drops": ("run/stage0.drops.csv", ["--input", "{run}/stage0.input.csv",
-                                               "--result", "{run}/stage0."]),
     "report-config": ("cfg", ["--config", "{cfg}", "--input", "{run}/",
                               "--output", "{out}/f.svg"]),
     "report-occupancy": ("run/stage0.occupancy.csv", ["--config", "{cfg}", "--input",

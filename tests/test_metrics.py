@@ -9,7 +9,7 @@ from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter, Inconsist
                       TokenBucketConfig, UniformJitter, apply_channel, compare,
                       format_decimal, generate_audio, interarrival_jitter, leaky_bucket_shape,
                       loss, metrics_report, pdv, throughput, token_bucket_shape)
-from rtpshape.metrics import format_jitter, match_packets
+from rtpshape.metrics import format_jitter
 from rtpshape.reporting import jitter_csv
 
 from oracles import format_decimal_exact, jitter_exact, random_received_trace
@@ -225,7 +225,7 @@ class TestCompare:
         rows = [(k, 20000 * k, 20000 * k + (k * 13) % 900) for k in range(30)]
         trace = trace_from(rows)
         cfg = TokenBucketConfig(rate=Fraction(10**9), capacity_tokens=10**6)
-        report = compare(trace, token_bucket_shape(trace, cfg))
+        report = compare(trace, token_bucket_shape(trace, cfg).shaped)
         assert report.added_latency_mean_us == 0
         assert report.added_latency_max_us == 0
         assert report.drops_introduced == 0
@@ -242,7 +242,7 @@ class TestCompare:
         trace = trace_from(rows)
         result = leaky_bucket_shape(trace, LeakyBucketConfig(15, 20000))
         assert result.dropped == ()
-        report = compare(trace, result)
+        report = compare(trace, result.shaped)
         deps = [p.recv_ts_us for p in result.shaped.packets]
         gaps = [b - a for a, b in zip(deps, deps[1:])]
         last_irregular = max((i for i, g in enumerate(gaps) if g != 20000), default=-1)
@@ -253,7 +253,7 @@ class TestCompare:
         rows = [(k, 1000 * k, 1000 * k + 50) for k in range(10)]
         trace = trace_from(rows)
         cfg = TokenBucketConfig(rate=Fraction(10**9), capacity_tokens=10**6)
-        report = compare(trace, token_bucket_shape(trace, cfg))
+        report = compare(trace, token_bucket_shape(trace, cfg).shaped)
         assert report.pdv_max_reduction_pct is None
 
     def test_streams_past_the_seq_wrap(self):
@@ -264,7 +264,7 @@ class TestCompare:
                                                  loss_prob=Fraction(1, 100), seed=3))
         result = leaky_bucket_shape(trace, LeakyBucketConfig(2, 20_000))
         assert result.dropped
-        report = compare(trace, result)
+        report = compare(trace, result.shaped)
         arrival = {p.send_ts_us: p.recv_ts_us for p in trace.packets}
         added = [p.recv_ts_us - arrival[p.send_ts_us] for p in result.shaped.packets]
         assert report.added_latency_max_us == max(added)
@@ -272,32 +272,42 @@ class TestCompare:
         assert report.drops_introduced == len(result.dropped)
 
     def test_match_follows_the_order_across_wraps(self):
-        # the first packet (seq 65535) is left out, so the wanted keys start
-        # after the wrap
+        # the first packet (seq 65535) is left out, so the shaped packets
+        # start after the wrap
         trace = trace_from([(65535, 0, 0), (0, 10, 10), (1, 20, 20)])
-        keys = [p[:2] + (p.send_ts_us,) for p in trace.packets]
-        assert match_packets(keys, keys[1:]) == [1, 2]
-        assert match_packets(keys, [(1, 1, 20)]) == [2]
-        with pytest.raises(InconsistentInputError):
-            match_packets(keys, [(0, 2, 10)])  # unknown ssrc
-        with pytest.raises(InconsistentInputError):
-            match_packets(keys, [keys[2], keys[1]])  # out of order
+        late = [p._replace(recv_ts_us=p.recv_ts_us + 5) for p in trace.packets]
+        report = compare(trace, StreamTrace(tuple(late[1:])))
+        assert (report.drops_introduced, report.added_latency_max_us) == (1, 5)
+        report = compare(trace, StreamTrace((late[2],)))
+        assert (report.drops_introduced, report.added_latency_max_us) == (2, 5)
+        with pytest.raises(InconsistentInputError, match="ssrc 2, seq 0"):
+            compare(trace, StreamTrace((late[1]._replace(ssrc=2),)))  # unknown ssrc
+        with pytest.raises(InconsistentInputError, match="ssrc 1, seq 0"):
+            compare(trace, StreamTrace((late[2], late[1])))  # out of order
 
     @pytest.mark.parametrize("n, picks", [
-        (40_000, [35_000]),                  # the only drop, past half a period
-        (100_000, [10_000, 50_000, 90_000]),  # drops 40,000 packets apart
+        (40_000, [35_000]),                  # the only survivor, past half a period
+        (100_000, [10_000, 50_000, 90_000]),  # survivors 40,000 packets apart
         (150_000, [1_000, 140_000]),          # seq 8,928 recurs twice between
     ])
     def test_match_sparse_picks_of_a_long_stream(self, n, picks):
-        keys = [(k % 65536, 7, 20_000 * k) for k in range(n)]
-        assert match_packets(keys, [keys[k] for k in picks]) == picks
+        # only the picked packets survive, and packet k is delayed by k us,
+        # so the added latencies show which packet of `before` each matched
+        before = StreamTrace(tuple(MediaPacket(k % 65536, 7, 96, False, 20_000 * k,
+                                               20_000 * k + 5, 160) for k in range(n)))
+        after = StreamTrace(tuple(before.packets[k]._replace(recv_ts_us=20_000 * k + 5 + k)
+                                  for k in picks))
+        report = compare(before, after)
+        assert report.drops_introduced == n - len(picks)
+        assert report.added_latency_max_us == max(picks)
+        assert report.added_latency_mean_us == Fraction(sum(picks), len(picks))
 
     def test_duplicate_identity_in_before_trace(self):
         # the same (seq, ssrc, send) twice: the copies match in order
         trace = trace_from([(7, 0, 0), (7, 0, 10)])
         result = leaky_bucket_shape(trace, LeakyBucketConfig())
         assert [p.recv_ts_us for p in result.shaped.packets] == [0, 20_000]
-        report = compare(trace, result)
+        report = compare(trace, result.shaped)
         assert report.added_latency_max_us == 19_990
         assert report.added_latency_mean_us == Fraction(19_990, 2)
 
@@ -307,7 +317,13 @@ class TestCompare:
         cfg = TokenBucketConfig(rate=Fraction(10**9), capacity_tokens=10**6)
         result = token_bucket_shape(other, cfg)
         with pytest.raises(InconsistentInputError):
-            compare(trace, result)
+            compare(trace, result.shaped)
+
+    def test_after_without_arrival_is_a_precondition_error(self):
+        trace = trace_from([(0, 0, 10), (1, 100, 110)])
+        after = StreamTrace((trace.packets[0], trace.packets[1]._replace(recv_ts_us=None)))
+        with pytest.raises(MetricPreconditionError, match="packet 1 has no recv_ts_us"):
+            compare(trace, after)
 
 
 class TestReportAndFormatting:

@@ -13,7 +13,7 @@ from rtpshape import (MediaPacket, StreamTrace, TraceFormatError, leaky_bucket_s
                       read_trace_csv, token_bucket_shape, write_trace_csv)
 from rtpshape.model import _CHUNK_ROWS as CHUNK, validate_trace
 from rtpshape.reporting import (Panel, PanelReport, drops_csv, occupancy_csv, panel_report,
-                                panels_csv, read_drops_csv, read_occupancy_csv, render_svg)
+                                panels_csv, read_occupancy_csv, render_svg)
 from rtpshape.shaping import DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample, ShapeResult
 
 from oracles import (drops_csv_reference, occupancy_csv_reference, panel_report_reference,
@@ -171,20 +171,6 @@ class TestStageArtifactReaders:
             _, _, result = _random_stage(seed)
             assert read_occupancy_csv(occupancy_csv(result).encode("ascii")) == \
                 result.occupancy
-            assert read_drops_csv(drops_csv(result).encode("ascii")) == \
-                [(p.seq, p.ssrc, p.recv_ts_us, reason) for p, reason in result.dropped]
-
-    @pytest.mark.parametrize("body, message", [
-        ("x\n", "row 1: expected 4 fields, got 1"),
-        ("1,2,3,bucket full\n1,2\n", "row 2: expected 4 fields, got 2"),
-        ("70000,1,5,bucket full\n", "row 1, column seq: 70000 outside"),
-        ("1,1,-5,queue full\n", "row 1, column ts_us: -5 outside"),
-        ("1,1,a,queue full\n", "row 1, column ts_us: not an integer"),
-        ("1,1,5,late\n", "row 1, column reason: unknown drop reason 'late'"),
-    ])
-    def test_malformed_drops(self, body, message):
-        with pytest.raises(TraceFormatError, match=message):
-            read_drops_csv(("seq,ssrc,ts_us,reason\n" + body).encode("ascii"))
 
     @pytest.mark.parametrize("body, message", [
         ("1,2\n", "row 1: expected 4 fields, got 2"),
@@ -196,7 +182,7 @@ class TestStageArtifactReaders:
             read_occupancy_csv(("ts_us,queued_packets,queued_bytes,tokens\n" + body)
                                .encode("ascii"))
 
-    @pytest.mark.parametrize("reader", [read_drops_csv, read_occupancy_csv])
+    @pytest.mark.parametrize("reader", [read_occupancy_csv])
     @pytest.mark.parametrize("data", [b"", b"wrong,header\n", b"\xff\n"])
     def test_bad_header_or_bytes(self, reader, data):
         with pytest.raises(TraceFormatError):
