@@ -61,7 +61,8 @@ def _read_trace(path: str) -> StreamTrace:
 
 
 def _read_arrived(path: str) -> StreamTrace:
-    """A stage CSV's trace; a figure places each of its packets at its arrival."""
+    """A trace CSV whose every packet has arrived, as a figure (which places each
+    packet at its arrival) and a comparison need; an error names the file."""
     trace = _read_trace(path)
     for i, p in enumerate(trace.packets):
         if p.recv_ts_us is None:
@@ -162,12 +163,11 @@ def cmd_shape(args) -> int:
 
 def cmd_analyze(args) -> int:
     window = (_load_scenario(args.config) if args.config else ScenarioConfig).throughput_window_us
-    trace = _read_trace(args.input)
     if args.result is None:
-        measured = metrics_mod.metrics_report(trace, window)
+        measured = metrics_mod.metrics_report(_read_trace(args.input), window)
         sides, shown = ("", ""), reporting.summary_csv(measured)
     else:
-        shaped = _read_trace(_stage_names(args.result).shaped)
+        trace, shaped = _read_arrived(args.input), _read_arrived(_stage_names(args.result).shaped)
         measured = metrics_mod.compare(trace, shaped, window)
         sides, shown = ("before.", "after."), reporting.comparison_csv(measured)
     if args.output:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, islice
+from operator import itemgetter, sub
 from typing import Optional
 
 from .model import StreamTrace, extended_seqs
@@ -58,30 +60,38 @@ class ComparisonReport:
     drops_introduced: int
 
 
-def _require_both_ts(trace: StreamTrace) -> None:
-    for i, p in enumerate(trace.packets):
-        if p.recv_ts_us is None:
-            raise MetricPreconditionError(f"packet {i} has no recv_ts_us")
+_SEQ, _SEND, _RECV, _SIZE = (itemgetter(k) for k in (0, 4, 5, 6))  # MediaPacket fields
+
+
+def _arrivals(packets, where: str = "") -> list[int]:
+    """The recv_ts_us column. A packet without one raises a
+    MetricPreconditionError, whose message `where` prefixes."""
+    recv = list(map(_RECV, packets))
+    if None in recv:
+        raise MetricPreconditionError(f"{where}packet {recv.index(None)} has no recv_ts_us")
+    return recv
+
+
+def _transit(packets) -> list[int]:
+    """Each packet's transit time, recv_ts_us - send_ts_us."""
+    return list(map(sub, _arrivals(packets), map(_SEND, packets)))
 
 
 # One jitter unit: 1 us in Q64 fixed point.
 _JITTER_ONE = 1 << 64
 
 
-def _jitter_q64(trace: StreamTrace) -> tuple[int, ...]:
-    """The Q64 jitter recurrence; see interarrival_jitter."""
-    if len(trace.packets) < 2:
+def _jitter_q64(transit: list[int]) -> tuple[int, ...]:
+    """The Q64 jitter recurrence over the transit times; see interarrival_jitter."""
+    if len(transit) < 2:
         raise InsufficientDataError("interarrival jitter needs at least 2 packets")
-    _require_both_ts(trace)
     series = []
     j = 0
-    first = trace.packets[0]
-    prev_transit = first.recv_ts_us - first.send_ts_us
-    for p in trace.packets[1:]:
-        transit = p.recv_ts_us - p.send_ts_us
-        j += ((abs(transit - prev_transit) << 64) - j) >> 4
+    prev = transit[0]
+    for t in islice(transit, 1, None):
+        j += ((abs(t - prev) << 64) - j) >> 4
         series.append(j)
-        prev_transit = transit
+        prev = t
     return tuple(series)
 
 
@@ -102,7 +112,7 @@ def interarrival_jitter(trace: StreamTrace) -> tuple[tuple[tuple[int, Fraction],
     i from 1) and the final value, as exact Fractions q / 2**64.
     """
     series = tuple((i, Fraction(q, _JITTER_ONE))
-                   for i, q in enumerate(_jitter_q64(trace), start=1))
+                   for i, q in enumerate(_jitter_q64(_transit(trace.packets)), start=1))
     return series, series[-1][1]
 
 
@@ -112,15 +122,12 @@ def _nearest_rank(sorted_values: list[int], pct: int) -> int:
     return sorted_values[max(rank, 1) - 1]
 
 
-def pdv(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
-    """Min-referenced packet delay variation: one-way delay minus the trace
-    minimum, per packet, plus nearest-rank summary stats."""
-    if not trace.packets:
+def _pdv(transit: list[int]) -> tuple[tuple[int, ...], dict]:
+    """PDV over the transit times; see pdv."""
+    if not transit:
         raise InsufficientDataError("pdv needs at least 1 packet")
-    _require_both_ts(trace)
-    delays = [p.recv_ts_us - p.send_ts_us for p in trace.packets]
-    base = min(delays)
-    values = [d - base for d in delays]
+    base = min(transit)
+    values = [d - base for d in transit]
     ordered = sorted(values)
     stats = {
         "min": ordered[0],
@@ -132,15 +139,17 @@ def pdv(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
     return tuple(values), stats
 
 
-def loss(trace: StreamTrace) -> tuple[int, Fraction, int]:
-    """Wrap-aware loss: (loss_count, loss_rate, duplicate_count).
+def pdv(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
+    """Min-referenced packet delay variation: one-way delay minus the trace
+    minimum, per packet, plus nearest-rank summary stats."""
+    return _pdv(_transit(trace.packets))
 
-    The expected count spans the observed extended sequence range (see
-    model.extended_seqs); duplicate sequence numbers count once.
-    """
-    if not trace.packets:
+
+def _loss(seqs: list[int]) -> tuple[int, Fraction, int]:
+    """Loss over the seq column; see loss."""
+    if not seqs:
         raise InsufficientDataError("loss needs at least 1 packet")
-    ext = extended_seqs(trace.packets)
+    ext = extended_seqs(seqs)
     unique = len(set(ext))
     expected = max(ext) - min(ext) + 1
     loss_count = expected - unique
@@ -148,37 +157,63 @@ def loss(trace: StreamTrace) -> tuple[int, Fraction, int]:
     return loss_count, Fraction(loss_count, expected), duplicates
 
 
+def loss(trace: StreamTrace) -> tuple[int, Fraction, int]:
+    """Wrap-aware loss: (loss_count, loss_rate, duplicate_count).
+
+    The expected count spans the observed extended sequence range (see
+    model.extended_seqs); duplicate sequence numbers count once.
+    """
+    return _loss(list(map(_SEQ, trace.packets)))
+
+
+def _throughput(ts: list[int], sizes: list[int], window_us: int) -> tuple[tuple[int, int], ...]:
+    """Throughput over the timestamp and size columns; see throughput. Each
+    run of consecutive packets in one window adds its bytes to that window,
+    so a window whose packets come in several runs (a trace out of time
+    order) sums them all."""
+    if window_us < 1:
+        raise ValueError("window_us must be >= 1")
+    buckets: dict[int, int] = {}
+    end = 0
+    for k, run in groupby(ts, key=lambda t: t // window_us):
+        start, end = end, end + len(list(run))
+        buckets[k] = buckets.get(k, 0) + sum(sizes[start:end])
+    return tuple((k * window_us, buckets[k]) for k in sorted(buckets))
+
+
 def throughput(trace: StreamTrace, window_us: int) -> tuple[tuple[int, int], ...]:
     """Bytes per half-open window [k*w, (k+1)*w) over the active timestamp.
 
     Only windows containing at least one packet appear in the series.
     """
-    if window_us < 1:
-        raise ValueError("window_us must be >= 1")
-    if not trace.packets:
-        return ()
-    buckets: dict[int, int] = {}
-    for p, ts in zip(trace.packets, trace.active_timestamps()):
-        buckets[ts // window_us] = buckets.get(ts // window_us, 0) + p.size_bytes
-    return tuple((k * window_us, buckets[k]) for k in sorted(buckets))
+    return _throughput(trace.active_timestamps(), list(map(_SIZE, trace.packets)), window_us)
 
 
 def metrics_report(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
     """Full per-trace report; jitter/PDV degrade to None when a trace cannot
-    support them (too few packets, missing arrival timestamps)."""
-    if not trace.packets:
+    support them (too few packets, missing arrival timestamps).
+
+    Each packet field is read once into a column of plain ints, and each
+    column is released after its last use."""
+    packets = trace.packets
+    if not packets:
         raise InsufficientDataError("metrics need at least 1 packet")
-    try:
-        jitter_series = _jitter_q64(trace)
-        jitter_final = Fraction(jitter_series[-1], _JITTER_ONE)
-    except (InsufficientDataError, MetricPreconditionError):
-        jitter_series, jitter_final = None, None
-    try:
-        pdv_values, pdv_stats = pdv(trace)
-    except (InsufficientDataError, MetricPreconditionError):
-        pdv_values, pdv_stats = None, None
-    loss_count, loss_rate, duplicates = loss(trace)
-    ts = trace.active_timestamps()
+    loss_count, loss_rate, duplicates = _loss(list(map(_SEQ, packets)))
+    recv = list(map(_RECV, packets))
+    arrived = None not in recv
+    ts = recv if arrived else list(map(_SEND, packets))  # the active timestamps
+    sizes = list(map(_SIZE, packets))
+    throughput_series = _throughput(ts, sizes, window_us)
+    total_bytes, duration_us = sum(sizes), ts[-1] - ts[0]
+    del ts, sizes
+    jitter_series = jitter_final = pdv_values = pdv_stats = None
+    if arrived:
+        transit = list(map(sub, recv, map(_SEND, packets)))
+        del recv
+        if len(transit) > 1:
+            jitter_series = _jitter_q64(transit)
+            jitter_final = Fraction(jitter_series[-1], _JITTER_ONE)
+        pdv_values, pdv_stats = _pdv(transit)
     return MetricsReport(
         jitter_series=jitter_series,
         jitter_final_us=jitter_final,
@@ -187,10 +222,10 @@ def metrics_report(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
         loss_count=loss_count,
         loss_rate=loss_rate,
         duplicate_count=duplicates,
-        throughput_series=throughput(trace, window_us),
-        total_bytes=sum(p.size_bytes for p in trace.packets),
-        total_packets=len(trace.packets),
-        duration_us=ts[-1] - ts[0],
+        throughput_series=throughput_series,
+        total_bytes=total_bytes,
+        total_packets=len(packets),
+        duration_us=duration_us,
     )
 
 
@@ -218,8 +253,8 @@ def compare(before: StreamTrace, after: StreamTrace,
     with equal (seq, ssrc, send_ts_us) but different arrivals whose first
     copy was dropped, the added latency is measured from the dropped copy.
     """
-    _require_both_ts(before)
-    _require_both_ts(after)
+    _arrivals(before.packets, "before: ")
+    _arrivals(after.packets, "after: ")
     if before.packets and not after.packets:
         raise InsufficientDataError("every packet was dropped: there is no shaped trace "
                                     "to compare")

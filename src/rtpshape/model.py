@@ -7,7 +7,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 SEQ_MOD = 1 << 16
 _SEQ_HALF = SEQ_MOD // 2
@@ -104,17 +104,17 @@ class StreamTrace:
         return [p.send_ts_us for p in self.packets]
 
 
-def extended_seqs(packets: Iterable[MediaPacket]) -> list[int]:
-    """The extended (unwrapped) sequence number of each packet.
+def extended_seqs(seqs: Sequence[int]) -> list[int]:
+    """The extended (unwrapped) sequence number of each seq in the column.
 
     Each 16-bit seq becomes the value congruent to it that is nearest the
-    extended seq of the previous packet; the first packet keeps its own seq.
+    previous extended seq; the first seq keeps its own value.
     """
     out: list[int] = []
-    for p in packets:
-        seq = p[0]
-        prev = out[-1] if out else seq
-        out.append(prev + (seq - prev + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF)
+    ext = seqs[0] if seqs else 0  # so the first step is 0
+    for seq in seqs:
+        ext += (seq - ext + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF
+        out.append(ext)
     return out
 
 

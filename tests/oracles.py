@@ -14,6 +14,9 @@ writers; the library's must produce the same bytes. `import_pcap_reference`
 is the pcap importer as it was written before it read fields in place: it
 slices out each layer, parses RTP in its own function and sorts each stream
 by (time, capture order). Its one edit is the skip of later IPv4 fragments.
+`metrics_report_reference` is the per-trace report as it was written before
+it read each packet field once: every metric walks the packets on its own,
+through attribute access; its helpers carry a `_reference` suffix.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from fractions import Fraction
 from typing import Optional
 
 from rtpshape import LeakyBucketConfig, MediaPacket, StreamTrace, TokenBucketConfig
-from rtpshape.model import CSV_HEADER
+from rtpshape.metrics import (_JITTER_ONE, InsufficientDataError, MetricPreconditionError,
+                              MetricsReport)
+from rtpshape.model import _SEQ_HALF, CSV_HEADER, SEQ_MOD
 from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGIC_SWAPPED,
                            PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
 from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
@@ -630,3 +635,109 @@ def import_pcap_reference(data: bytes, port_filter: Optional[int] = None) -> lis
         packets = tuple(pkt for _, pkt in items)
         traces.append(StreamTrace(packets))
     return traces
+
+
+def _require_both_ts_reference(trace: StreamTrace) -> None:
+    for i, p in enumerate(trace.packets):
+        if p.recv_ts_us is None:
+            raise MetricPreconditionError(f"packet {i} has no recv_ts_us")
+
+
+def _jitter_q64_reference(trace: StreamTrace) -> tuple[int, ...]:
+    if len(trace.packets) < 2:
+        raise InsufficientDataError("interarrival jitter needs at least 2 packets")
+    _require_both_ts_reference(trace)
+    series = []
+    j = 0
+    first = trace.packets[0]
+    prev_transit = first.recv_ts_us - first.send_ts_us
+    for p in trace.packets[1:]:
+        transit = p.recv_ts_us - p.send_ts_us
+        j += ((abs(transit - prev_transit) << 64) - j) >> 4
+        series.append(j)
+        prev_transit = transit
+    return tuple(series)
+
+
+def _nearest_rank_reference(sorted_values: list[int], pct: int) -> int:
+    n = len(sorted_values)
+    rank = -(-pct * n // 100)  # ceil(pct/100 * n)
+    return sorted_values[max(rank, 1) - 1]
+
+
+def pdv_reference(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
+    if not trace.packets:
+        raise InsufficientDataError("pdv needs at least 1 packet")
+    _require_both_ts_reference(trace)
+    delays = [p.recv_ts_us - p.send_ts_us for p in trace.packets]
+    base = min(delays)
+    values = [d - base for d in delays]
+    ordered = sorted(values)
+    stats = {
+        "min": ordered[0],
+        "max": ordered[-1],
+        "mean": Fraction(sum(values), len(values)),
+        "p50": _nearest_rank_reference(ordered, 50),
+        "p99": _nearest_rank_reference(ordered, 99),
+    }
+    return tuple(values), stats
+
+
+def extended_seqs_reference(packets) -> list[int]:
+    out: list[int] = []
+    for p in packets:
+        seq = p[0]
+        prev = out[-1] if out else seq
+        out.append(prev + (seq - prev + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF)
+    return out
+
+
+def loss_reference(trace: StreamTrace) -> tuple[int, Fraction, int]:
+    if not trace.packets:
+        raise InsufficientDataError("loss needs at least 1 packet")
+    ext = extended_seqs_reference(trace.packets)
+    unique = len(set(ext))
+    expected = max(ext) - min(ext) + 1
+    loss_count = expected - unique
+    duplicates = len(ext) - unique
+    return loss_count, Fraction(loss_count, expected), duplicates
+
+
+def throughput_reference(trace: StreamTrace, window_us: int) -> tuple[tuple[int, int], ...]:
+    if window_us < 1:
+        raise ValueError("window_us must be >= 1")
+    if not trace.packets:
+        return ()
+    buckets: dict[int, int] = {}
+    for p, ts in zip(trace.packets, trace.active_timestamps()):
+        buckets[ts // window_us] = buckets.get(ts // window_us, 0) + p.size_bytes
+    return tuple((k * window_us, buckets[k]) for k in sorted(buckets))
+
+
+def metrics_report_reference(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
+    if not trace.packets:
+        raise InsufficientDataError("metrics need at least 1 packet")
+    try:
+        jitter_series = _jitter_q64_reference(trace)
+        jitter_final = Fraction(jitter_series[-1], _JITTER_ONE)
+    except (InsufficientDataError, MetricPreconditionError):
+        jitter_series, jitter_final = None, None
+    try:
+        pdv_values, pdv_stats = pdv_reference(trace)
+    except (InsufficientDataError, MetricPreconditionError):
+        pdv_values, pdv_stats = None, None
+    loss_count, loss_rate, duplicates = loss_reference(trace)
+    ts = trace.active_timestamps()
+    return MetricsReport(
+        jitter_series=jitter_series,
+        jitter_final_us=jitter_final,
+        pdv_per_packet_us=pdv_values,
+        pdv_stats=pdv_stats,
+        loss_count=loss_count,
+        loss_rate=loss_rate,
+        duplicate_count=duplicates,
+        throughput_series=throughput_reference(trace, window_us),
+        total_bytes=sum(p.size_bytes for p in trace.packets),
+        total_packets=len(trace.packets),
+        duration_us=ts[-1] - ts[0],
+    )

@@ -500,7 +500,17 @@ class TestAnalyze:
         blank_arrival(tmp_path / "s-stage0.shaped.csv")
         proc = run_cli("analyze", "--input", prefix + "stage0.input.csv",
                        "--result", prefix + "stage0.", "--output", tmp_path / "m-")
-        assert_usage_error(proc, "packet 2 has no recv_ts_us")
+        assert_usage_error(proc, "s-stage0.shaped.csv: packet 2 has no arrival timestamp "
+                                 "(recv_ts_us)")
+        assert not list(tmp_path.glob("m-*"))
+
+    def test_input_with_a_missing_arrival_exits_2(self, tmp_path, audio_cfg):
+        prefix = shape_stage0(tmp_path, audio_cfg)
+        blank_arrival(tmp_path / "s-stage0.input.csv")
+        proc = run_cli("analyze", "--input", prefix + "stage0.input.csv",
+                       "--result", prefix + "stage0.", "--output", tmp_path / "m-")
+        assert_usage_error(proc, "s-stage0.input.csv: packet 2 has no arrival timestamp "
+                                 "(recv_ts_us)")
         assert not list(tmp_path.glob("m-*"))
 
     def test_single_packet_trace(self, tmp_path, capsys):
@@ -821,11 +831,17 @@ CONTRACT_CASES = {
     "shape-trace": ("run/input.csv", ["--config", "{cfg}", "--input", "{run}/input.csv",
                                       "--output", "{out}/s-"]),
     "analyze-trace": ("run/stage0.input.csv", ["--input", "{run}/stage0.input.csv",
-                                               "--result", "{run}/stage0."]),
+                                               "--result", "{run}/stage0.",
+                                               "--output", "{out}/a-"]),
     "analyze-shaped": ("run/stage0.shaped.csv", ["--input", "{run}/stage0.input.csv",
-                                                 "--result", "{run}/stage0."]),
+                                                 "--result", "{run}/stage0.",
+                                                 "--output", "{out}/a-"]),
     "report-config": ("cfg", ["--config", "{cfg}", "--input", "{run}/",
                               "--output", "{out}/f.svg"]),
+    "report-input": ("run/stage0.input.csv", ["--config", "{cfg}", "--input", "{run}/",
+                                              "--output", "{out}/f.svg"]),
+    "report-shaped": ("run/stage0.shaped.csv", ["--config", "{cfg}", "--input", "{run}/",
+                                                "--output", "{out}/f.svg"]),
     "report-occupancy": ("run/stage0.occupancy.csv", ["--config", "{cfg}", "--input",
                                                       "{run}/", "--output", "{out}/f.svg"]),
 }
@@ -841,12 +857,25 @@ def contract_dir(tmp_path_factory):
     return root
 
 
+def emptied(data: bytes, line: int, field: int) -> bytes:
+    """`data` with one comma-separated field of one line emptied."""
+    lines = data.split(b"\n")
+    fields = lines[line].split(b",")
+    if field < len(fields):
+        fields[field] = b""
+    lines[line] = b",".join(fields)
+    return b"\n".join(lines)
+
+
 def mangled(data: bytes):
-    """Arbitrary bytes, or `data` with a slice replaced by arbitrary bytes."""
+    """Arbitrary bytes, `data` with a slice replaced by arbitrary bytes, or
+    `data` with one field emptied (in a trace CSV, a blank arrival is valid)."""
     return st.one_of(
         st.binary(max_size=200),
         st.tuples(st.integers(0, len(data)), st.integers(0, 40), st.binary(max_size=40))
-        .map(lambda c: data[:c[0]] + c[2] + data[c[0] + c[1]:]))
+        .map(lambda c: data[:c[0]] + c[2] + data[c[0] + c[1]:]),
+        st.tuples(st.integers(0, data.count(b"\n")), st.integers(0, 6))
+        .map(lambda c: emptied(data, *c)))
 
 
 @pytest.mark.parametrize("case", list(CONTRACT_CASES))

@@ -10,9 +10,11 @@ from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter, Inconsist
                       format_decimal, generate_audio, interarrival_jitter, leaky_bucket_shape,
                       loss, metrics_report, pdv, throughput, token_bucket_shape)
 from rtpshape.metrics import format_jitter
+from rtpshape.model import SEQ_MOD
 from rtpshape.reporting import jitter_csv
 
-from oracles import format_decimal_exact, jitter_exact, random_received_trace
+from oracles import (format_decimal_exact, jitter_exact, metrics_report_reference,
+                     random_received_trace)
 
 Q64 = 1 << 64
 
@@ -105,6 +107,85 @@ class TestQ64JitterAgainstExact:
             assert jitter_csv(report) == "index,jitter_us\n" + "".join(
                 f"{i},{format_decimal_exact(j)}\n" for i, j in enumerate(exact, start=1))
             assert format_decimal(report.jitter_final_us) == format_decimal_exact(exact[-1])
+
+
+def random_report_trace(rng, n, arrivals):
+    """n packets of one stream, ordered by their active timestamp. Seqs step
+    by -2 to +3 from a random start, so they repeat, go back and skip.
+    `arrivals` is "all", "none" or "one missing"."""
+    seq, send, packets = rng.randrange(SEQ_MOD), rng.randrange(10**7), []
+    for _ in range(n):
+        seq = (seq + rng.choice((1, 1, 1, 2, 3, 0, -1, -2))) % SEQ_MOD
+        send += rng.randrange(3000)
+        packets.append(MediaPacket(seq, 7, 96, False, send, send + rng.randrange(40000),
+                                   rng.randint(1, 1500)))
+    if arrivals == "all":
+        packets.sort(key=lambda p: p.recv_ts_us)
+    elif arrivals == "none":
+        packets = [p._replace(recv_ts_us=None) for p in packets]
+    else:
+        k = rng.randrange(n)
+        packets[k] = packets[k]._replace(recv_ts_us=None)
+    return StreamTrace(tuple(packets))
+
+
+class TestReportAgainstReference:
+    """metrics_report against the report as it was written before it read
+    each packet field once (tests/oracles.py), and the public per-metric
+    functions against the report's fields."""
+
+    WINDOWS = (1, 7, 10**6)
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        rng = random.Random(1515)
+        traces = [random_report_trace(rng, n, arrivals)
+                  for n in (1, 2, 3, 40, 300) for arrivals in ("all", "none", "one missing")
+                  for _ in range(8)]
+        traces += [random_jittered_trace(rng) for _ in range(40)]
+        shuffled = list(random_report_trace(rng, 200, "all").packets)
+        rng.shuffle(shuffled)
+        traces.append(StreamTrace(tuple(shuffled)))  # out of time order
+        sent = generate_audio(AudioGenConfig(), 70_000 * 20_000)
+        traces.append(apply_channel(sent, ChannelModel(jitter=UniformJitter(0, 60_000),
+                                                       loss_prob=Fraction(1, 100), seed=15)))
+        return [t for t in traces if t.packets]
+
+    def test_cases_cover_the_edges(self, traces):
+        assert {len(t) for t in traces} >= {1, 2, 3}
+        assert any(len(t) > SEQ_MOD and any(a.seq > b.seq for a, b in
+                                            zip(t.packets, t.packets[1:]))
+                   for t in traces)
+        timestamps = [t.active_timestamps() for t in traces]
+        assert any(ts != sorted(ts) for ts in timestamps)
+        arrived = [None not in [p.recv_ts_us for p in t.packets] for t in traces]
+        assert any(arrived) and not all(arrived)
+
+    def test_report_equals_reference(self, traces):
+        for trace in traces:
+            for window in self.WINDOWS:
+                assert metrics_report(trace, window) == metrics_report_reference(trace, window)
+
+    def test_public_functions_agree_with_the_report(self, traces):
+        for trace in traces:
+            for window in self.WINDOWS:
+                assert throughput(trace, window) == \
+                    metrics_report(trace, window).throughput_series
+            report = metrics_report(trace)
+            assert loss(trace) == (report.loss_count, report.loss_rate, report.duplicate_count)
+            if report.pdv_stats is None:
+                with pytest.raises(MetricPreconditionError):
+                    pdv(trace)
+            else:
+                assert pdv(trace) == (report.pdv_per_packet_us, report.pdv_stats)
+            if report.jitter_series is None:
+                with pytest.raises((InsufficientDataError, MetricPreconditionError)):
+                    interarrival_jitter(trace)
+            else:
+                assert interarrival_jitter(trace) == (
+                    tuple((i, Fraction(q, Q64))
+                          for i, q in enumerate(report.jitter_series, start=1)),
+                    report.jitter_final_us)
 
 
 class TestFormatDecimalAgainstRound:
@@ -322,8 +403,10 @@ class TestCompare:
     def test_after_without_arrival_is_a_precondition_error(self):
         trace = trace_from([(0, 0, 10), (1, 100, 110)])
         after = StreamTrace((trace.packets[0], trace.packets[1]._replace(recv_ts_us=None)))
-        with pytest.raises(MetricPreconditionError, match="packet 1 has no recv_ts_us"):
+        with pytest.raises(MetricPreconditionError, match="^after: packet 1 has no recv_ts_us"):
             compare(trace, after)
+        with pytest.raises(MetricPreconditionError, match="^before: packet 1 has no recv_ts_us"):
+            compare(after, trace)
 
 
 class TestReportAndFormatting:
