@@ -18,8 +18,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import metrics as metrics_mod
 from . import reporting
-from .model import (TS_MAX, StreamTrace, TraceFormatError, TraceValidationError,
-                    Violation, check_trace, read_trace_csv, write_trace_csv)
+from .model import (StreamTrace, TraceFormatError, TraceValidationError, check_trace,
+                    parse_trace_csv, read_trace_csv, write_trace_csv)
 from .scenario import ConfigError, ScenarioConfig, parse_scenario
 from .shaping import (ShapeResult, ShaperConfig, ShapingPreconditionError,
                       PipelineStageError, run_pipeline)
@@ -56,19 +56,24 @@ def _load_scenario(path: str) -> ScenarioConfig:
     return parse_scenario(text)
 
 
-def _read_trace(path: str) -> StreamTrace:
-    return read_trace_csv(Path(path).read_bytes())
+def _read(path: str, parse=read_trace_csv):
+    """The file at `path` as `parse` reads it; an error in its bytes names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data)
+    except (TraceFormatError, TraceValidationError, ShapingPreconditionError) as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
 
 
-def _read_arrived(path: str) -> StreamTrace:
-    """A trace CSV whose every packet has arrived, as a figure (which places each
-    packet at its arrival) and a comparison need; an error names the file."""
-    trace = _read_trace(path)
-    for i, p in enumerate(trace.packets):
-        if p.recv_ts_us is None:
-            raise ShapingPreconditionError(
-                f"{path}: packet {i} has no arrival timestamp (recv_ts_us)")
-    return trace
+def _parse_arrived(data: bytes) -> StreamTrace:
+    """A trace CSV whose every packet has arrived, as shaping, a figure and a
+    comparison need. Arrivals are checked first: one missing arrival makes the
+    send times the ones whose order is checked."""
+    trace = parse_trace_csv(data)
+    if trace.missing:
+        raise ShapingPreconditionError(
+            f"packet {trace.missing[0]} has no arrival timestamp (recv_ts_us)")
+    return check_trace(trace)
 
 
 def _write_files(prefix: str, files: Files) -> None:
@@ -90,19 +95,6 @@ def _generate_trace(scenario: ScenarioConfig, seed_override=None) -> StreamTrace
             else replace(scenario.channel, seed=seed_override)
         trace = apply_channel(trace, channel)
     return check_trace(trace)
-
-
-def _execute(scenario: ScenarioConfig, trace: StreamTrace) -> tuple:
-    """The pipeline's (final trace, stage results), every departure checked."""
-    final, results = run_pipeline(list(scenario.pipeline), trace)
-    for k, result in enumerate(results):
-        # Departures never decrease, so the last one bounds every timestamp the
-        # stage writes; past TS_MAX its CSVs could not be read back.
-        shaped = result.shaped.packets
-        if shaped and shaped[-1].recv_ts_us > TS_MAX:
-            raise TraceValidationError([Violation(
-                len(shaped) - 1, f"stage {k}: departure {shaped[-1].recv_ts_us} > {TS_MAX}")])
-    return final, results
 
 
 def _stage_files(trace: StreamTrace, trace_csv: bytes, results: Sequence[ShapeResult],
@@ -153,21 +145,22 @@ def cmd_shape(args) -> int:
     scenario = _load_scenario(args.config)
     if not scenario.pipeline:
         raise ConfigError("pipeline is empty; nothing to shape")
-    trace = _read_trace(args.input)
-    _, results = _execute(scenario, trace)
+    trace = _read(args.input, _parse_arrived)
+    _, results = run_pipeline(list(scenario.pipeline), trace)
     _write_files(args.output, _stage_files(trace, write_trace_csv(trace), results))
     print(f"stages={len(results)} shaped={len(results[-1].shaped)} "
-          f"dropped={sum(len(r.dropped) for r in results)}")
+          f"dropped={sum(len(r.drops) for r in results)}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     window = (_load_scenario(args.config) if args.config else ScenarioConfig).throughput_window_us
     if args.result is None:
-        measured = metrics_mod.metrics_report(_read_trace(args.input), window)
+        measured = metrics_mod.metrics_report(_read(args.input), window)
         sides, shown = ("", ""), reporting.summary_csv(measured)
     else:
-        trace, shaped = _read_arrived(args.input), _read_arrived(_stage_names(args.result).shaped)
+        trace = _read(args.input, _parse_arrived)
+        shaped = _read(_stage_names(args.result).shaped, _parse_arrived)
         measured = metrics_mod.compare(trace, shaped, window)
         sides, shown = ("before.", "after."), reporting.comparison_csv(measured)
     if args.output:
@@ -181,8 +174,9 @@ def cmd_report(args) -> int:
     if not 0 <= args.stage < len(scenario.pipeline):
         raise ConfigError(f"config has no pipeline stage {args.stage}")
     names = _stage_names(args.input, args.stage)
-    incoming, shaped = _read_arrived(names.input), _read_arrived(names.shaped)
-    occupancy = reporting.read_occupancy_csv(Path(names.occupancy).read_bytes())
+    incoming = _read(names.input, _parse_arrived)
+    shaped = _read(names.shaped, _parse_arrived)
+    occupancy = _read(names.occupancy, reporting.read_occupancy_csv)
     panel = reporting.panel_report(incoming, ShapeResult(shaped, (), occupancy),
                                    scenario.pipeline[args.stage])
     _write_files("", _figure_files(args.output, panel))
@@ -196,7 +190,7 @@ def cmd_run(args) -> int:
         raise ConfigError("pipeline stages need arrival times, and the config has no "
                           "channel section to stamp them")
     trace = _generate_trace(scenario, args.seed)
-    final, results = _execute(scenario, trace)
+    final, results = run_pipeline(list(scenario.pipeline), trace)
     window = scenario.throughput_window_us
     measured = metrics_mod.compare(trace, final, window) if results \
         else metrics_mod.metrics_report(trace, window)

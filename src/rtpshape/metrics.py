@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
-from operator import itemgetter, sub
-from typing import Optional
+from operator import sub
+from typing import Iterator, Optional, Sequence
 
-from .model import StreamTrace, extended_seqs
+from .model import _SEQ_HALF, SEQ_MOD, StreamTrace
 
 
 class MetricPreconditionError(ValueError):
@@ -60,21 +60,17 @@ class ComparisonReport:
     drops_introduced: int
 
 
-_SEQ, _SEND, _RECV, _SIZE = (itemgetter(k) for k in (0, 4, 5, 6))  # MediaPacket fields
+def _arrived(trace: StreamTrace, where: str = "") -> None:
+    """Raise a MetricPreconditionError, whose message `where` prefixes, if a
+    packet has no recv_ts_us."""
+    if trace.missing:
+        raise MetricPreconditionError(f"{where}packet {trace.missing[0]} has no recv_ts_us")
 
 
-def _arrivals(packets, where: str = "") -> list[int]:
-    """The recv_ts_us column. A packet without one raises a
-    MetricPreconditionError, whose message `where` prefixes."""
-    recv = list(map(_RECV, packets))
-    if None in recv:
-        raise MetricPreconditionError(f"{where}packet {recv.index(None)} has no recv_ts_us")
-    return recv
-
-
-def _transit(packets) -> list[int]:
+def _transit(trace: StreamTrace) -> list[int]:
     """Each packet's transit time, recv_ts_us - send_ts_us."""
-    return list(map(sub, _arrivals(packets), map(_SEND, packets)))
+    _arrived(trace)
+    return list(map(sub, trace.recv_ts_us, trace.send_ts_us))
 
 
 # One jitter unit: 1 us in Q64 fixed point.
@@ -112,7 +108,7 @@ def interarrival_jitter(trace: StreamTrace) -> tuple[tuple[tuple[int, Fraction],
     i from 1) and the final value, as exact Fractions q / 2**64.
     """
     series = tuple((i, Fraction(q, _JITTER_ONE))
-                   for i, q in enumerate(_jitter_q64(_transit(trace.packets)), start=1))
+                   for i, q in enumerate(_jitter_q64(_transit(trace)), start=1))
     return series, series[-1][1]
 
 
@@ -142,31 +138,42 @@ def _pdv(transit: list[int]) -> tuple[tuple[int, ...], dict]:
 def pdv(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
     """Min-referenced packet delay variation: one-way delay minus the trace
     minimum, per packet, plus nearest-rank summary stats."""
-    return _pdv(_transit(trace.packets))
+    return _pdv(_transit(trace))
 
 
-def _loss(seqs: list[int]) -> tuple[int, Fraction, int]:
-    """Loss over the seq column; see loss."""
+def _extended(seqs: Sequence[int]) -> Iterator[int]:
+    """Each seq extended to the value congruent to it nearest the previous one."""
+    ext = seqs[0]  # so the first step is 0
+    for seq in seqs:
+        ext += (seq - ext + _SEQ_HALF) % SEQ_MOD - _SEQ_HALF
+        yield ext
+
+
+def _loss(seqs: Sequence[int]) -> tuple[int, Fraction, int]:
+    """Loss over the seq column; see loss. One pass puts each extended seq in a
+    set, so memory follows the packet count, not the span of the seqs."""
     if not seqs:
         raise InsufficientDataError("loss needs at least 1 packet")
-    ext = extended_seqs(seqs)
-    unique = len(set(ext))
-    expected = max(ext) - min(ext) + 1
+    seen = set(_extended(seqs))
+    unique = len(seen)
+    expected = max(seen) - min(seen) + 1
     loss_count = expected - unique
-    duplicates = len(ext) - unique
-    return loss_count, Fraction(loss_count, expected), duplicates
+    return loss_count, Fraction(loss_count, expected), len(seqs) - unique
 
 
 def loss(trace: StreamTrace) -> tuple[int, Fraction, int]:
     """Wrap-aware loss: (loss_count, loss_rate, duplicate_count).
 
-    The expected count spans the observed extended sequence range (see
-    model.extended_seqs); duplicate sequence numbers count once.
+    Each seq is extended (unwrapped) to the value congruent to it that is
+    nearest the previous extended seq; the first keeps its own value. The
+    expected count spans the observed extended range; duplicate sequence
+    numbers count once.
     """
-    return _loss(list(map(_SEQ, trace.packets)))
+    return _loss(trace.seq)
 
 
-def _throughput(ts: list[int], sizes: list[int], window_us: int) -> tuple[tuple[int, int], ...]:
+def _throughput(ts: Sequence[int], sizes: Sequence[int],
+                window_us: int) -> tuple[tuple[int, int], ...]:
     """Throughput over the timestamp and size columns; see throughput. Each
     run of consecutive packets in one window adds its bytes to that window,
     so a window whose packets come in several runs (a trace out of time
@@ -186,30 +193,20 @@ def throughput(trace: StreamTrace, window_us: int) -> tuple[tuple[int, int], ...
 
     Only windows containing at least one packet appear in the series.
     """
-    return _throughput(trace.active_timestamps(), list(map(_SIZE, trace.packets)), window_us)
+    return _throughput(trace.active_timestamps(), trace.size_bytes, window_us)
 
 
 def metrics_report(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
     """Full per-trace report; jitter/PDV degrade to None when a trace cannot
-    support them (too few packets, missing arrival timestamps).
-
-    Each packet field is read once into a column of plain ints, and each
-    column is released after its last use."""
-    packets = trace.packets
-    if not packets:
+    support them (too few packets, missing arrival timestamps). Every metric
+    reads the trace's columns."""
+    if not len(trace):
         raise InsufficientDataError("metrics need at least 1 packet")
-    loss_count, loss_rate, duplicates = _loss(list(map(_SEQ, packets)))
-    recv = list(map(_RECV, packets))
-    arrived = None not in recv
-    ts = recv if arrived else list(map(_SEND, packets))  # the active timestamps
-    sizes = list(map(_SIZE, packets))
-    throughput_series = _throughput(ts, sizes, window_us)
-    total_bytes, duration_us = sum(sizes), ts[-1] - ts[0]
-    del ts, sizes
+    loss_count, loss_rate, duplicates = _loss(trace.seq)
+    ts = trace.active_timestamps()
     jitter_series = jitter_final = pdv_values = pdv_stats = None
-    if arrived:
-        transit = list(map(sub, recv, map(_SEND, packets)))
-        del recv
+    if not trace.missing:
+        transit = list(map(sub, trace.recv_ts_us, trace.send_ts_us))
         if len(transit) > 1:
             jitter_series = _jitter_q64(transit)
             jitter_final = Fraction(jitter_series[-1], _JITTER_ONE)
@@ -222,10 +219,10 @@ def metrics_report(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
         loss_count=loss_count,
         loss_rate=loss_rate,
         duplicate_count=duplicates,
-        throughput_series=throughput_series,
-        total_bytes=total_bytes,
-        total_packets=len(packets),
-        duration_us=duration_us,
+        throughput_series=_throughput(ts, trace.size_bytes, window_us),
+        total_bytes=sum(trace.size_bytes),
+        total_packets=len(trace),
+        duration_us=ts[-1] - ts[0],
     )
 
 
@@ -253,15 +250,15 @@ def compare(before: StreamTrace, after: StreamTrace,
     with equal (seq, ssrc, send_ts_us) but different arrivals whose first
     copy was dropped, the added latency is measured from the dropped copy.
     """
-    _arrivals(before.packets, "before: ")
-    _arrivals(after.packets, "after: ")
-    if before.packets and not after.packets:
+    _arrived(before, "before: ")
+    _arrived(after, "after: ")
+    if len(before) and not len(after):
         raise InsufficientDataError("every packet was dropped: there is no shaped trace "
                                     "to compare")
     total, worst = 0, None
-    walk = iter(before.packets)
-    for seq, ssrc, _, _, send, recv, _ in after.packets:
-        for b_seq, b_ssrc, _, _, b_send, b_recv, _ in walk:
+    walk = zip(before.seq, before.ssrc, before.send_ts_us, before.recv_ts_us)
+    for seq, ssrc, send, recv in zip(after.seq, after.ssrc, after.send_ts_us, after.recv_ts_us):
+        for b_seq, b_ssrc, b_send, b_recv in walk:
             if b_seq == seq and b_ssrc == ssrc and b_send == send:
                 break
         else:
@@ -282,7 +279,7 @@ def compare(before: StreamTrace, after: StreamTrace,
         pdv_max_reduction_pct=_reduction_pct(pdv_before, pdv_after),
         jitter_final_reduction_pct=_reduction_pct(before_report.jitter_final_us,
                                                   after_report.jitter_final_us),
-        added_latency_mean_us=Fraction(total, len(after)) if after.packets else Fraction(0),
+        added_latency_mean_us=Fraction(total, len(after)) if len(after) else Fraction(0),
         added_latency_max_us=0 if worst is None else worst,
         drops_introduced=len(before) - len(after),
     )

@@ -24,10 +24,11 @@ validated again.
 from __future__ import annotations
 
 import struct
-from operator import itemgetter
+from array import array
+from collections import defaultdict
 from typing import Optional
 
-from .model import MediaPacket, StreamTrace
+from .model import StreamTrace
 
 MAGIC_NATIVE = b"\xa1\xb2\xc3\xd4"
 MAGIC_SWAPPED = b"\xd4\xc3\xb2\xa1"
@@ -82,8 +83,8 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
     record_header = struct.Struct(endian + "III").unpack_from
     udp_rtp = _UDP_RTP.unpack_from
     u16 = _U16.unpack_from
-    found: list[tuple[int, int, int, int, bool, int]] = []  # ts, seq, ssrc, pt, marker, size
-    append = found.append
+    # ssrc -> its packets' (ts, seq, pt, marker, size), in the order each SSRC first appears
+    found: defaultdict[int, list[tuple[int, int, int, int, int]]] = defaultdict(list)
     total = len(data)
     end = 24
     record = 0
@@ -129,19 +130,14 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
             pad_len = data[rtp + payload_len - 1]
         media_bytes = payload_len - header_len - pad_len
         if media_bytes > 0:
-            append((ts_sec * 10**6 + ts_usec, seq, ssrc, b1 & 0x7F, b1 > 0x7F, media_bytes))
+            found[ssrc].append((ts_sec * 10**6 + ts_usec, seq, b1 & 0x7F, b1 >> 7, media_bytes))
 
-    if not found:
-        return []
-
-    first_seen = dict.fromkeys(map(itemgetter(2), found))
-    streams: dict[int, list[MediaPacket]] = {ssrc: [] for ssrc in first_seen}
-    found.sort(key=itemgetter(0))  # stable: equal times keep capture order
-    t0 = found[0][0]
-    new = tuple.__new__
-    packet = MediaPacket
-    for ts, seq, ssrc, pt, marker, media_bytes in found:
-        rel = ts - t0
-        streams[ssrc].append(new(packet, (seq, ssrc, pt, marker, rel, rel, media_bytes)))
-
-    return [StreamTrace(packets) for packets in streams.values()]
+    columns = {ssrc: list(zip(*rows)) for ssrc, rows in found.items()}  # one transposition each
+    t0 = min((min(ts) for ts, *_ in columns.values()), default=0)
+    traces = []
+    for ssrc, (ts, seq, pt, marker, size) in columns.items():
+        rel = array("q", [t - t0 for t in ts])
+        trace = StreamTrace._of(array("q", seq), array("q", [ssrc]) * len(ts), array("q", pt),
+                                array("q", marker), rel, rel, array("q", size), array("q"))
+        traces.append(trace.sorted_by("send_ts_us"))  # by capture time, stably
+    return traces

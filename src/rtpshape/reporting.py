@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
-from .model import (_CHUNK_ROWS, TS_MAX, StreamTrace, _collector_paused, _format_rows,
-                    csv_rows, parse_int)
+from .model import (_CHUNK_ROWS, TS_MAX, StreamTrace, _format_columns, _Record, csv_rows,
+                    parse_int)
 from .shaping import (LeakyBucketConfig, OccupancySample, ShapeResult, ShaperConfig,
                       TokenBucketConfig)
 
@@ -22,12 +22,24 @@ OCCUPANCY_HEADER = "ts_us,queued_packets,queued_bytes,tokens"
 DROPS_HEADER = "seq,ssrc,ts_us,reason"
 
 
-@dataclass(frozen=True)
-class Panel:
-    title: str
-    kind: Literal["scatter", "step"]
-    unit: str
-    points: tuple[tuple[int, int], ...]  # (ts_us, value)
+class Panel(_Record):
+    """One panel of a figure: its points as two columns, ts_us and values.
+    `points` builds the (ts_us, value) pairs on each access."""
+
+    __slots__ = ("title", "kind", "unit", "ts_us", "values")
+
+    def __init__(self, title: str, kind: Literal["scatter", "step"], unit: str,
+                 points: Sequence[tuple[int, int]]):
+        """From (ts_us, value) pairs."""
+        self._fill(title, kind, unit, *(tuple(zip(*points)) or ((), ())))
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.ts_us, self.values))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Panel and (self.title, self.kind, self.unit, self.points) == \
+            (other.title, other.kind, other.unit, other.points)
 
 
 @dataclass(frozen=True)
@@ -35,28 +47,26 @@ class PanelReport:
     panels: tuple[Panel, ...]
 
 
-def _packet_points(trace: StreamTrace) -> tuple[tuple[int, int], ...]:
-    return tuple([(recv, size) for _, _, _, _, _, recv, size in trace.packets])
-
-
-@_collector_paused()
 def panel_report(incoming: StreamTrace, result: ShapeResult,
                  cfg: ShaperConfig) -> PanelReport:
     """Figure layout for one shaping stage: dots for packets, step lines for
-    occupancy, matching the three/four-diagram structure of the shapers."""
+    occupancy, matching the three/four-diagram structure of the shapers. Each
+    panel's columns are the trace's or the samples' own."""
+    occupancy = result.samples
     panels = [
-        Panel("incoming traffic", "scatter", "bytes", _packet_points(incoming)),
-        Panel("shaped traffic", "scatter", "bytes", _packet_points(result.shaped)),
+        Panel._of("incoming traffic", "scatter", "bytes", incoming.recv_ts_us,
+                  incoming.size_bytes),
+        Panel._of("shaped traffic", "scatter", "bytes", result.shaped.recv_ts_us,
+                  result.shaped.size_bytes),
     ]
-    occupancy = result.occupancy
     if isinstance(cfg, LeakyBucketConfig):
-        panels.append(Panel("bucket content (packets)", "step", "packets",
-                            tuple([(t, qp) for t, qp, _, _ in occupancy])))
+        panels.append(Panel._of("bucket content (packets)", "step", "packets",
+                                occupancy.ts_us, occupancy.queued_packets))
     elif isinstance(cfg, TokenBucketConfig):
-        panels.append(Panel("packet queue (bytes)", "step", "bytes",
-                            tuple([(t, qb) for t, _, qb, _ in occupancy])))
-        panels.append(Panel("tokens available", "step", "tokens",
-                            tuple([(t, tok) for t, _, _, tok in occupancy])))
+        panels.append(Panel._of("packet queue (bytes)", "step", "bytes",
+                                occupancy.ts_us, occupancy.queued_bytes))
+        panels.append(Panel._of("tokens available", "step", "tokens",
+                                occupancy.ts_us, occupancy.tokens))
     else:
         raise TypeError(f"unknown shaper config: {cfg!r}")
     return PanelReport(panels=tuple(panels))
@@ -64,31 +74,32 @@ def panel_report(incoming: StreamTrace, result: ShapeResult,
 
 def occupancy_csv(result: ShapeResult) -> str:
     return "".join([OCCUPANCY_HEADER + "\n",
-                    *_format_rows("%s,%s,%s,%s\n", result.occupancy)])
+                    *_format_columns("%s,%s,%s,%s\n", *result.samples)])
 
 
 def read_occupancy_csv(data: bytes) -> tuple[OccupancySample, ...]:
-    """Parse a stage's occupancy CSV (as written by occupancy_csv). The
-    counts have no upper bound: a config's bucket capacity and packet sizes
-    have none."""
+    """Parse a stage's occupancy CSV (as written by occupancy_csv). The byte
+    and token counts have no upper bound: a config's bucket capacity and
+    packet sizes have none."""
     return tuple([
         OccupancySample(parse_int(f[0], 0, TS_MAX, row, "ts_us"),
-                        parse_int(f[1], 0, math.inf, row, "queued_packets"),
+                        parse_int(f[1], 0, TS_MAX, row, "queued_packets"),
                         parse_int(f[2], 0, math.inf, row, "queued_bytes"),
                         parse_int(f[3], 0, math.inf, row, "tokens"))
         for row, f in csv_rows(data, OCCUPANCY_HEADER, 4)])
 
 
 def drops_csv(result: ShapeResult) -> str:
-    rows = [(p[0], p[1], p[5], reason) for p, reason in result.dropped]
-    return "".join([DROPS_HEADER + "\n", *_format_rows("%s,%s,%s,%s\n", rows)])
+    drops = result.drops
+    return "".join([DROPS_HEADER + "\n", *_format_columns(
+        "%s,%s,%s,%s\n", drops.seq, drops.ssrc, drops.recv_ts_us, result.reasons)])
 
 
 def panels_csv(report: PanelReport) -> str:
     chunks = ["panel,kind,ts_us,value\n"]
     for panel in report.panels:
         head = f"{panel.title},{panel.kind},".replace("%", "%%")
-        chunks += _format_rows(head + "%s,%s\n", panel.points)
+        chunks += _format_columns(head + "%s,%s\n", panel.ts_us, panel.values)
     return "".join(chunks)
 
 
@@ -146,13 +157,14 @@ def jitter_csv(report: MetricsReport) -> str:
 
 
 def pdv_csv(report: MetricsReport) -> str:
-    rows = enumerate(report.pdv_per_packet_us or ())
-    return "".join(["index,pdv_us\n", *_format_rows("%s,%s\n", rows)])
+    pdv = report.pdv_per_packet_us or ()
+    return "".join(["index,pdv_us\n", *_format_columns("%s,%s\n", range(len(pdv)), pdv)])
 
 
 def throughput_csv(report: MetricsReport) -> str:
-    return "".join(["window_start_us,bytes\n",
-                    *_format_rows("%s,%s\n", report.throughput_series)])
+    series = report.throughput_series
+    return "".join(["window_start_us,bytes\n", *_format_columns(
+        "%s,%s\n", [t for t, _ in series], [b for _, b in series])])
 
 
 PANEL_WIDTH = 800
@@ -163,26 +175,25 @@ MARGIN_TOP = 30
 MARGIN_BOTTOM = 30
 
 
-def _scatter_chunks(points, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
+def _scatter_chunks(ts, vs, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
     """One <circle> line per point, a chunk of points per `%`."""
-    for i in range(0, len(points), _CHUNK_ROWS):
-        chunk = points[i:i + _CHUNK_ROWS]
-        args = [None] * (2 * len(chunk))
-        args[0::2] = [(t - t_lo) / t_span * inner_w for t, _ in chunk]
-        args[1::2] = [ys[v] for _, v in chunk]
-        yield ('<circle cx="%.2f" cy="%s" r="1.5" fill="steelblue"/>\n' * len(chunk)) % tuple(args)
+    for i in range(0, len(ts), _CHUNK_ROWS):
+        xs = [(t - t_lo) / t_span * inner_w for t in ts[i:i + _CHUNK_ROWS]]
+        args = [None] * (2 * len(xs))
+        args[0::2] = xs
+        args[1::2] = map(ys.__getitem__, vs[i:i + _CHUNK_ROWS])
+        yield ('<circle cx="%.2f" cy="%s" r="1.5" fill="steelblue"/>\n' * len(xs)) % tuple(args)
 
 
-def _step_chunks(points, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
+def _step_chunks(ts, vs, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
     """The step line's coordinates after its first point: each later point
     first at the previous point's value, then at its own. A chunk's first
     point is its predecessor's successor, so chunks start at point 1."""
-    for i in range(1, len(points), _CHUNK_ROWS):
-        chunk = points[i - 1:i + _CHUNK_ROWS]  # the chunk, after its predecessor
-        m = len(chunk) - 1
-        xs = [(t - t_lo) / t_span * inner_w for t, _ in chunk[1:]]
+    for i in range(1, len(ts), _CHUNK_ROWS):
+        xs = [(t - t_lo) / t_span * inner_w for t in ts[i:i + _CHUNK_ROWS]]
+        m = len(xs)
         xs = (("%.2f," * m) % tuple(xs)).split(",")
-        y = [ys[v] for _, v in chunk]
+        y = list(map(ys.__getitem__, vs[i - 1:i + _CHUNK_ROWS]))  # after its predecessor
         args = [None] * (4 * m)
         args[0::4] = args[2::4] = xs[:m]
         args[1::4] = y[:m]
@@ -221,11 +232,10 @@ def render_svg(report: PanelReport) -> str:
                    f'font-family="sans-serif" text-anchor="middle">time (us)</text>\n'
                    f'<text x="-8" y="{inner_h // 2}" font-size="10" '
                    f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>\n')
-        points = panel.points
-        if points:
-            # tuples order by t first, so min/max of the points bound t
-            (t_lo, _), (t_hi, _) = min(points), max(points)
-            values = {v for _, v in points}
+        ts, vs = panel.ts_us, panel.values
+        if len(ts):
+            t_lo, t_hi = min(ts), max(ts)
+            values = set(vs)
             v_lo, v_hi = min(min(values), 0), max(values)
             t_span = (t_hi - t_lo) or 1
             v_span = (v_hi - v_lo) or 1
@@ -237,11 +247,11 @@ def render_svg(report: PanelReport) -> str:
                        f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
                        f'text-anchor="end">{v_hi}</text>\n')
             if panel.kind == "scatter":
-                out += _scatter_chunks(points, ys, t_lo, t_span, inner_w)
+                out += _scatter_chunks(ts, vs, ys, t_lo, t_span, inner_w)
             else:
-                t0, v0 = points[0]
-                out.append(f'<polyline points="{(t0 - t_lo) / t_span * inner_w:.2f},{ys[v0]}')
-                out += _step_chunks(points, ys, t_lo, t_span, inner_w)
+                out.append(f'<polyline points="{(ts[0] - t_lo) / t_span * inner_w:.2f},'
+                           f'{ys[vs[0]]}')
+                out += _step_chunks(ts, vs, ys, t_lo, t_span, inner_w)
                 out.append('" fill="none" stroke="darkorange" stroke-width="1"/>\n')
         out.append('</g>\n')
     out.append('</svg>\n')

@@ -1,26 +1,28 @@
 """Traffic shapers: packet-based leaky bucket and byte-based token bucket.
 
 Both run one greedy FIFO server (_serve) under a policy each: a pure,
-deterministic discrete-event function over a received trace. Departure times
-are written into recv_ts_us so a shaper's output can feed the next pipeline
-stage directly (departures become arrivals).
+deterministic discrete-event function over a received trace's columns.
+Departure times are written into recv_ts_us so a shaper's output can feed the
+next pipeline stage directly (departures become arrivals).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import inf
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .model import MediaPacket, StreamTrace, _collector_paused
+from .model import TS_MAX, MediaPacket, StreamTrace, _Record
 
 DROP_BUCKET_FULL = "bucket full"
 DROP_QUEUE_FULL = "queue full"
 
 US_PER_S = 10**6
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a keep mask's complement
 
 
 class ShapingPreconditionError(ValueError):
@@ -85,11 +87,39 @@ class OccupancySample(NamedTuple):
     tokens: int
 
 
-@dataclass(frozen=True)
-class ShapeResult:
-    shaped: StreamTrace
-    dropped: tuple[tuple[MediaPacket, str], ...]
-    occupancy: tuple[OccupancySample, ...]
+class Occupancy(NamedTuple):
+    """The samples as columns; queued_bytes and tokens are lists, as neither a
+    queue's bytes nor a bucket's capacity has an upper bound."""
+
+    ts_us: array
+    queued_packets: array
+    queued_bytes: list
+    tokens: list
+
+
+class ShapeResult(_Record):
+    """One stage's outcome: the `shaped` trace, the dropped packets as a trace
+    (`drops`, with their arrivals) with their `reasons`, and the occupancy
+    `samples`. `dropped` and `occupancy` build the rows on each access (O(n)
+    every time)."""
+
+    __slots__ = ("shaped", "drops", "reasons", "samples")
+
+    def __init__(self, shaped: StreamTrace, dropped: Sequence[tuple[MediaPacket, str]],
+                 occupancy: Sequence[OccupancySample]):
+        """From rows: (packet, reason) pairs and occupancy samples."""
+        ts, queued, queued_bytes, tokens = zip(*occupancy) if occupancy else [()] * 4
+        self._fill(shaped, StreamTrace(p for p, _ in dropped), tuple(r for _, r in dropped),
+                   Occupancy(array("q", ts), array("q", queued), list(queued_bytes),
+                             list(tokens)))
+
+    @property
+    def dropped(self) -> tuple[tuple[MediaPacket, str], ...]:
+        return tuple(zip(self.drops.packets, self.reasons))
+
+    @property
+    def occupancy(self) -> tuple[OccupancySample, ...]:
+        return tuple(map(OccupancySample, *self.samples))
 
 
 class _LeakyPolicy:
@@ -168,7 +198,6 @@ class _TokenPolicy:
         return None
 
 
-@_collector_paused()
 def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> ShapeResult:
     """Greedy FIFO server: the queue's head departs at max(arrival, ready),
     where the policy's ready(size) is the earliest time it may send `size`
@@ -177,66 +206,71 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     admitted. An admitted packet that finds the queue empty and the policy
     ready departs unqueued, unless the policy queues_every_packet. Samples
     take their tokens from depart(t, size) and tokens_at(t).
+
+    The queue holds input indices. Each packet departs but those dropped, so
+    the shaped trace is the input's other packets, with their departures.
+    A departure past TS_MAX, which no column holds, raises
+    ShapingPreconditionError.
     """
-    arrivals = [p[5] for p in trace.packets]
-    if None in arrivals:
+    if trace.missing:
         raise ShapingPreconditionError(
-            f"packet {arrivals.index(None)} has no arrival timestamp (recv_ts_us)")
+            f"packet {trace.missing[0]} has no arrival timestamp (recv_ts_us)")
     ready, depart, tokens_at, refuse = \
         policy.ready, policy.depart, policy.tokens_at, policy.refuse
     queues_every_packet = policy.queues_every_packet
+    recv, sizes = trace.recv_ts_us, trace.size_bytes
 
-    queue: deque[MediaPacket] = deque()
+    queue: deque[int] = deque()
     queued_bytes = 0
-    shaped: list[MediaPacket] = []
-    dropped: list[tuple[MediaPacket, str]] = []
-    occupancy: list[OccupancySample] = []
-
-    # hot loop: bind lookups to locals and build tuples without going
-    # through the NamedTuple constructors
-    new = tuple.__new__
-    sample = OccupancySample
-    packet = MediaPacket
-    shaped_append = shaped.append
-    occ_append = occupancy.append
+    n = len(trace)
+    departures = array("q", recv)  # a queued packet's is set when it departs
+    dropped = bytearray(n)
+    reasons: list[str] = []
+    samples = Occupancy(array("q"), array("q"), [], [])
+    sample_t, sample_queued, sample_bytes, sample_tokens = (c.append for c in samples)
     pop_head = queue.popleft
     enqueue = queue.append
 
-    # a last arrival at infinity drains the queue
-    for pkt, t in zip(chain(trace.packets, (None,)), chain(arrivals, (inf,))):
+    # a last arrival at TS_MAX drains every head that departs by then
+    for i, t in enumerate(chain(recv, (TS_MAX,))):
         while queue:
             head = queue[0]
-            size = head[6]
+            size = sizes[head]
             dep = ready(size)
-            if dep < head[5]:
-                dep = head[5]
+            if dep < recv[head]:
+                dep = recv[head]
             if dep > t:
                 break
             pop_head()
             queued_bytes -= size
-            shaped_append(new(packet, head[:5] + (dep, size)))
-            occ_append(new(sample, (dep, len(queue), queued_bytes, depart(dep, size))))
-        if pkt is None:
+            departures[head] = dep
+            sample_t(dep)
+            sample_queued(len(queue))
+            sample_bytes(queued_bytes)
+            sample_tokens(depart(dep, size))
+        if i == n:
             break
-        size = pkt[6]
+        size = sizes[i]
         reason = refuse(len(queue), queued_bytes, size)
         if reason is not None:
-            dropped.append((pkt, reason))
+            dropped[i] = 1
+            reasons.append(reason)
+            tokens = tokens_at(t)
         elif queue or queues_every_packet or ready(size) > t:
-            enqueue(pkt)
+            enqueue(i)
             queued_bytes += size
-        else:
-            # departs the instant it arrives, so the packet is unchanged
-            shaped_append(pkt)
-            occ_append(new(sample, (t, 0, 0, depart(t, size))))
-            continue
-        occ_append(new(sample, (t, len(queue), queued_bytes, tokens_at(t))))
-
-    return ShapeResult(
-        shaped=StreamTrace(tuple(shaped)),
-        dropped=tuple(dropped),
-        occupancy=tuple(occupancy),
-    )
+            tokens = tokens_at(t)
+        else:  # departs the instant it arrives, past an empty queue
+            tokens = depart(t, size)
+        sample_t(t)
+        sample_queued(len(queue))
+        sample_bytes(queued_bytes)
+        sample_tokens(tokens)
+    if queue:  # the head's departure `dep` is past the last arrival, TS_MAX
+        raise ShapingPreconditionError(f"departure {dep} > {TS_MAX}")
+    kept = dropped.translate(_FLIP)
+    return ShapeResult._of(trace.select(kept, array("q", compress(departures, kept))),
+                           trace.select(dropped), tuple(reasons), samples)
 
 
 def leaky_bucket_shape(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResult:
@@ -261,14 +295,6 @@ def token_bucket_shape(trace: StreamTrace, cfg: TokenBucketConfig) -> ShapeResul
     return _serve(trace, _TokenPolicy(cfg))
 
 
-def shape(trace: StreamTrace, cfg: ShaperConfig) -> ShapeResult:
-    if isinstance(cfg, LeakyBucketConfig):
-        return leaky_bucket_shape(trace, cfg)
-    if isinstance(cfg, TokenBucketConfig):
-        return token_bucket_shape(trace, cfg)
-    raise TypeError(f"unknown shaper config: {cfg!r}")
-
-
 def run_pipeline(stages: list[ShaperConfig],
                  trace: StreamTrace) -> tuple[StreamTrace, list[ShapeResult]]:
     """Chain shaper stages; stage k+1 sees stage k's departures as arrivals."""
@@ -276,7 +302,12 @@ def run_pipeline(stages: list[ShaperConfig],
     current = trace
     for k, cfg in enumerate(stages):
         try:
-            result = shape(current, cfg)
+            if isinstance(cfg, LeakyBucketConfig):
+                result = leaky_bucket_shape(current, cfg)
+            elif isinstance(cfg, TokenBucketConfig):
+                result = token_bucket_shape(current, cfg)
+            else:
+                raise TypeError(f"unknown shaper config: {cfg!r}")
         except Exception as exc:
             raise PipelineStageError(k, exc) from exc
         results.append(result)

@@ -5,17 +5,19 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from typing import Union
 
-from .model import MediaPacket, SEQ_MOD, StreamTrace, _collector_paused
+from .model import SEQ_MOD, TS_MAX, StreamTrace, TraceValidationError, Violation
 
 US_PER_S = 10**6
 
 
 class GenerationError(ValueError):
-    """Requested duration cannot hold a single packet/frame."""
+    """Requested duration cannot hold a single packet/frame, or ends past TS_MAX."""
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,8 @@ class AudioGenConfig:
     def __post_init__(self) -> None:
         if self.ptime_us < 1000:
             raise ValueError("ptime_us must be >= 1000")
-        if self.payload_bytes < 1:
-            raise ValueError("payload_bytes must be >= 1")
+        if not 1 <= self.payload_bytes <= TS_MAX:
+            raise ValueError(f"payload_bytes must lie in [1, {TS_MAX}]")
         if not 0 <= self.ssrc < 2**32:
             raise ValueError("ssrc outside 32-bit range")
         if not 0 <= self.payload_type < 128:
@@ -55,8 +57,8 @@ class VideoGenConfig:
     def __post_init__(self) -> None:
         if self.fps < 1 or self.gop < 1:
             raise ValueError("fps and gop must be >= 1")
-        if self.mtu_payload_bytes < 64:
-            raise ValueError("mtu_payload_bytes must be >= 64")
+        if not 64 <= self.mtu_payload_bytes <= TS_MAX:
+            raise ValueError(f"mtu_payload_bytes must lie in [64, {TS_MAX}]")
         if self.i_frame_bytes < self.p_frame_bytes:
             raise ValueError("i_frame_bytes must be >= p_frame_bytes")
         if self.p_frame_bytes < 1:
@@ -114,30 +116,32 @@ class ChannelModel:
             raise ValueError("loss_prob must lie in [0, 1)")
 
 
-@_collector_paused()
+def _sent(cfg, marker: array, send: array, size: array) -> StreamTrace:
+    """A sender's trace: seqs from 0 (wrapping at 2^16), one SSRC and payload
+    type, and no arrivals (so the recv_ts_us column is the send column)."""
+    n = len(send)
+    return StreamTrace._of(array("q", islice(cycle(range(SEQ_MOD)), n)),
+                           array("q", [cfg.ssrc]) * n, array("q", [cfg.payload_type]) * n,
+                           marker, send, send, size, array("q", range(n)))
+
+
 def generate_audio(cfg: AudioGenConfig, duration_us: int) -> StreamTrace:
     """Packets at 0, ptime, 2*ptime, ... < duration; seq wraps at 2^16."""
-    if duration_us < cfg.ptime_us:
-        raise GenerationError("duration_us shorter than one packet interval")
+    if not cfg.ptime_us <= duration_us <= TS_MAX:
+        raise GenerationError(f"duration_us must lie in [ptime_us, {TS_MAX}]")
     count = -(-duration_us // cfg.ptime_us)  # packets with k*ptime < duration
-    packets = tuple(
-        MediaPacket(k % SEQ_MOD, cfg.ssrc, cfg.payload_type, False,
-                    k * cfg.ptime_us, None, cfg.payload_bytes)
-        for k in range(count)
-    )
-    return StreamTrace(packets)
+    send = array("q", range(0, count * cfg.ptime_us, cfg.ptime_us))
+    return _sent(cfg, array("q", [0]) * count, send, array("q", [cfg.payload_bytes]) * count)
 
 
-@_collector_paused()
 def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTrace:
     """Frame k at floor(k*10^6/fps); I-frame when k % gop == 0; frame sizes
     jittered by a seeded uniform factor, then fragmented to the MTU with all
     fragments sharing the frame send time and marker on the last."""
-    if duration_us * cfg.fps < US_PER_S:
-        raise GenerationError("duration_us shorter than one frame interval")
+    if duration_us * cfg.fps < US_PER_S or duration_us > TS_MAX:
+        raise GenerationError(f"duration_us must hold one frame interval and be <= {TS_MAX}")
     rng = random.Random(seed)
-    packets: list[MediaPacket] = []
-    seq = 0
+    marker, send, size = array("q"), array("q"), array("q")
     k = 0
     while True:
         ts = (k * US_PER_S) // cfg.fps
@@ -145,16 +149,15 @@ def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTr
             break
         mean = cfg.i_frame_bytes if k % cfg.gop == 0 else cfg.p_frame_bytes
         u = rng.uniform(-cfg.size_jitter_pct / 100, cfg.size_jitter_pct / 100)
-        size = max(1, round(mean * (1 + u)))
-        remaining = size
+        remaining = max(1, round(mean * (1 + u)))
         while remaining > 0:
             frag = min(cfg.mtu_payload_bytes, remaining)
             remaining -= frag
-            packets.append(MediaPacket(seq % SEQ_MOD, cfg.ssrc, cfg.payload_type,
-                                       remaining == 0, ts, None, frag))
-            seq += 1
+            marker.append(remaining == 0)
+            send.append(ts)
+            size.append(frag)
         k += 1
-    return StreamTrace(tuple(packets))
+    return _sent(cfg, marker, send, size)
 
 
 _SM64_GAMMA = 0x9E3779B97F4A7C15
@@ -186,22 +189,24 @@ def _sample_jitter(model: JitterModel, word: int) -> int:
     raise TypeError(f"unknown jitter model: {model!r}")
 
 
-@_collector_paused()
 def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     """Stamp arrival times and apply loss; deterministic per (trace, seed).
 
     Packet index i draws from splitmix64 seeded with seed XOR i: the first
     word decides loss, the second the jitter sample, so the two are
-    independent.
+    independent. An arrival past TS_MAX raises TraceValidationError, naming
+    the packet by its index in `trace`.
     """
     num, den = ch.loss_prob.numerator, ch.loss_prob.denominator
-    survivors: list[MediaPacket] = []
-    new = tuple.__new__
-    for i, pkt in enumerate(trace.packets):
+    keep = bytearray(len(trace))
+    recv = array("q")
+    for i, send in enumerate(trace.send_ts_us):
         loss_word, jitter_word = _splitmix64_pair((ch.seed ^ i) & _MASK64)
         if loss_word * den < num << 64:
             continue
-        recv = pkt[4] + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
-        survivors.append(new(MediaPacket, pkt[:5] + (recv, pkt[6])))
-    survivors.sort(key=lambda pkt: pkt.recv_ts_us)  # stable: equal times keep input order
-    return StreamTrace(tuple(survivors))
+        keep[i] = 1
+        arrival = send + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
+        if arrival > TS_MAX:
+            raise TraceValidationError([Violation(i, f"recv_ts_us {arrival} > {TS_MAX}")])
+        recv.append(arrival)
+    return trace.select(keep, recv).sorted_by("recv_ts_us")  # by arrival, stably

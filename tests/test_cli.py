@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import rtpshape
 from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitter,
                       LeakyBucketConfig, MediaPacket, NoJitter, ScenarioConfig,
-                      ShapeResult, StreamTrace, TokenBucketConfig, UniformJitter,
+                      ShapeResult, StreamTrace, TokenBucketConfig, TraceFormatError,
+                      TraceValidationError, UniformJitter,
                       VideoGenConfig, cli, compare, format_decimal, leaky_bucket_shape,
                       parse_scenario, read_trace_csv, write_trace_csv)
 from rtpshape.cli import main
@@ -523,6 +524,33 @@ class TestAnalyze:
         assert "pdv_max_us,0" in out
 
 
+# Channel jitter of up to 60 ms on 20 ms packets puts a stage CSV's send
+# times out of order, so a trace with one blank arrival, whose active
+# timestamps are the send times, is also unsorted.
+JITTERY_AUDIO_CONFIG = AUDIO_CONFIG.replace("uniform(0,15000)", "uniform(0,60000)") \
+    .replace("channel.seed = 42", "channel.seed = 3")
+
+
+@pytest.mark.parametrize("command", ["analyze", "shape", "report"])
+def test_blank_arrival_among_unsorted_sends_names_the_file(tmp_path, command):
+    """The blank recv_ts_us is what each reader of the CSV reports, with the
+    file and the packet, not the send-time order it leaves."""
+    cfg = tmp_path / "jitter.cfg"
+    cfg.write_text(JITTERY_AUDIO_CONFIG)
+    run = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(cfg), "--output", str(run)]) == 0
+    target = run / "stage0.input.csv"
+    blank_arrival(target)
+    sends = [int(line.split(",")[4]) for line in target.read_text().splitlines()[1:]]
+    assert sends != sorted(sends)
+    argv = {"analyze": ["--input", target, "--result", f"{run}/stage0."],
+            "shape": ["--config", cfg, "--input", target, "--output", tmp_path / "s-"],
+            "report": ["--config", cfg, "--input", f"{run}/", "--output", tmp_path / "f.svg"]}
+    proc = run_cli(command, *argv[command])
+    assert_usage_error(proc, f"{target}: packet 2 has no arrival timestamp (recv_ts_us)")
+
+
 # Two loss-free 10-packet streams in one file: SSRC 1 with seqs 0-9 and
 # SSRC 2 with seqs 1000-1009. Measured as one stream, loss would read 990.
 TWO_SSRC_CSV = "seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes\n" + "".join(
@@ -881,13 +909,16 @@ def mangled(data: bytes):
 @pytest.mark.parametrize("case", list(CONTRACT_CASES))
 def test_exit_code_contract_on_arbitrary_input(contract_dir, case):
     """Whatever bytes the input holds, main returns 0, 2 or 3, lets no
-    exception escape, and writes nothing when it returns 2. A config that
-    generates a trace (generate, run) is arbitrary bytes only, because a
-    mangled valid one could ask for an unbounded trace."""
+    exception escape, and writes nothing when it returns 2; when the bytes of
+    a trace or occupancy CSV do not read, the message names that file. A
+    config that generates a trace (generate, run) is arbitrary bytes only,
+    because a mangled valid one could ask for an unbounded trace."""
     name, argv = CONTRACT_CASES[case]
     target = contract_dir / name
     original = target.read_bytes()
     command = case.split("-")[0]
+    reader = {"cfg": None, "run/stage0.occupancy.csv": read_occupancy_csv}.get(name,
+                                                                                 read_trace_csv)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.binary(max_size=200) if command in ("generate", "run") else mangled(original))
@@ -897,11 +928,16 @@ def test_exit_code_contract_on_arbitrary_input(contract_dir, case):
             args = [a.format(cfg=contract_dir / "cfg", run=contract_dir / "run", out=out)
                     for a in argv]
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+                    contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main([command, *args])
             assert code in (0, 2, 3)
             if code == 2:
                 assert files_under(Path(out)) == []
+            if reader is not None:
+                try:
+                    reader(data)
+                except (TraceFormatError, TraceValidationError):
+                    assert code == 2 and str(target) in err.getvalue(), err.getvalue()
 
     try:
         check()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from rtpshape.metrics import format_jitter
 from rtpshape.model import SEQ_MOD
 from rtpshape.reporting import jitter_csv
 
-from oracles import (format_decimal_exact, jitter_exact, metrics_report_reference,
+from oracles import (format_decimal_exact, jitter_exact, loss_reference, metrics_report_reference,
                      random_received_trace)
 
 Q64 = 1 << 64
@@ -273,6 +274,19 @@ class TestLoss:
                         for i, s in enumerate(seqs))
         count, rate, dups = loss(StreamTrace(packets))
         assert count == 0 and dups == 1
+
+    def test_memory_follows_packets_not_seq_span(self):
+        # each extended seq moves 32767 ahead, so the span is 32767x the packets
+        n = 20_000
+        trace = trace_from([((k * 32767) % SEQ_MOD, k * 10, k * 10) for k in range(n)])
+        tracemalloc.start()
+        try:
+            result = loss(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == loss_reference(trace)
+        assert peak / n < 256
 
 
 class TestThroughput:

@@ -16,6 +16,13 @@ def pkt(seq=0, ssrc=1, pt=96, marker=False, send=0, recv=None, size=125):
     return MediaPacket(seq, ssrc, pt, marker, send, recv, size)
 
 
+def refusal(*packets):
+    """The violations StreamTrace refuses `packets` with."""
+    with pytest.raises(TraceValidationError) as exc:
+        StreamTrace(packets)
+    return exc.value.violations
+
+
 def test_validate_empty_trace():
     assert validate_trace(StreamTrace(())) == []
 
@@ -51,8 +58,12 @@ def test_validate_size_and_ranges():
     (pkt(seq=10**5000), "seq <int too long to print> outside 16-bit range"),
 ])
 def test_validate_enforces_the_csv_ranges(packet, message):
-    violations = validate_trace(StreamTrace((packet,)))
-    assert [v.message for v in violations] == [message]
+    # outside [-2**63, 2**63 - 1] a value fits no column, so the trace refuses
+    # it, with the message validate_trace gives
+    if any(type(f) is int and abs(f) > TS_MAX for f in packet):
+        assert [v.message for v in refusal(packet)] == [message]
+    else:
+        assert [v.message for v in validate_trace(StreamTrace((packet,)))] == [message]
 
 
 @pytest.mark.parametrize("packet, message", [
@@ -68,13 +79,17 @@ def test_validate_enforces_the_csv_ranges(packet, message):
      "recv_ts_us <Fraction too long to print> is not an int"),
 ])
 def test_validate_checks_field_types(packet, message):
-    violations = validate_trace(StreamTrace((packet,)))
-    assert [v.message for v in violations] == [message]
+    # a field that is not an exact int fits no column (only a marker may be a
+    # bool, a recv None), so the trace refuses it, with validate_trace's message
+    if type(packet.marker) is int:
+        assert [v.message for v in validate_trace(StreamTrace((packet,)))] == [message]
+    else:
+        assert [v.message for v in refusal(packet)] == [message]
 
 
 def test_mistyped_time_is_reported_and_leaves_the_order_unchecked():
-    trace = StreamTrace((pkt(seq=0, send=20), pkt(seq=1, send="10"), pkt(seq=2, send=5)))
-    assert validate_trace(trace) == [(1, "send_ts_us '10' is not an int")]
+    packets = (pkt(seq=0, send=20), pkt(seq=1, send="10"), pkt(seq=2, send=5))
+    assert refusal(*packets) == [(1, "send_ts_us '10' is not an int")]
 
 
 def test_largest_valid_values_round_trip():
@@ -114,6 +129,17 @@ def test_duplicate_after_wrap_is_accepted_and_counted_once_by_loss():
     trace = StreamTrace(packets)
     assert validate_trace(trace) == []
     assert loss(trace) == (0, 0, 1)
+
+
+def test_sorted_by_is_stable_and_keeps_missing_arrivals():
+    rows = [pkt(seq=k, send=send, recv=None if k % 3 else send + 5)
+            for k, send in enumerate([30, 10, 30, 0, 10, 20])]
+    trace = StreamTrace(rows)
+    ordered = trace.sorted_by("send_ts_us")
+    assert ordered.packets == tuple(sorted(rows, key=lambda p: p.send_ts_us))
+    assert list(ordered.missing) == [i for i, p in enumerate(ordered.packets)
+                                     if p.recv_ts_us is None]
+    assert ordered.sorted_by("send_ts_us") is ordered
 
 
 def test_second_ssrc_is_flagged():
@@ -251,14 +277,26 @@ def mutated_traces(draw):
     for _ in range(draw(st.integers(0, 2)) if n else 0):
         packet = draw(st.sampled_from(packets))
         packet[draw(st.integers(0, 6))] = draw(ANY_FIELD)
-    return StreamTrace(tuple(MediaPacket(*p) for p in packets))
+    return tuple(MediaPacket(*p) for p in packets)
+
+
+def fits_a_column(field, value):
+    return type(value) is int and -TS_MAX - 1 <= value <= TS_MAX or \
+        field == 3 and type(value) is bool or field == 5 and value is None
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(trace=mutated_traces())
-def test_whatever_validates_round_trips(trace):
-    # validate_trace reports any field values without raising, and a trace
-    # it accepts reads back equal from what write_trace_csv makes of it
+@given(packets=mutated_traces())
+def test_whatever_validates_round_trips(packets):
+    # a trace refuses exactly the rows with a field no column holds;
+    # validate_trace reports any other field values without raising, and a
+    # trace it accepts reads back equal from what write_trace_csv makes of it
+    unfit = [i for i, p in enumerate(packets)
+             if not all(fits_a_column(f, v) for f, v in enumerate(p))]
+    if unfit:
+        assert sorted({v.index for v in refusal(*packets)}) == unfit
+        return
+    trace = StreamTrace(packets)
     violations = validate_trace(trace)
     assert isinstance(violations, list)
     if not violations:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtpshape import (MediaPacket, StreamTrace, TraceFormatError, leaky_bucket_shape,
-                      read_trace_csv, token_bucket_shape, write_trace_csv)
+from rtpshape import (MediaPacket, StreamTrace, TraceFormatError, TraceValidationError,
+                      leaky_bucket_shape, read_trace_csv, token_bucket_shape, write_trace_csv)
 from rtpshape.model import _CHUNK_ROWS as CHUNK, validate_trace
 from rtpshape.reporting import (Panel, PanelReport, drops_csv, occupancy_csv, panel_report,
                                 panels_csv, read_occupancy_csv, render_svg)
@@ -147,10 +147,14 @@ class TestChunkBoundaries:
         assert b"\n3,9,96,1," in csv and b"\n4,9,96,0," in csv
         assert read_trace_csv(csv) == trace
         packets[3] = packets[3]._replace(marker=2)
+        assert validate_trace(StreamTrace(tuple(packets))) == [
+            (3, "marker 2 is not True, False, 0 or 1")]
+        # a field that is not an int fits no column: the trace refuses it
         packets[CHUNK - 1] = packets[CHUNK - 1]._replace(recv_ts_us=10 * (CHUNK - 1) + 0.5)
         packets[CHUNK] = packets[CHUNK]._replace(recv_ts_us=Fraction(20 * CHUNK + 3, 2))
-        assert validate_trace(StreamTrace(tuple(packets))) == [
-            (3, "marker 2 is not True, False, 0 or 1"),
+        with pytest.raises(TraceValidationError) as exc:
+            StreamTrace(tuple(packets))
+        assert exc.value.violations == [
             (CHUNK - 1, f"recv_ts_us {10 * (CHUNK - 1) + 0.5!r} is not an int"),
             (CHUNK, f"recv_ts_us {Fraction(20 * CHUNK + 3, 2)!r} is not an int"),
         ]

@@ -386,3 +386,11 @@ class TestPipeline:
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline([LeakyBucketConfig()], trace)
         assert exc.value.stage == 0
+
+    def test_unknown_stage_config_is_a_type_error(self):
+        trace = received_trace([0, 10], size=125)
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline([LeakyBucketConfig(), object()], trace)
+        assert exc.value.stage == 1
+        assert isinstance(exc.value.__cause__, TypeError)
+        assert "unknown shaper config" in str(exc.value)
