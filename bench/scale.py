@@ -109,7 +109,9 @@ def layers_at(size: int) -> dict:
     token = run("token", len(leaky.shaped), shaping.token_bucket_shape, leaky.shaped, TOKEN)
     csv = run("write_trace_csv", len(trace), model.write_trace_csv, trace)
     run("read_trace_csv", len(trace), model.read_trace_csv, csv)
-    run("occupancy_csv", len(token.samples.ts_us), reporting.occupancy_csv, token)
+    samples = len(token.samples.ts_us)
+    occupancy = run("occupancy_csv", samples, reporting.occupancy_csv, token)
+    run("read_occupancy_csv", samples, reporting.read_occupancy_csv, occupancy.encode("ascii"))
     panel = run("panel_report", len(leaky.shaped), reporting.panel_report,
                 leaky.shaped, token, TOKEN)
     run("render_svg", len(leaky.shaped), reporting.render_svg, panel)

@@ -42,8 +42,8 @@ def main():
           f"peak queue {peak} bytes")
 
     figure = panel_report(recv, result, bucket)
-    for panel in figure.panels:
-        print(f"  panel: {panel.title} ({len(panel.points)} points)")
+    for panel in figure:
+        print(f"  panel: {panel.title} ({len(panel.ts_us)} points)")
     out = Path("video_figure.svg")
     out.write_text(render_svg(figure))
     print(f"wrote {out}")

@@ -5,7 +5,7 @@ from .model import (MediaPacket, StreamTrace, TraceFormatError, TraceValidationE
                     write_trace_csv)
 from .pcap import (PcapError, PcapFormatError, PcapLinkTypeError,
                    PcapTruncatedError, import_pcap)
-from .shaping import (LeakyBucketConfig, OccupancySample, PipelineStageError,
+from .shaping import (LeakyBucketConfig, Occupancy, OccupancySample, PipelineStageError,
                       ShapeResult, ShaperConfig, ShapingPreconditionError,
                       TokenBucketConfig, leaky_bucket_shape, run_pipeline,
                       token_bucket_shape)
@@ -16,7 +16,7 @@ from .metrics import (ComparisonReport, InconsistentInputError,
                       InsufficientDataError, MetricPreconditionError,
                       MetricsReport, compare, format_decimal, interarrival_jitter,
                       loss, metrics_report, pdv, throughput)
-from .reporting import Panel, PanelReport, panel_report, render_svg
+from .reporting import Panel, panel_report, render_svg
 from .scenario import ConfigError, ScenarioConfig, parse_scenario
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "validate_trace", "write_trace_csv",
     "PcapError", "PcapFormatError", "PcapLinkTypeError", "PcapTruncatedError",
     "import_pcap",
-    "LeakyBucketConfig", "OccupancySample", "PipelineStageError", "ShapeResult",
+    "LeakyBucketConfig", "Occupancy", "OccupancySample", "PipelineStageError", "ShapeResult",
     "ShaperConfig", "ShapingPreconditionError", "TokenBucketConfig",
     "leaky_bucket_shape", "run_pipeline", "token_bucket_shape",
     "AudioGenConfig", "ChannelModel", "ExponentialJitter", "GenerationError",
@@ -36,6 +36,6 @@ __all__ = [
     "ComparisonReport", "InconsistentInputError", "InsufficientDataError",
     "MetricPreconditionError", "MetricsReport", "compare", "format_decimal",
     "interarrival_jitter", "loss", "metrics_report", "pdv", "throughput",
-    "Panel", "PanelReport", "panel_report", "render_svg",
+    "Panel", "panel_report", "render_svg",
     "ConfigError", "ScenarioConfig", "parse_scenario",
 ]

@@ -114,9 +114,9 @@ def _stage_files(trace: StreamTrace, trace_csv: bytes, results: Sequence[ShapeRe
         trace, trace_csv = result.shaped, shaped_csv
 
 
-def _figure_files(svg: str, panel: reporting.PanelReport) -> Files:
-    yield svg, reporting.render_svg(panel)
-    yield str(Path(svg).with_suffix(".panels.csv")), reporting.panels_csv(panel)
+def _figure_files(svg: str, panels: Sequence[reporting.Panel]) -> Files:
+    yield svg, reporting.render_svg(panels)
+    yield str(Path(svg).with_suffix(".panels.csv")), reporting.panels_csv(panels)
 
 
 def _metrics_files(sides: tuple[str, str], measured) -> Files:
@@ -176,11 +176,11 @@ def cmd_report(args) -> int:
     names = _stage_names(args.input, args.stage)
     incoming = _read(names.input, _parse_arrived)
     shaped = _read(names.shaped, _parse_arrived)
-    occupancy = _read(names.occupancy, reporting.read_occupancy_csv)
-    panel = reporting.panel_report(incoming, ShapeResult(shaped, (), occupancy),
-                                   scenario.pipeline[args.stage])
-    _write_files("", _figure_files(args.output, panel))
-    print(f"panels={len(panel.panels)}")
+    samples = _read(names.occupancy, reporting.read_occupancy_csv)
+    panels = reporting.panel_report(incoming, ShapeResult(shaped, StreamTrace(()), (), samples),
+                                    scenario.pipeline[args.stage])
+    _write_files("", _figure_files(args.output, panels))
+    print(f"panels={len(panels)}")
     return EXIT_OK
 
 

@@ -55,19 +55,14 @@ class Violation(NamedTuple):
 
 
 class _Record:
-    """Slots set once, from rows by the constructor or from columns by _of; equal
+    """A record built from its columns, one value per slot in slot order; equal
     when every slot is."""
 
     __slots__ = ()
 
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *columns):
+        for name, value in zip(self.__slots__, columns, strict=True):
             setattr(self, name, value)
-        return self
-
-    @classmethod
-    def _of(cls, *values):
-        return object.__new__(cls)._fill(*values)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and \
@@ -88,7 +83,8 @@ class StreamTrace(_Record):
 
     Each MediaPacket field is an array('q') column of that name, the marker
     as 0 or 1. `missing` lists the packets without an arrival (ascending),
-    whose recv_ts_us column holds their send_ts_us. `packets` builds the rows.
+    whose recv_ts_us column holds their send_ts_us. Rows are its public input
+    form, and `packets` is its row view.
     """
 
     __slots__ = (*MediaPacket._fields, "missing")
@@ -105,12 +101,19 @@ class StreamTrace(_Record):
         try:
             if not all(set(map(type, c)) <= t for c, t in zip(cols, _TYPES)):
                 raise TypeError
-            self._fill(*(array("q", c) for c in cols), array("q", missing))
+            super().__init__(*(array("q", c) for c in cols), array("q", missing))
         except (TypeError, OverflowError):
             raise TraceValidationError([
                 Violation(i, message) for i, row in enumerate(rows)
                 for field, message in _field_problems(row, None)
                 if not _fits(field, row[field])]) from None
+
+    @classmethod
+    def _of(cls, *columns: array) -> StreamTrace:
+        """A trace from its seven columns and `missing`, taken as they are."""
+        trace = object.__new__(cls)
+        _Record.__init__(trace, *columns)
+        return trace
 
     def __len__(self) -> int:
         return len(self.seq)

@@ -9,67 +9,48 @@ formatting, LF newlines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from array import array
+from typing import Iterator, Sequence
 
 from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
 from .model import (_CHUNK_ROWS, TS_MAX, StreamTrace, _format_columns, _Record, csv_rows,
                     parse_int)
-from .shaping import (LeakyBucketConfig, OccupancySample, ShapeResult, ShaperConfig,
-                      TokenBucketConfig)
+from .shaping import LeakyBucketConfig, Occupancy, ShapeResult, ShaperConfig, TokenBucketConfig
 
 OCCUPANCY_HEADER = "ts_us,queued_packets,queued_bytes,tokens"
+_OCCUPANCY_MAX = (TS_MAX, TS_MAX, math.inf, math.inf)  # each column's upper bound
 DROPS_HEADER = "seq,ssrc,ts_us,reason"
 
 
 class Panel(_Record):
-    """One panel of a figure: its points as two columns, ts_us and values.
-    `points` builds the (ts_us, value) pairs on each access."""
+    """One panel of a figure, built from its columns: Panel(title, kind, unit,
+    ts_us, values), where kind is "scatter" or "step" and point k is
+    (ts_us[k], values[k]). A figure is a tuple of panels."""
 
     __slots__ = ("title", "kind", "unit", "ts_us", "values")
 
-    def __init__(self, title: str, kind: Literal["scatter", "step"], unit: str,
-                 points: Sequence[tuple[int, int]]):
-        """From (ts_us, value) pairs."""
-        self._fill(title, kind, unit, *(tuple(zip(*points)) or ((), ())))
-
-    @property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.ts_us, self.values))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Panel and (self.title, self.kind, self.unit, self.points) == \
-            (other.title, other.kind, other.unit, other.points)
-
-
-@dataclass(frozen=True)
-class PanelReport:
-    panels: tuple[Panel, ...]
-
 
 def panel_report(incoming: StreamTrace, result: ShapeResult,
-                 cfg: ShaperConfig) -> PanelReport:
+                 cfg: ShaperConfig) -> tuple[Panel, ...]:
     """Figure layout for one shaping stage: dots for packets, step lines for
     occupancy, matching the three/four-diagram structure of the shapers. Each
     panel's columns are the trace's or the samples' own."""
-    occupancy = result.samples
+    shaped, occupancy = result.shaped, result.samples
     panels = [
-        Panel._of("incoming traffic", "scatter", "bytes", incoming.recv_ts_us,
-                  incoming.size_bytes),
-        Panel._of("shaped traffic", "scatter", "bytes", result.shaped.recv_ts_us,
-                  result.shaped.size_bytes),
+        Panel("incoming traffic", "scatter", "bytes", incoming.recv_ts_us, incoming.size_bytes),
+        Panel("shaped traffic", "scatter", "bytes", shaped.recv_ts_us, shaped.size_bytes),
     ]
     if isinstance(cfg, LeakyBucketConfig):
-        panels.append(Panel._of("bucket content (packets)", "step", "packets",
-                                occupancy.ts_us, occupancy.queued_packets))
+        panels.append(Panel("bucket content (packets)", "step", "packets",
+                            occupancy.ts_us, occupancy.queued_packets))
     elif isinstance(cfg, TokenBucketConfig):
-        panels.append(Panel._of("packet queue (bytes)", "step", "bytes",
-                                occupancy.ts_us, occupancy.queued_bytes))
-        panels.append(Panel._of("tokens available", "step", "tokens",
-                                occupancy.ts_us, occupancy.tokens))
+        panels.append(Panel("packet queue (bytes)", "step", "bytes",
+                            occupancy.ts_us, occupancy.queued_bytes))
+        panels.append(Panel("tokens available", "step", "tokens",
+                            occupancy.ts_us, occupancy.tokens))
     else:
         raise TypeError(f"unknown shaper config: {cfg!r}")
-    return PanelReport(panels=tuple(panels))
+    return tuple(panels)
 
 
 def occupancy_csv(result: ShapeResult) -> str:
@@ -77,16 +58,15 @@ def occupancy_csv(result: ShapeResult) -> str:
                     *_format_columns("%s,%s,%s,%s\n", *result.samples)])
 
 
-def read_occupancy_csv(data: bytes) -> tuple[OccupancySample, ...]:
-    """Parse a stage's occupancy CSV (as written by occupancy_csv). The byte
-    and token counts have no upper bound: a config's bucket capacity and
-    packet sizes have none."""
-    return tuple([
-        OccupancySample(parse_int(f[0], 0, TS_MAX, row, "ts_us"),
-                        parse_int(f[1], 0, TS_MAX, row, "queued_packets"),
-                        parse_int(f[2], 0, math.inf, row, "queued_bytes"),
-                        parse_int(f[3], 0, math.inf, row, "tokens"))
-        for row, f in csv_rows(data, OCCUPANCY_HEADER, 4)])
+def read_occupancy_csv(data: bytes) -> Occupancy:
+    """The Occupancy columns of a stage's occupancy CSV (as written by
+    occupancy_csv). The byte and token counts have no upper bound: a config's
+    bucket capacity and packet sizes have none."""
+    samples = Occupancy(array("q"), array("q"), [], [])
+    for row, fields in csv_rows(data, OCCUPANCY_HEADER, 4):
+        for column, name, text, hi in zip(samples, samples._fields, fields, _OCCUPANCY_MAX):
+            column.append(parse_int(text, 0, hi, row, name))
+    return samples
 
 
 def drops_csv(result: ShapeResult) -> str:
@@ -95,9 +75,9 @@ def drops_csv(result: ShapeResult) -> str:
         "%s,%s,%s,%s\n", drops.seq, drops.ssrc, drops.recv_ts_us, result.reasons)])
 
 
-def panels_csv(report: PanelReport) -> str:
+def panels_csv(panels: Sequence[Panel]) -> str:
     chunks = ["panel,kind,ts_us,value\n"]
-    for panel in report.panels:
+    for panel in panels:
         head = f"{panel.title},{panel.kind},".replace("%", "%%")
         chunks += _format_columns(head + "%s,%s\n", panel.ts_us, panel.values)
     return "".join(chunks)
@@ -201,7 +181,7 @@ def _step_chunks(ts, vs, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
         yield (" %s,%s %s,%s" * m) % tuple(args)
 
 
-def render_svg(report: PanelReport) -> str:
+def render_svg(panels: Sequence[Panel]) -> str:
     """Standalone SVG: one vertically stacked <g class="panel"> per panel,
     <circle> dots for scatter panels, a step <polyline> for occupancy.
 
@@ -214,12 +194,12 @@ def render_svg(report: PanelReport) -> str:
     """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    total_h = PANEL_HEIGHT * len(report.panels)
+    total_h = PANEL_HEIGHT * len(panels)
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n'
            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
            f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">\n'
            '<rect width="100%" height="100%" fill="white"/>\n']
-    for idx, panel in enumerate(report.panels):
+    for idx, panel in enumerate(panels):
         top = idx * PANEL_HEIGHT
         out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">\n'
                    f'<text x="0" y="-10" font-size="12" font-family="sans-serif">'

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import inf
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import TS_MAX, MediaPacket, StreamTrace, _Record
 
@@ -98,20 +98,12 @@ class Occupancy(NamedTuple):
 
 
 class ShapeResult(_Record):
-    """One stage's outcome: the `shaped` trace, the dropped packets as a trace
-    (`drops`, with their arrivals) with their `reasons`, and the occupancy
-    `samples`. `dropped` and `occupancy` build the rows on each access (O(n)
-    every time)."""
+    """One stage's outcome, from its columns: the `shaped` trace, the dropped
+    packets as a trace (`drops`, with their arrivals) with their `reasons`,
+    and the Occupancy `samples`. The views `dropped` and `occupancy` build
+    the rows on each access (O(n) every time)."""
 
     __slots__ = ("shaped", "drops", "reasons", "samples")
-
-    def __init__(self, shaped: StreamTrace, dropped: Sequence[tuple[MediaPacket, str]],
-                 occupancy: Sequence[OccupancySample]):
-        """From rows: (packet, reason) pairs and occupancy samples."""
-        ts, queued, queued_bytes, tokens = zip(*occupancy) if occupancy else [()] * 4
-        self._fill(shaped, StreamTrace(p for p, _ in dropped), tuple(r for _, r in dropped),
-                   Occupancy(array("q", ts), array("q", queued), list(queued_bytes),
-                             list(tokens)))
 
     @property
     def dropped(self) -> tuple[tuple[MediaPacket, str], ...]:
@@ -269,8 +261,8 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     if queue:  # the head's departure `dep` is past the last arrival, TS_MAX
         raise ShapingPreconditionError(f"departure {dep} > {TS_MAX}")
     kept = dropped.translate(_FLIP)
-    return ShapeResult._of(trace.select(kept, array("q", compress(departures, kept))),
-                           trace.select(dropped), tuple(reasons), samples)
+    return ShapeResult(trace.select(kept, array("q", compress(departures, kept))),
+                       trace.select(dropped), tuple(reasons), samples)
 
 
 def leaky_bucket_shape(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResult:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import cycle, islice
 from typing import Union
 
-from .model import SEQ_MOD, TS_MAX, StreamTrace, TraceValidationError, Violation
+from .model import SEQ_MOD, TS_MAX, StreamTrace, TraceValidationError, Violation, _show
 
 US_PER_S = 10**6
 
@@ -59,10 +59,8 @@ class VideoGenConfig:
             raise ValueError("fps and gop must be >= 1")
         if not 64 <= self.mtu_payload_bytes <= TS_MAX:
             raise ValueError(f"mtu_payload_bytes must lie in [64, {TS_MAX}]")
-        if self.i_frame_bytes < self.p_frame_bytes:
-            raise ValueError("i_frame_bytes must be >= p_frame_bytes")
-        if self.p_frame_bytes < 1:
-            raise ValueError("p_frame_bytes must be >= 1")
+        if not 1 <= self.p_frame_bytes <= self.i_frame_bytes <= TS_MAX:
+            raise ValueError(f"need 1 <= p_frame_bytes <= i_frame_bytes <= {TS_MAX}")
         if not 0 <= self.size_jitter_pct <= 100:
             raise ValueError("size_jitter_pct must lie in [0, 100]")
         if not 0 <= self.ssrc < 2**32:
@@ -185,7 +183,11 @@ def _sample_jitter(model: JitterModel, word: int) -> int:
         return model.lo_us + word % (model.hi_us - model.lo_us + 1)
     if isinstance(model, ExponentialJitter):
         u = (word >> 11) * 2.0**-53  # 53-bit uniform in [0, 1)
-        return max(0, round(-model.mean_us * math.log1p(-u)))
+        log = math.log1p(-u)
+        try:
+            return max(0, round(-model.mean_us * log))
+        except OverflowError:  # a mean or a draw past float range, taken exactly
+            return max(0, round(-model.mean_us * Fraction(log)))
     raise TypeError(f"unknown jitter model: {model!r}")
 
 
@@ -207,6 +209,6 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
         keep[i] = 1
         arrival = send + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
         if arrival > TS_MAX:
-            raise TraceValidationError([Violation(i, f"recv_ts_us {arrival} > {TS_MAX}")])
+            raise TraceValidationError([Violation(i, f"recv_ts_us {_show(arrival)} > {TS_MAX}")])
         recv.append(arrival)
     return trace.select(keep, recv).sorted_by("recv_ts_us")  # by arrival, stably

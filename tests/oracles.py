@@ -3,20 +3,25 @@ random-input helpers.
 
 The shaper oracles advance wall time one microsecond at a time and apply the
 event rules literally; they share no code with the production shapers. The
-`*_shape_reference` functions are the shapers as two separate loops; the
-library's one loop must give the same ShapeResult or raise the same error.
+`*_shape_reference` functions are the shapers as two separate loops, which
+return rows: (shaped trace, (packet, reason) drops, occupancy samples). The
+library's one loop must give the same, as `(r.shaped, r.dropped,
+r.occupancy)`, or raise the same error.
 The burst helpers give the network-calculus delay bound a token bucket must meet
 (Le Boudec & Thiran, *Network Calculus*, LNCS 2050, 2001, ch. 1). The
 jitter and decimal references compute in exact rationals what the library
 computes in Q64 fixed point and integer rounding. The `*_reference`
 renderers are the straightforward per-point versions of the figure and CSV
-writers; the library's must produce the same bytes. `import_pcap_reference`
+writers; the library's must produce the same bytes. They read a panel's
+points as `zip(p.ts_us, p.values)`, and `panel_report_reference` gives
+each panel as (title, kind, unit, points). `import_pcap_reference`
 is the pcap importer as it was written before it read fields in place: it
 slices out each layer, parses RTP in its own function and sorts each stream
 by (time, capture order). Its one edit is the skip of later IPv4 fragments.
 `metrics_report_reference` is the per-trace report as it was written before
 it read each packet field once: every metric walks the packets on its own,
-through attribute access; its helpers carry a `_reference` suffix.
+through attribute access, over rows built once per report; its helpers
+carry a `_reference` suffix.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from rtpshape.model import _SEQ_HALF, CSV_HEADER, SEQ_MOD
 from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGIC_SWAPPED,
                            PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
 from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
-                              ShapeResult, ShapingPreconditionError)
+                              ShapingPreconditionError)
 from rtpshape.reporting import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
-                                PANEL_HEIGHT, PANEL_WIDTH, Panel, PanelReport)
+                                PANEL_HEIGHT, PANEL_WIDTH)
 
 US_PER_S = 10**6
 
@@ -129,7 +134,7 @@ def _arrivals_reference(trace: StreamTrace) -> list[int]:
     return ts
 
 
-def leaky_bucket_shape_reference(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResult:
+def leaky_bucket_shape_reference(trace: StreamTrace, cfg: LeakyBucketConfig) -> tuple:
     """Shape a trace through a fixed-drain leaky bucket.
 
     A packet arriving to an empty queue with an idle drain clock departs
@@ -190,11 +195,7 @@ def leaky_bucket_shape_reference(trace: StreamTrace, cfg: LeakyBucketConfig) -> 
         occ_append(new(sample, (next_tick, len(queue), queued_bytes, 0)))
         next_tick += drain
 
-    return ShapeResult(
-        shaped=StreamTrace(tuple(shaped)),
-        dropped=tuple(dropped),
-        occupancy=tuple(occupancy),
-    )
+    return StreamTrace(tuple(shaped)), tuple(dropped), tuple(occupancy)
 
 
 class _TokenStateReference:
@@ -232,7 +233,7 @@ class _TokenStateReference:
         return self.t + -(-deficit // self.num)  # ceiling division
 
 
-def token_bucket_shape_reference(trace: StreamTrace, cfg: TokenBucketConfig) -> ShapeResult:
+def token_bucket_shape_reference(trace: StreamTrace, cfg: TokenBucketConfig) -> tuple:
     """Shape a trace through a byte-based token bucket.
 
     Tokens accrue continuously at the configured rational rate (exact
@@ -285,11 +286,7 @@ def token_bucket_shape_reference(trace: StreamTrace, cfg: TokenBucketConfig) -> 
 
     depart_until(None)
 
-    return ShapeResult(
-        shaped=StreamTrace(tuple(shaped)),
-        dropped=tuple(dropped),
-        occupancy=tuple(occupancy),
-    )
+    return StreamTrace(tuple(shaped)), tuple(dropped), tuple(occupancy)
 
 
 def burst_scaled(trace, rate: Fraction) -> int:
@@ -406,24 +403,25 @@ def _packet_points_reference(trace: StreamTrace) -> tuple[tuple[int, int], ...]:
     return tuple((p.recv_ts_us, p.size_bytes) for p in trace.packets)
 
 
-def panel_report_reference(incoming, result, cfg) -> PanelReport:
+def panel_report_reference(incoming, result, cfg) -> tuple:
     """Figure layout for one shaping stage: dots for packets, step lines for
-    occupancy, matching the three/four-diagram structure of the shapers."""
+    occupancy, matching the three/four-diagram structure of the shapers.
+    Each panel is (title, kind, unit, points)."""
     panels = [
-        Panel("incoming traffic", "scatter", "bytes", _packet_points_reference(incoming)),
-        Panel("shaped traffic", "scatter", "bytes", _packet_points_reference(result.shaped)),
+        ("incoming traffic", "scatter", "bytes", _packet_points_reference(incoming)),
+        ("shaped traffic", "scatter", "bytes", _packet_points_reference(result.shaped)),
     ]
     if isinstance(cfg, LeakyBucketConfig):
-        panels.append(Panel("bucket content (packets)", "step", "packets",
-                            tuple((s.ts_us, s.queued_packets) for s in result.occupancy)))
+        panels.append(("bucket content (packets)", "step", "packets",
+                       tuple((s.ts_us, s.queued_packets) for s in result.occupancy)))
     elif isinstance(cfg, TokenBucketConfig):
-        panels.append(Panel("packet queue (bytes)", "step", "bytes",
-                            tuple((s.ts_us, s.queued_bytes) for s in result.occupancy)))
-        panels.append(Panel("tokens available", "step", "tokens",
-                            tuple((s.ts_us, s.tokens) for s in result.occupancy)))
+        panels.append(("packet queue (bytes)", "step", "bytes",
+                       tuple((s.ts_us, s.queued_bytes) for s in result.occupancy)))
+        panels.append(("tokens available", "step", "tokens",
+                       tuple((s.ts_us, s.tokens) for s in result.occupancy)))
     else:
         raise TypeError(f"unknown shaper config: {cfg!r}")
-    return PanelReport(panels=tuple(panels))
+    return tuple(panels)
 
 
 def occupancy_csv_reference(result) -> str:
@@ -439,11 +437,11 @@ def drops_csv_reference(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def panels_csv_reference(report: PanelReport) -> str:
+def panels_csv_reference(panels) -> str:
     lines = ["panel,kind,ts_us,value"]
-    for panel in report.panels:
+    for panel in panels:
         head = f"{panel.title},{panel.kind},"
-        lines += [f"{head}{ts},{v}" for ts, v in panel.points]
+        lines += [f"{head}{ts},{v}" for ts, v in zip(panel.ts_us, panel.values)]
     return "\n".join(lines) + "\n"
 
 
@@ -463,19 +461,20 @@ def _scale_reference(points, width, height):
     return to_xy, (t_lo, t_hi, v_lo, v_hi)
 
 
-def render_svg_reference(report: PanelReport) -> str:
+def render_svg_reference(panels) -> str:
     """Standalone SVG: one vertically stacked <g class="panel"> per panel,
     <circle> dots for scatter panels, a step <polyline> for occupancy."""
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    total_h = PANEL_HEIGHT * len(report.panels)
+    total_h = PANEL_HEIGHT * len(panels)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
         f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for idx, panel in enumerate(report.panels):
+    for idx, panel in enumerate(panels):
+        points = tuple(zip(panel.ts_us, panel.values))
         top = idx * PANEL_HEIGHT
         out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">')
         out.append(f'<text x="0" y="-10" font-size="12" font-family="sans-serif">'
@@ -488,8 +487,8 @@ def render_svg_reference(report: PanelReport) -> str:
                    f'font-family="sans-serif" text-anchor="middle">time (us)</text>')
         out.append(f'<text x="-8" y="{inner_h // 2}" font-size="10" '
                    f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>')
-        if panel.points:
-            to_xy, (t_lo, t_hi, v_lo, v_hi) = _scale_reference(panel.points, inner_w, inner_h)
+        if points:
+            to_xy, (t_lo, t_hi, v_lo, v_hi) = _scale_reference(points, inner_w, inner_h)
             out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
                        f'font-family="sans-serif">{t_lo}</text>')
             out.append(f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
@@ -497,13 +496,13 @@ def render_svg_reference(report: PanelReport) -> str:
             out.append(f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
                        f'text-anchor="end">{v_hi}</text>')
             if panel.kind == "scatter":
-                for t, v in panel.points:
+                for t, v in points:
                     x, y = to_xy(t, v)
                     out.append(f'<circle cx="{x}" cy="{y}" r="1.5" fill="steelblue"/>')
             else:
                 coords = []
                 prev_v = None
-                for t, v in panel.points:
+                for t, v in points:
                     if prev_v is not None:
                         x, y = to_xy(t, prev_v)
                         coords.append(f"{x},{y}")
@@ -714,7 +713,17 @@ def throughput_reference(trace: StreamTrace, window_us: int) -> tuple[tuple[int,
     return tuple((k * window_us, buckets[k]) for k in sorted(buckets))
 
 
+class _RowsOnce:
+    """A trace's rows, built once: every reference metric reads `packets`
+    again, and a StreamTrace builds its rows on each access."""
+
+    def __init__(self, trace: StreamTrace):
+        self.packets = trace.packets
+        self.active_timestamps = trace.active_timestamps
+
+
 def metrics_report_reference(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
+    trace = _RowsOnce(trace)
     if not trace.packets:
         raise InsufficientDataError("metrics need at least 1 packet")
     try:

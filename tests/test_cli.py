@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 import tempfile
+from array import array
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rtpshape
@@ -23,6 +24,7 @@ from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitt
 from rtpshape.cli import main
 from rtpshape.model import CSV_HEADER
 from rtpshape.reporting import comparison_csv, read_occupancy_csv
+from rtpshape.shaping import Occupancy
 
 from test_acceptance import AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG
 from test_pinned import README_SCENARIO
@@ -334,6 +336,25 @@ class TestGenerate:
         assert_usage_error(proc, "recv_ts_us")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    @pytest.mark.parametrize("config, message", [
+        (AUDIO_CONFIG.replace("uniform(0,15000)", f"exponential({10**400})"), "recv_ts_us"),
+        # the largest mean a config holds, and a draw that makes it longer
+        (AUDIO_CONFIG.replace("uniform(0,15000)", f"exponential({'9' * 4300})")
+         .replace("channel.seed = 42", "channel.seed = 3"), "recv_ts_us <int too long to print>"),
+        (VIDEO_CONFIG + f"generator.i_frame_bytes = {10**400}\n", "i_frame_bytes"),
+        (VIDEO_CONFIG + f"generator.i_frame_bytes = {10**400}\n"
+         f"generator.p_frame_bytes = {10**400}\n", "p_frame_bytes"),
+    ], ids=["exponential-mean", "exponential-mean-4300-digits", "i-frame", "both-frames"])
+    def test_numbers_past_float_range_exit_2(self, tmp_path, command, config, message):
+        # numbers past float range, which a float conversion refuses with OverflowError
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        proc = run_cli(command, "--config", cfg, "--output", out)
+        assert_usage_error(proc, message)
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, audio_cfg, capsys):
         # the config file itself is not a directory
         assert main(["generate", "--config", audio_cfg,
@@ -486,9 +507,9 @@ class TestAnalyze:
             MediaPacket(k, 1, 0, False, 20_000 * k, 20_000 * k + 5, 160)
             for k in range(40_000)))
         packets = before.packets
-        expected = ShapeResult(
-            shaped=StreamTrace(packets[:35_000] + packets[35_001:]),
-            dropped=((packets[35_000], "bucket full"),), occupancy=())
+        expected = ShapeResult(StreamTrace(packets[:35_000] + packets[35_001:]),
+                               StreamTrace(packets[35_000:35_001]), ("bucket full",),
+                               Occupancy(array("q"), array("q"), [], []))
         prefix = str(tmp_path / "s-")
         cli._write_files(prefix, cli._stage_files(before, write_trace_csv(before), [expected]))
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -811,6 +832,41 @@ pipeline.0.capacity_tokens = 1000
 QUEUE_LIMIT_RUN_CONFIG = TWO_STAGE_RUN_CONFIG + "pipeline.1.queue_limit_bytes = 500\n"
 
 
+def assert_reads_back(cfg: Path, run: Path, stages: int, work: Path) -> None:
+    """What `run` wrote to `run` from `cfg` reads back, byte for byte:
+    `report --stage k` gives each stage's figure and its .panels.csv, `shape`
+    on input.csv gives every stage CSV, `analyze --result` compares each
+    stage, and `analyze` on input.csv (against the last stage, if any) gives
+    `run`'s metrics CSVs. Scratch files go under `work`."""
+    for k in range(stages):
+        base = f"stage{k}."
+        svg = work / "report" / f"{base}svg"
+        assert main(["report", "--config", str(cfg), "--input", f"{run}/",
+                     "--stage", str(k), "--output", str(svg)]) == 0
+        assert svg.read_bytes() == (run / (base + "figure.svg")).read_bytes()
+        assert svg.with_suffix(".panels.csv").read_bytes() == \
+            (run / (base + "figure.panels.csv")).read_bytes()
+        assert main(["analyze", "--input", str(run / (base + "input.csv")),
+                     "--result", f"{run}/{base}"]) == 0
+    shaped = str(work / "shape" / "s-")
+    if stages:
+        assert main(["shape", "--config", str(cfg), "--input", str(run / "input.csv"),
+                     "--output", shaped]) == 0
+    for name in (f"stage{k}.{kind}.csv" for k in range(stages)
+                 for kind in ("input", "shaped", "drops", "occupancy")):
+        assert Path(shaped + name).read_bytes() == (run / name).read_bytes(), name
+    prefix = str(work / "analyze" / "m-")
+    result = ["--result", f"{run}/stage{stages - 1}."] if stages else []
+    assert main(["analyze", "--config", str(cfg), "--input", str(run / "input.csv"),
+                 *result, "--output", prefix]) == 0
+    sides = (("before.", "input"), ("after.", "output")) if stages else (("", "input"),)
+    files = [("comparison.csv", "comparison.csv")] if stages else []
+    files += [(f"{side}{kind}.csv", f"metrics.{run_side}.{kind}.csv") for side, run_side in sides
+              for kind in ("summary", "jitter", "pdv", "throughput")]
+    for mine, theirs in files:
+        assert Path(prefix + mine).read_bytes() == (run / theirs).read_bytes(), mine
+
+
 @pytest.mark.parametrize("config", [AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG, TWO_STAGE_RUN_CONFIG,
                                     HUGE_BUCKET_RUN_CONFIG, TIED_DEPARTURES_RUN_CONFIG,
                                     QUEUE_LIMIT_RUN_CONFIG],
@@ -818,9 +874,8 @@ QUEUE_LIMIT_RUN_CONFIG = TWO_STAGE_RUN_CONFIG + "pipeline.1.queue_limit_bytes = 
                               "leaky-token-queue-limit"])
 def test_run_and_report_agree(tmp_path, config):
     """`run` draws each stage's figure from memory; `report` draws it from
-    the stage CSVs that `run` wrote. Both must give the same bytes, every
-    stage CSV must read back, and `analyze --result` must compare each stage.
-    Comparing input.csv with the last stage, it must give `run`'s metrics."""
+    the stage CSVs that `run` wrote. Every stage CSV must read back, and
+    everything else `run` wrote must read back as assert_reads_back says."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "run"
@@ -832,22 +887,39 @@ def test_run_and_report_agree(tmp_path, config):
         for name in ("input.csv", "shaped.csv"):
             read_trace_csv((out / (base + name)).read_bytes())
         read_occupancy_csv((out / (base + "occupancy.csv")).read_bytes())
-        svg = tmp_path / "report" / f"{base}svg"
-        assert main(["report", "--config", str(cfg), "--input", str(out) + "/",
-                     "--stage", str(k), "--output", str(svg)]) == 0
-        assert svg.read_bytes() == (out / (base + "figure.svg")).read_bytes()
-        assert svg.with_suffix(".panels.csv").read_bytes() == \
-            (out / (base + "figure.panels.csv")).read_bytes()
-        assert main(["analyze", "--input", str(out / (base + "input.csv")),
-                     "--result", f"{out}/{base}"]) == 0
-    prefix = str(tmp_path / "analyze" / "m-")
-    assert main(["analyze", "--config", str(cfg), "--input", str(out / "input.csv"),
-                 "--result", f"{out}/stage{stages - 1}.", "--output", prefix]) == 0
-    assert Path(prefix + "comparison.csv").read_bytes() == (out / "comparison.csv").read_bytes()
-    for kind in ("summary", "jitter", "pdv", "throughput"):
-        for side, run_side in (("before", "input"), ("after", "output")):
-            assert Path(f"{prefix}{side}.{kind}.csv").read_bytes() == \
-                (out / f"metrics.{run_side}.{kind}.csv").read_bytes(), (side, kind)
+    assert_reads_back(cfg, out, stages, tmp_path)
+
+
+def bounded(scenario: ScenarioConfig) -> ScenarioConfig:
+    """The scenario cut to 2 s or less (most draws near 2 s), for video to at
+    most 30 fps and 41 fragments a frame, and given an all-default channel if
+    it has pipeline stages and no channel: a few thousand packets at most."""
+    gen = scenario.generator
+    if isinstance(gen, VideoGenConfig):
+        gen = replace(gen, fps=gen.fps % 30 + 1,
+                      mtu_payload_bytes=max(gen.mtu_payload_bytes, gen.i_frame_bytes // 20))
+    channel = scenario.channel or (ChannelModel() if scenario.pipeline else None)
+    return replace(scenario, generator=gen, channel=channel,
+                   duration_us=2_000_000 - scenario.duration_us % 2_000_000)
+
+
+# channel jitter of up to 3 packet intervals (audio) and 2.5 frame intervals (video)
+@example(scenario=parse_scenario(JITTERY_AUDIO_CONFIG))
+@example(scenario=parse_scenario(VIDEO_CONFIG.replace("uniform(0,15000)", "uniform(0,100000)")))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(scenario=SCENARIOS.map(bounded))
+def test_whatever_run_writes_reads_back(scenario):
+    """`run` on any bounded scenario exits 0 or 2, and on 0 what it wrote
+    reads back (assert_reads_back)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cfg = work / "cfg"
+        cfg.write_text(config_text(scenario, omit_defaults=True))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", str(cfg), "--output", str(work / "run")])
+        assert code in (0, 2)
+        if code == 0:
+            assert_reads_back(cfg, work / "run", len(scenario.pipeline), work)
 
 
 CONTRACT_CASES = {
