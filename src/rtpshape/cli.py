@@ -57,7 +57,8 @@ def _load_scenario(path: str) -> ScenarioConfig:
 
 
 def _read(path: str, parse=read_trace_csv):
-    """The file at `path` as `parse` reads it; an error in its bytes names the file."""
+    """The trace CSV at `path` as `parse` reads it, the one artifact a command
+    reads; an error in its bytes names the file."""
     data = Path(path).read_bytes()
     try:
         return parse(data)
@@ -171,14 +172,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_report(args) -> int:
     scenario = _load_scenario(args.config)
-    if not 0 <= args.stage < len(scenario.pipeline):
-        raise ConfigError(f"config has no pipeline stage {args.stage}")
-    names = _stage_names(args.input, args.stage)
-    incoming = _read(names.input, _parse_arrived)
-    shaped = _read(names.shaped, _parse_arrived)
-    samples = _read(names.occupancy, reporting.read_occupancy_csv)
-    panels = reporting.panel_report(incoming, ShapeResult(shaped, StreamTrace(()), (), samples),
-                                    scenario.pipeline[args.stage])
+    k = args.stage
+    if not 0 <= k < len(scenario.pipeline):
+        raise ConfigError(f"config has no pipeline stage {k}")
+    incoming = _read(_stage_names(args.input, k).input, _parse_arrived)
+    try:
+        _, (result,) = run_pipeline([scenario.pipeline[k]], incoming)
+    except PipelineStageError as exc:
+        raise PipelineStageError(k, exc.cause) from exc.cause
+    panels = reporting.panel_report(incoming, result, scenario.pipeline[k])
     _write_files("", _figure_files(args.output, panels))
     print(f"panels={len(panels)}")
     return EXIT_OK
@@ -232,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("report", help="render the panel figure for a shape result")
+    p = sub.add_parser("report", help="shape one stage's input again and draw its figure")
     p.add_argument("--config", required=True)
-    p.add_argument("--input", required=True, help="shape result prefix")
+    p.add_argument("--input", required=True,
+                   help="shape result prefix; only its stage<k>.input.csv is read")
     p.add_argument("--stage", type=int, default=0)
     p.add_argument("--output", required=True, help="SVG path")
     p.set_defaults(func=cmd_report)

@@ -269,13 +269,6 @@ def _to_int(text: str, row: int, col: str) -> int:
         raise TraceFormatError(f"row {row}, column {col}: not an integer: {text!r}") from None
 
 
-def parse_int(text: str, lo: int, hi: int | float, row: int, col: str) -> int:
-    """One integer field of an rtpshape CSV, checked against [lo, hi]."""
-    if not lo <= (value := _to_int(text, row, col)) <= hi:
-        raise TraceFormatError(f"row {row}, column {col}: {value} outside [{lo}, {hi}]")
-    return value
-
-
 def csv_rows(data: bytes, header: str, width: int) -> Iterator[tuple[int, list[str]]]:
     """(row number, fields) for each row after the header of an rtpshape CSV
     artifact: ASCII, LF line endings, `width` fields per row."""

@@ -1,6 +1,6 @@
-"""Report surfaces: CSV serializations of shaping/metric results, typed
-readers for the stage CSVs, and the stacked-panel SVG figures (3 panels for
-the leaky bucket, 4 for the token bucket).
+"""Report surfaces: CSV serializations of shaping/metric results and the
+stacked-panel SVG figures (3 panels for the leaky bucket, 4 for the token
+bucket). The trace CSV is the one artifact read back, by `model`.
 
 All output is byte-deterministic: fixed field order, fixed decimal
 formatting, LF newlines.
@@ -8,17 +8,13 @@ formatting, LF newlines.
 
 from __future__ import annotations
 
-import math
-from array import array
 from typing import Iterator, Sequence
 
 from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
-from .model import (_CHUNK_ROWS, TS_MAX, StreamTrace, _format_columns, _Record, csv_rows,
-                    parse_int)
-from .shaping import LeakyBucketConfig, Occupancy, ShapeResult, ShaperConfig, TokenBucketConfig
+from .model import _CHUNK_ROWS, StreamTrace, _format_columns, _Record
+from .shaping import LeakyBucketConfig, ShapeResult, ShaperConfig, TokenBucketConfig
 
 OCCUPANCY_HEADER = "ts_us,queued_packets,queued_bytes,tokens"
-_OCCUPANCY_MAX = (TS_MAX, TS_MAX, math.inf, math.inf)  # each column's upper bound
 DROPS_HEADER = "seq,ssrc,ts_us,reason"
 
 
@@ -56,17 +52,6 @@ def panel_report(incoming: StreamTrace, result: ShapeResult,
 def occupancy_csv(result: ShapeResult) -> str:
     return "".join([OCCUPANCY_HEADER + "\n",
                     *_format_columns("%s,%s,%s,%s\n", *result.samples)])
-
-
-def read_occupancy_csv(data: bytes) -> Occupancy:
-    """The Occupancy columns of a stage's occupancy CSV (as written by
-    occupancy_csv). The byte and token counts have no upper bound: a config's
-    bucket capacity and packet sizes have none."""
-    samples = Occupancy(array("q"), array("q"), [], [])
-    for row, fields in csv_rows(data, OCCUPANCY_HEADER, 4):
-        for column, name, text, hi in zip(samples, samples._fields, fields, _OCCUPANCY_MAX):
-            column.append(parse_int(text, 0, hi, row, name))
-    return samples
 
 
 def drops_csv(result: ShapeResult) -> str:

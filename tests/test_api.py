@@ -37,7 +37,7 @@ def test_scale_bench_runs_every_layer():
     spec.loader.exec_module(scale)
     layers = scale.layers_at(300)
     names = ["generate", "channel", "leaky", "token", "write_trace_csv", "read_trace_csv",
-             "occupancy_csv", "read_occupancy_csv", "panel_report", "render_svg", "panels_csv",
-             "metrics_report", "compare"]
+             "occupancy_csv", "panel_report", "render_svg", "panels_csv", "metrics_report",
+             "compare"]
     assert sorted(layers) == sorted(f"{name}@300" for name in names)
     assert [key for key, row in layers.items() if not row["n"] > 0] == []

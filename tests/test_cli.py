@@ -23,7 +23,7 @@ from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitt
                       parse_scenario, read_trace_csv, write_trace_csv)
 from rtpshape.cli import main
 from rtpshape.model import CSV_HEADER
-from rtpshape.reporting import comparison_csv, read_occupancy_csv
+from rtpshape.reporting import comparison_csv
 from rtpshape.shaping import Occupancy
 
 from test_acceptance import AUDIO_RUN_CONFIG, VIDEO_RUN_CONFIG
@@ -769,20 +769,7 @@ class TestRunAndReport:
         assert f"no pipeline stage {stage}" in capsys.readouterr().err
         assert not (tmp_path / "f.svg").exists()
 
-    def test_malformed_occupancy_exits_2(self, tmp_path, audio_cfg):
-        trace_path = tmp_path / "trace.csv"
-        main(["generate", "--config", audio_cfg, "--output", str(trace_path)])
-        prefix = str(tmp_path / "s-")
-        main(["shape", "--config", audio_cfg, "--input", str(trace_path),
-              "--output", prefix])
-        (tmp_path / "s-stage0.occupancy.csv").write_text(
-            "ts_us,queued_packets,queued_bytes,tokens\n1,2\n")
-        proc = run_cli("report", "--config", audio_cfg, "--input", prefix,
-                       "--output", tmp_path / "f.svg")
-        assert_usage_error(proc, "row 1: expected 4 fields, got 2")
-        assert not (tmp_path / "f.svg").exists()
-
-    @pytest.mark.parametrize("name", ["input", "shaped"])
+    @pytest.mark.parametrize("name", ["input"])
     def test_report_missing_arrival_exits_2(self, tmp_path, audio_cfg, name):
         prefix = shape_stage0(tmp_path, audio_cfg)
         blank_arrival(tmp_path / f"s-stage0.{name}.csv")
@@ -873,9 +860,9 @@ def assert_reads_back(cfg: Path, run: Path, stages: int, work: Path) -> None:
                          ids=["audio", "video", "leaky-token", "huge-bucket", "tied-departures",
                               "leaky-token-queue-limit"])
 def test_run_and_report_agree(tmp_path, config):
-    """`run` draws each stage's figure from memory; `report` draws it from
-    the stage CSVs that `run` wrote. Every stage CSV must read back, and
-    everything else `run` wrote must read back as assert_reads_back says."""
+    """`run` draws each stage's figure from memory; `report` shapes the
+    stage's input CSV that `run` wrote again. Every trace CSV must read back,
+    and everything else `run` wrote must read back as assert_reads_back says."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "run"
@@ -886,8 +873,51 @@ def test_run_and_report_agree(tmp_path, config):
         base = f"stage{k}."
         for name in ("input.csv", "shaped.csv"):
             read_trace_csv((out / (base + name)).read_bytes())
-        read_occupancy_csv((out / (base + "occupancy.csv")).read_bytes())
     assert_reads_back(cfg, out, stages, tmp_path)
+
+
+@pytest.fixture(scope="module")
+def two_stage_run(tmp_path_factory):
+    """(config, run directory) of a TWO_STAGE_RUN_CONFIG run."""
+    root = tmp_path_factory.mktemp("two-stage")
+    cfg, run = root / "run.cfg", root / "run"
+    cfg.write_text(TWO_STAGE_RUN_CONFIG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(cfg), "--output", str(run)]) == 0
+    return cfg, run
+
+
+@pytest.mark.parametrize("stage", [0, 1])
+def test_report_reads_only_the_stage_input(tmp_path, two_stage_run, stage):
+    """`report --stage k` shapes stage<k>.input.csv under stage k of the
+    config, and draws what `run` drew, with no shaped, drops or occupancy
+    CSV beside it."""
+    cfg, run = two_stage_run
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for k in range(2):
+        (inputs / f"stage{k}.input.csv").write_bytes((run / f"stage{k}.input.csv").read_bytes())
+    svg = tmp_path / "f.svg"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", "--config", str(cfg), "--input", f"{inputs}/",
+                     "--stage", str(stage), "--output", str(svg)]) == 0
+    assert svg.read_bytes() == (run / f"stage{stage}.figure.svg").read_bytes()
+    assert (tmp_path / "f.panels.csv").read_bytes() == \
+        (run / f"stage{stage}.figure.panels.csv").read_bytes()
+
+
+def test_report_shapes_under_its_own_config(tmp_path, two_stage_run):
+    """A config whose stage 1 cannot pass the run's 125-byte packets fails
+    as stage 1 and writes nothing, whatever the run directory holds."""
+    _, run = two_stage_run
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(TWO_STAGE_RUN_CONFIG.replace("capacity_tokens = 250", "capacity_tokens = 100"))
+    out = tmp_path / "out"
+    proc = run_cli("report", "--config", cfg, "--input", f"{run}/", "--stage", 1,
+                   "--output", out / "f.svg")
+    assert_usage_error(proc, "")
+    assert proc.stderr.startswith("error: stage 1: packet of 125 bytes exceeds token capacity")
+    assert files_under(out) == []
 
 
 def bounded(scenario: ScenarioConfig) -> ScenarioConfig:
@@ -940,10 +970,6 @@ CONTRACT_CASES = {
                               "--output", "{out}/f.svg"]),
     "report-input": ("run/stage0.input.csv", ["--config", "{cfg}", "--input", "{run}/",
                                               "--output", "{out}/f.svg"]),
-    "report-shaped": ("run/stage0.shaped.csv", ["--config", "{cfg}", "--input", "{run}/",
-                                                "--output", "{out}/f.svg"]),
-    "report-occupancy": ("run/stage0.occupancy.csv", ["--config", "{cfg}", "--input",
-                                                      "{run}/", "--output", "{out}/f.svg"]),
 }
 
 
@@ -982,15 +1008,14 @@ def mangled(data: bytes):
 def test_exit_code_contract_on_arbitrary_input(contract_dir, case):
     """Whatever bytes the input holds, main returns 0, 2 or 3, lets no
     exception escape, and writes nothing when it returns 2; when the bytes of
-    a trace or occupancy CSV do not read, the message names that file. A
-    config that generates a trace (generate, run) is arbitrary bytes only,
-    because a mangled valid one could ask for an unbounded trace."""
+    a trace CSV do not read, the message names that file. A config that
+    generates a trace (generate, run) is arbitrary bytes only, because a
+    mangled valid one could ask for an unbounded trace."""
     name, argv = CONTRACT_CASES[case]
     target = contract_dir / name
     original = target.read_bytes()
     command = case.split("-")[0]
-    reader = {"cfg": None, "run/stage0.occupancy.csv": read_occupancy_csv}.get(name,
-                                                                                 read_trace_csv)
+    reader = None if name == "cfg" else read_trace_csv
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.binary(max_size=200) if command in ("generate", "run") else mangled(original))

@@ -1,6 +1,5 @@
 """The figure and CSV writers against their per-point references in
-`tests/oracles.py` (byte for byte), and the typed readers of the stage
-artifacts."""
+`tests/oracles.py` (byte for byte)."""
 
 import random
 from array import array
@@ -10,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtpshape import (MediaPacket, StreamTrace, TraceFormatError, TraceValidationError,
-                      leaky_bucket_shape, read_trace_csv, token_bucket_shape, write_trace_csv)
+from rtpshape import (MediaPacket, StreamTrace, TraceValidationError, leaky_bucket_shape,
+                      read_trace_csv, token_bucket_shape, write_trace_csv)
 from rtpshape.model import _CHUNK_ROWS as CHUNK, validate_trace
 from rtpshape.reporting import (Panel, drops_csv, occupancy_csv, panel_report, panels_csv,
-                                read_occupancy_csv, render_svg)
+                                render_svg)
 from rtpshape.shaping import DROP_BUCKET_FULL, DROP_QUEUE_FULL, Occupancy, ShapeResult
 
 from oracles import (drops_csv_reference, occupancy_csv_reference, panel_report_reference,
@@ -178,27 +177,3 @@ class TestChunkBoundaries:
         assert svg == render_svg_reference(panels)
         assert "100% %s %d %scatter" in svg and "%s per %%" in svg
         assert panels_csv(panels) == panels_csv_reference(panels)
-
-
-class TestStageArtifactReaders:
-    def test_round_trip(self):
-        for seed in range(40):
-            _, _, result = _random_stage(seed)
-            assert read_occupancy_csv(occupancy_csv(result).encode("ascii")) == \
-                result.samples
-
-    @pytest.mark.parametrize("body, message", [
-        ("1,2\n", "row 1: expected 4 fields, got 2"),
-        ("1,0,0,0\n2,x,0,0\n", "row 2, column queued_packets: not an integer"),
-        ("1,0,0,-1\n", "row 1, column tokens: -1 outside"),
-    ])
-    def test_malformed_occupancy(self, body, message):
-        with pytest.raises(TraceFormatError, match=message):
-            read_occupancy_csv(("ts_us,queued_packets,queued_bytes,tokens\n" + body)
-                               .encode("ascii"))
-
-    @pytest.mark.parametrize("reader", [read_occupancy_csv])
-    @pytest.mark.parametrize("data", [b"", b"wrong,header\n", b"\xff\n"])
-    def test_bad_header_or_bytes(self, reader, data):
-        with pytest.raises(TraceFormatError):
-            reader(data)
