@@ -105,6 +105,7 @@ def layers_at(size: int) -> dict:
     sent = run("generate", size, traffic.generate_audio,
                traffic.AudioGenConfig(ptime_us=PTIME_US), size * PTIME_US)
     trace = run("channel", len(sent), traffic.apply_channel, sent, CHANNEL)
+    run("validate_trace", len(trace), model.validate_trace, trace)
     leaky = run("leaky", len(trace), shaping.leaky_bucket_shape, trace, LEAKY)
     token = run("token", len(leaky.shaped), shaping.token_bucket_shape, leaky.shaped, TOKEN)
     csv = run("write_trace_csv", len(trace), model.write_trace_csv, trace)

@@ -1,11 +1,11 @@
-"""Packet/trace data model, the trace contract (all of it in validate_trace, field
-types included) and the canonical trace CSV format. Time is integer microseconds."""
+"""Packet/trace data model, the trace contract (each rule stated once, in _RULES)
+and the canonical trace CSV format. Time is integer microseconds."""
 
 from __future__ import annotations
 
 from array import array
 from itertools import compress, islice
-from operator import le, lt
+from operator import itemgetter, le, lt
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 SEQ_MOD = 1 << 16
@@ -14,15 +14,12 @@ SSRC_MOD = 1 << 32
 PT_MOD = 1 << 7
 TS_MAX = 2**63 - 1  # largest timestamp or size an rtpshape CSV (or a column) holds
 
-CSV_HEADER = "seq,ssrc,payload_type,marker,send_ts_us,recv_ts_us,size_bytes"
-_COLUMNS = CSV_HEADER.split(",")
-_CSV_ROW = "%s,%s,%s,%d,%s,%s,%s\n"
 _CHUNK_ROWS = 4096  # rows per `%` format in the writers
 
 
 class TraceFormatError(ValueError):
-    """An rtpshape CSV is malformed: a bad header or field count, or a field
-    that does not parse (or is outside a stage CSV's range)."""
+    """A trace CSV is malformed: not ASCII, a bad header or field count, or a
+    field that does not parse."""
 
 
 class TraceValidationError(ValueError):
@@ -52,6 +49,23 @@ class MediaPacket(NamedTuple):
 class Violation(NamedTuple):
     index: int
     message: str
+
+
+CSV_HEADER = ",".join(MediaPacket._fields)
+_CSV_ROW = ",".join(["%s"] * len(MediaPacket._fields)) + "\n"
+
+# Each field's rule, in the order a packet's violations are named: its bounds in
+# a valid trace, and its message for an int below and for one above them ("{}"
+# shows it). The recv_ts_us rule bounds the delay, recv_ts_us - send_ts_us, which
+# has no upper bound; its message above is for a row's int past 64 bits.
+_RULES = (("seq", 0, SEQ_MOD - 1, *["seq {} outside 16-bit range"] * 2),
+          ("ssrc", 0, SSRC_MOD - 1, *["ssrc {} outside 32-bit range"] * 2),
+          ("payload_type", 0, PT_MOD - 1, *["payload_type {} outside 7-bit range"] * 2),
+          ("marker", 0, 1, *["marker {} is not True, False, 0 or 1"] * 2),
+          ("send_ts_us", 0, TS_MAX, "negative send_ts_us", f"send_ts_us {{}} > {TS_MAX}"),
+          ("size_bytes", 1, TS_MAX, "size_bytes {} < 1", f"size_bytes {{}} > {TS_MAX}"),
+          ("recv_ts_us", 0, None, "negative delay: recv_ts_us < send_ts_us",
+           f"recv_ts_us {{}} > {TS_MAX}"))
 
 
 class _Record:
@@ -90,23 +104,20 @@ class StreamTrace(_Record):
     __slots__ = (*MediaPacket._fields, "missing")
 
     def __init__(self, packets: Iterable[MediaPacket]):
-        """Columns from rows. A field no column holds (not an exact int, but for
-        a bool marker or None recv_ts_us, or outside [-2**63, TS_MAX]) raises
-        the TraceValidationError of validate_trace's rules for it."""
+        """Columns from rows. A row of other than 7 fields, or a field no column
+        holds (not an exact int, but for a bool marker or None recv_ts_us, or
+        outside [-2**63, TS_MAX]), raises the TraceValidationError of _refusal."""
         rows = tuple(packets)
-        cols = list(zip(*rows)) or [()] * 7
-        missing = [i for i, recv in enumerate(cols[5]) if recv is None]
-        if missing:
-            cols[5] = [s if r is None else r for s, r in zip(cols[4], cols[5])]
         try:
-            if not all(set(map(type, c)) <= t for c, t in zip(cols, _TYPES)):
+            cols = list(zip(*rows, strict=True)) or [()] * 7
+            if len(cols) != 7 or not all(set(map(type, c)) <= t for c, t in zip(cols, _TYPES)):
                 raise TypeError
+            missing = [i for i, recv in enumerate(cols[5]) if recv is None]
+            if missing:
+                cols[5] = [s if r is None else r for s, r in zip(cols[4], cols[5])]
             super().__init__(*(array("q", c) for c in cols), array("q", missing))
-        except (TypeError, OverflowError):
-            raise TraceValidationError([
-                Violation(i, message) for i, row in enumerate(rows)
-                for field, message in _field_problems(row, None)
-                if not _fits(field, row[field])]) from None
+        except (TypeError, ValueError, OverflowError):
+            raise TraceValidationError(_refusal(rows)) from None
 
     @classmethod
     def _of(cls, *columns: array) -> StreamTrace:
@@ -168,66 +179,52 @@ def _show(value: object) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def _bad(name: str, value: object, rule: str) -> str:
-    return f"{name} {_show(value)} {rule if type(value) is int else 'is not an int'}"
-
-
-def _fits(field: int, value: object) -> bool:
-    """Whether a column holds the value of field number `field` of a row."""
-    return type(value) in _TYPES[field] and (value is None or -TS_MAX - 1 <= value <= TS_MAX)
-
-
-def _field_problems(row, ssrc0) -> Iterator[tuple[int, str]]:
-    """The rules of one packet: (field number, message) for each one it breaks.
-    Exact ints (not bools) in the CSV ranges, recv_ts_us or None, marker
-    True/False/0/1, and the SSRC `ssrc0` (if not None)."""
-    seq, ssrc, pt, marker, send, recv, size = row
-    if type(seq) is not int or not 0 <= seq < SEQ_MOD:
-        yield 0, _bad("seq", seq, "outside 16-bit range")
-    if type(ssrc) is not int or not 0 <= ssrc < SSRC_MOD:
-        yield 1, _bad("ssrc", ssrc, "outside 32-bit range")
-    if ssrc0 is not None and ssrc != ssrc0:
-        yield 1, f"ssrc {_show(ssrc)} differs from packet 0's ssrc {_show(ssrc0)}"
-    if type(pt) is not int or not 0 <= pt < PT_MOD:
-        yield 2, _bad("payload_type", pt, "outside 7-bit range")
-    if type(marker) not in (bool, int) or marker not in (0, 1):
-        yield 3, f"marker {_show(marker)} is not True, False, 0 or 1"
-    if type(send) is not int or not 0 <= send <= TS_MAX:
-        yield 4, "negative send_ts_us" if type(send) is int and send < 0 \
-            else _bad("send_ts_us", send, f"> {TS_MAX}")
-    if type(size) is not int or not 1 <= size <= TS_MAX:
-        yield 6, _bad("size_bytes", size, "< 1" if type(size) is int and size < 1
-                      else f"> {TS_MAX}")
-    lo = send if type(send) is int else 0  # recv's lower bound
-    if recv is not None and (type(recv) is not int or not lo <= recv <= TS_MAX):
-        yield 5, "negative delay: recv_ts_us < send_ts_us" if type(recv) is int and recv < lo \
-            else _bad("recv_ts_us", recv, f"> {TS_MAX}")
-
-
-# Each column's range in a valid trace.
-_RANGES = ((0, SEQ_MOD - 1), (0, SSRC_MOD - 1), (0, PT_MOD - 1), (0, 1), (0, TS_MAX),
-           (0, TS_MAX), (1, TS_MAX))
+def _refusal(rows: Sequence[Sequence]) -> Iterator[Violation]:
+    """Each row of other than 7 fields, and each field no column holds, named by
+    its rule: a wrong type as not an int (the marker by its own message), and an
+    int past 64 bits by the message for its side of the bounds."""
+    for i, row in enumerate(rows):
+        if len(row) != 7:
+            yield Violation(i, f"row of {len(row)} fields, not 7")
+            continue
+        fields = dict(zip(MediaPacket._fields, zip(row, _TYPES)))
+        for name, lo, _, below, above in _RULES:
+            value, types = fields[name]
+            if type(value) not in types:
+                message = below if name == "marker" else name + " {} is not an int"
+            elif value is None or -TS_MAX - 1 <= value <= TS_MAX:
+                continue
+            else:  # None for an arrival and a departure both below -2**63, in order
+                base = row[4] if name == "recv_ts_us" and type(row[4]) is int else 0
+                message = below if value - base < lo else above if value > TS_MAX else None
+            if message:
+                yield Violation(i, message.format(_show(value)))
 
 
 def validate_trace(trace: StreamTrace) -> list[Violation]:
-    """Every violation of the trace contract, which only this function states ([] means
-    valid; never raises): the rules of _field_problems, one SSRC, and times that
-    never decrease. Each column is screened by its min and max, arrivals against
-    departures and the active timestamps for order; the per-packet rules run only
-    to name the violations."""
+    """Every violation of the trace contract ([] means valid; never raises): the
+    rules of _RULES, one SSRC, and active timestamps that never decrease. Each rule
+    is screened by its column's min and max (the delay in one pass) and named from
+    the columns only when its screen fails: by packet in rule order, order last."""
+    send, out = trace.send_ts_us, []
+    for name, lo, hi, below, above in _RULES:
+        column = getattr(trace, name)
+        if name == "recv_ts_us":
+            if any(map(lt, column, send)):
+                out += [Violation(i, below) for i, (s, r) in enumerate(zip(send, column)) if r < s]
+        elif min(column, default=lo) < lo or max(column, default=hi) > hi:
+            out += [Violation(i, (below if v < lo else above).format(v))
+                    for i, v in enumerate(column) if not lo <= v <= hi]
+        if name == "ssrc" and min(column, default=0) != max(column, default=0):
+            out += [Violation(i, f"ssrc {v} differs from packet 0's ssrc {column[0]}")
+                    for i, v in enumerate(column) if v != column[0]]
+    out.sort(key=itemgetter(0))
     ts = trace.active_timestamps()
-    if not len(trace) or (
-            all(lo <= min(c) and max(c) <= hi for c, (lo, hi) in zip(trace.columns(), _RANGES))
-            and min(trace.ssrc) == max(trace.ssrc)
-            and not any(map(lt, trace.recv_ts_us, trace.send_ts_us))
-            and all(map(le, ts, islice(ts, 1, None)))):
-        return []
-    ssrc0 = trace.ssrc[0]
-    out = [Violation(i, message) for i, row in enumerate(trace.packets)
-           for _, message in _field_problems(row, ssrc0)]
-    return out + [Violation(i, "unsorted: active timestamp decreases")
-                  for i, (prev_t, t) in enumerate(zip(ts, islice(ts, 1, None)), start=1)
-                  if t < prev_t]
+    if not all(map(le, ts, islice(ts, 1, None))):
+        out += [Violation(i, "unsorted: active timestamp decreases")
+                for i, (prev_t, t) in enumerate(zip(ts, islice(ts, 1, None)), start=1)
+                if t < prev_t]
+    return out
 
 
 def check_trace(trace: StreamTrace) -> StreamTrace:
@@ -269,35 +266,27 @@ def _to_int(text: str, row: int, col: str) -> int:
         raise TraceFormatError(f"row {row}, column {col}: not an integer: {text!r}") from None
 
 
-def csv_rows(data: bytes, header: str, width: int) -> Iterator[tuple[int, list[str]]]:
-    """(row number, fields) for each row after the header of an rtpshape CSV
-    artifact: ASCII, LF line endings, `width` fields per row."""
+def parse_trace_csv(data: bytes) -> StreamTrace:
+    """The trace a canonical trace CSV holds, not yet checked: ASCII, LF line
+    endings, the header, then 7 fields per row. A TraceFormatError names the row
+    and column of a non-integer field or non-0/1 marker."""
     try:
-        text = data.decode("ascii")
+        lines = data.decode("ascii").removesuffix("\n").split("\n")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"non-ASCII input: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != header:
-        raise TraceFormatError(f"line 1: expected header {header!r}")
+    if lines[0] != CSV_HEADER:
+        raise TraceFormatError(f"line 1: expected header {CSV_HEADER!r}")
+    rows = []
     for row, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
-        if len(fields) != width:
-            raise TraceFormatError(f"row {row}: expected {width} fields, got {len(fields)}")
-        yield row, fields
-
-
-def parse_trace_csv(data: bytes) -> StreamTrace:
-    """The trace a canonical trace CSV holds, not yet checked. A TraceFormatError
-    names the row and column of a non-integer field or non-0/1 marker."""
-    rows = []
-    for row, fields in csv_rows(data, CSV_HEADER, 7):
+        if len(fields) != 7:
+            raise TraceFormatError(f"row {row}: expected 7 fields, got {len(fields)}")
         values = [None if text == "" and col == "recv_ts_us" else _to_int(text, row, col)
-                  for col, text in zip(_COLUMNS, fields)]
+                  for col, text in zip(MediaPacket._fields, fields)]
         if values[3] not in (0, 1):
             raise TraceFormatError(f"row {row}, column marker: not 0 or 1: {fields[3]!r}")
         rows.append(values)
+    del lines  # about 90 B a row, freed before the columns are built
     return StreamTrace(rows)
 
 

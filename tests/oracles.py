@@ -21,7 +21,12 @@ by (time, capture order). Its one edit is the skip of later IPv4 fragments.
 `metrics_report_reference` is the per-trace report as it was written before
 it read each packet field once: every metric walks the packets on its own,
 through attribute access, over rows built once per report; its helpers
-carry a `_reference` suffix.
+carry a `_reference` suffix. `validate_trace_reference` and
+`refusal_reference` are the trace contract as it was written before one rule
+table stated it: a per-packet generator of (field, message) that names every
+rule over rows, which the first runs on every packet of a trace that fails
+its column screen, and the second on each row a StreamTrace refuses, keeping
+the fields no column holds.
 """
 
 from __future__ import annotations
@@ -30,12 +35,15 @@ import random
 import struct
 from collections import OrderedDict, deque
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from operator import le, lt
+from typing import Iterator, Optional
 
 from rtpshape import LeakyBucketConfig, MediaPacket, StreamTrace, TokenBucketConfig
 from rtpshape.metrics import (_JITTER_ONE, InsufficientDataError, MetricPreconditionError,
                               MetricsReport)
-from rtpshape.model import _SEQ_HALF, CSV_HEADER, SEQ_MOD
+from rtpshape.model import (_SEQ_HALF, _TYPES, CSV_HEADER, PT_MOD, SEQ_MOD, SSRC_MOD, TS_MAX,
+                            Violation, _show)
 from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGIC_SWAPPED,
                            PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
 from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
@@ -750,3 +758,68 @@ def metrics_report_reference(trace: StreamTrace, window_us: int = 10**6) -> Metr
         total_packets=len(trace.packets),
         duration_us=ts[-1] - ts[0],
     )
+
+
+def _bad_reference(name: str, value: object, rule: str) -> str:
+    return f"{name} {_show(value)} {rule if type(value) is int else 'is not an int'}"
+
+
+def _fits_reference(field: int, value: object) -> bool:
+    """Whether a column holds the value of field number `field` of a row."""
+    return type(value) in _TYPES[field] and (value is None or -TS_MAX - 1 <= value <= TS_MAX)
+
+
+def _field_problems_reference(row, ssrc0) -> Iterator[tuple[int, str]]:
+    """The rules of one packet: (field number, message) for each one it breaks.
+    Exact ints (not bools) in the CSV ranges, recv_ts_us or None, marker
+    True/False/0/1, and the SSRC `ssrc0` (if not None)."""
+    seq, ssrc, pt, marker, send, recv, size = row
+    if type(seq) is not int or not 0 <= seq < SEQ_MOD:
+        yield 0, _bad_reference("seq", seq, "outside 16-bit range")
+    if type(ssrc) is not int or not 0 <= ssrc < SSRC_MOD:
+        yield 1, _bad_reference("ssrc", ssrc, "outside 32-bit range")
+    if ssrc0 is not None and ssrc != ssrc0:
+        yield 1, f"ssrc {_show(ssrc)} differs from packet 0's ssrc {_show(ssrc0)}"
+    if type(pt) is not int or not 0 <= pt < PT_MOD:
+        yield 2, _bad_reference("payload_type", pt, "outside 7-bit range")
+    if type(marker) not in (bool, int) or marker not in (0, 1):
+        yield 3, f"marker {_show(marker)} is not True, False, 0 or 1"
+    if type(send) is not int or not 0 <= send <= TS_MAX:
+        yield 4, "negative send_ts_us" if type(send) is int and send < 0 \
+            else _bad_reference("send_ts_us", send, f"> {TS_MAX}")
+    if type(size) is not int or not 1 <= size <= TS_MAX:
+        yield 6, _bad_reference("size_bytes", size, "< 1" if type(size) is int and size < 1
+                                else f"> {TS_MAX}")
+    lo = send if type(send) is int else 0  # recv's lower bound
+    if recv is not None and (type(recv) is not int or not lo <= recv <= TS_MAX):
+        yield 5, "negative delay: recv_ts_us < send_ts_us" if type(recv) is int and recv < lo \
+            else _bad_reference("recv_ts_us", recv, f"> {TS_MAX}")
+
+
+def refusal_reference(rows) -> list:
+    """The violations a StreamTrace refuses 7-field `rows` with."""
+    return [Violation(i, message) for i, row in enumerate(rows)
+            for field, message in _field_problems_reference(row, None)
+            if not _fits_reference(field, row[field])]
+
+
+# Each column's range in a valid trace.
+_RANGES_REFERENCE = ((0, SEQ_MOD - 1), (0, SSRC_MOD - 1), (0, PT_MOD - 1), (0, 1), (0, TS_MAX),
+                     (0, TS_MAX), (1, TS_MAX))
+
+
+def validate_trace_reference(trace: StreamTrace) -> list:
+    ts = trace.active_timestamps()
+    if not len(trace) or (
+            all(lo <= min(c) and max(c) <= hi
+                for c, (lo, hi) in zip(trace.columns(), _RANGES_REFERENCE))
+            and min(trace.ssrc) == max(trace.ssrc)
+            and not any(map(lt, trace.recv_ts_us, trace.send_ts_us))
+            and all(map(le, ts, islice(ts, 1, None)))):
+        return []
+    ssrc0 = trace.ssrc[0]
+    out = [Violation(i, message) for i, row in enumerate(trace.packets)
+           for _, message in _field_problems_reference(row, ssrc0)]
+    return out + [Violation(i, "unsorted: active timestamp decreases")
+                  for i, (prev_t, t) in enumerate(zip(ts, islice(ts, 1, None)), start=1)
+                  if t < prev_t]

@@ -11,6 +11,8 @@ from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket,
                       validate_trace, write_trace_csv)
 from rtpshape.model import TS_MAX
 
+from oracles import refusal_reference, validate_trace_reference
+
 
 def pkt(seq=0, ssrc=1, pt=96, marker=False, send=0, recv=None, size=125):
     return MediaPacket(seq, ssrc, pt, marker, send, recv, size)
@@ -85,6 +87,15 @@ def test_validate_checks_field_types(packet, message):
         assert [v.message for v in validate_trace(StreamTrace((packet,)))] == [message]
     else:
         assert [v.message for v in refusal(packet)] == [message]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(0, 1, 2)], (0, "row of 3 fields, not 7")),
+    ([pkt(), (0, 1, 96, 0, 10)], (1, "row of 5 fields, not 7")),
+    ([pkt(), (*pkt(send=10), 9)], (1, "row of 8 fields, not 7")),
+])
+def test_row_of_other_than_seven_fields_is_refused(rows, message):
+    assert refusal(*rows) == [message]
 
 
 def test_mistyped_time_is_reported_and_leaves_the_order_unchecked():
@@ -266,15 +277,19 @@ ANY_FIELD = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-(2**70), 2**70),
 
 @st.composite
 def mutated_traces(draw):
-    """A valid trace of up to 4 packets, with up to 2 fields replaced by any value."""
-    n = draw(st.integers(0, 4))
-    sends = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)))
+    """A trace of up to 8 packets on one or two SSRCs, its sends sorted or not
+    and maybe negative, with up to 3 fields replaced by any value."""
+    n = draw(st.integers(0, 8))
+    sends = draw(st.lists(st.integers(-1000, 10**6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        sends.sort()
+    ssrcs = draw(st.sampled_from([[7], [7, 8]]))
     delay = draw(st.one_of(st.none(), st.integers(0, 5000)))
-    packets = [[draw(st.integers(0, 65535)), 7, draw(st.integers(0, 127)),
-                draw(st.sampled_from([True, False, 0, 1])), send,
+    packets = [[draw(st.integers(0, 65535)), draw(st.sampled_from(ssrcs)),
+                draw(st.integers(0, 127)), draw(st.sampled_from([True, False, 0, 1])), send,
                 None if delay is None else send + delay, draw(st.integers(1, 1500))]
                for send in sends]
-    for _ in range(draw(st.integers(0, 2)) if n else 0):
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
         packet = draw(st.sampled_from(packets))
         packet[draw(st.integers(0, 6))] = draw(ANY_FIELD)
     return tuple(MediaPacket(*p) for p in packets)
@@ -301,3 +316,22 @@ def test_whatever_validates_round_trips(packets):
     assert isinstance(violations, list)
     if not violations:
         assert read_trace_csv(write_trace_csv(trace)) == trace
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(packets=mutated_traces())
+def test_violations_equal_the_per_packet_reference(packets):
+    # the one rule table names the same violations, in the same order, as the
+    # per-packet rules did: in the refusal of rows no column holds, and in
+    # validate_trace on any trace built
+    if not all(fits_a_column(f, v) for p in packets for f, v in enumerate(p)):
+        assert refusal(*packets) == refusal_reference(packets)
+    else:
+        trace = StreamTrace(packets)
+        assert validate_trace(trace) == validate_trace_reference(trace)
+
+
+def test_arrival_in_order_after_a_departure_below_64_bits_is_not_a_negative_delay():
+    # both below -2**63 with recv >= send: only the departure breaks a rule
+    packet = pkt(send=-(2**64), recv=-(2**64) + 5)
+    assert refusal(packet) == refusal_reference([packet]) == [(0, "negative send_ts_us")]
