@@ -7,6 +7,11 @@ scenario. Standard library only; not part of the tests or of perfbench.
 The scenario is audio at 1 ms ptime, `uniform(0,300)` jitter, 1/100 loss and
 seed 1, then a leaky stage (50 packets, 900 us drain) and a token stage
 (140000 B/s, 2000 tokens). At 300 s it has 297,037 received packets.
+The `generate_video` and `channel_video` rows time the same duration of
+30 fps video (60 kB I-frames every 30 frames, 15 kB P-frames) through a
+40 ms + `exponential(4000)` channel at 1/200 loss, seed 1: the path of
+perfbench's `shape_hd_video`. At 300 s that is 128,222 sent and 127,569
+received packets.
 
 Each layer runs on the previous layer's output at the same size. `best_s`
 is the best of REPEAT perf_counter timings; `peak_bytes` is
@@ -56,6 +61,10 @@ CHANNEL = traffic.ChannelModel(jitter=traffic.UniformJitter(0, 300),
                                loss_prob=Fraction(1, 100), seed=1)
 LEAKY = shaping.LeakyBucketConfig(capacity_packets=50, drain_interval_us=900)
 TOKEN = shaping.TokenBucketConfig(rate=Fraction(140000), capacity_tokens=2000)
+VIDEO = traffic.VideoGenConfig(fps=30, gop=30, i_frame_bytes=60_000, p_frame_bytes=15_000,
+                               mtu_payload_bytes=1200)
+VIDEO_CHANNEL = traffic.ChannelModel(base_delay_us=40_000, jitter=traffic.ExponentialJitter(4000),
+                                     loss_prob=Fraction(1, 200), seed=1)
 
 SCENARIOS = {
     "audio_1ms_leaky_token_300s": """\
@@ -105,6 +114,10 @@ def layers_at(size: int) -> dict:
     sent = run("generate", size, traffic.generate_audio,
                traffic.AudioGenConfig(ptime_us=PTIME_US), size * PTIME_US)
     trace = run("channel", len(sent), traffic.apply_channel, sent, CHANNEL)
+    video = traffic.generate_video(VIDEO, size * PTIME_US, 1)
+    run("generate_video", len(video), traffic.generate_video, VIDEO, size * PTIME_US, 1)
+    run("channel_video", len(video), traffic.apply_channel, video, VIDEO_CHANNEL)
+    del video
     run("validate_trace", len(trace), model.validate_trace, trace)
     leaky = run("leaky", len(trace), shaping.leaky_bucket_shape, trace, LEAKY)
     token = run("token", len(leaky.shaped), shaping.token_bucket_shape, leaky.shaped, TOKEN)

@@ -13,6 +13,7 @@ _SEQ_HALF = SEQ_MOD // 2
 SSRC_MOD = 1 << 32
 PT_MOD = 1 << 7
 TS_MAX = 2**63 - 1  # largest timestamp or size an rtpshape CSV (or a column) holds
+US_PER_S = 10**6
 
 _CHUNK_ROWS = 4096  # rows per `%` format in the writers
 

@@ -12,16 +12,14 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import inf
 from typing import NamedTuple, Optional, Union
 
-from .model import TS_MAX, MediaPacket, StreamTrace, _Record
+from .model import TS_MAX, US_PER_S, MediaPacket, StreamTrace, _Record
 
 DROP_BUCKET_FULL = "bucket full"
 DROP_QUEUE_FULL = "queue full"
-
-US_PER_S = 10**6
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a keep mask's complement
 
 
@@ -120,6 +118,7 @@ class _LeakyPolicy:
 
     __slots__ = ("drain", "cap", "next_free")
     queues_every_packet = False
+    reason = DROP_BUCKET_FULL
 
     def __init__(self, cfg: LeakyBucketConfig):
         self.drain = cfg.drain_interval_us
@@ -136,8 +135,8 @@ class _LeakyPolicy:
     def tokens_at(self, t: int) -> int:
         return 0
 
-    def refuse(self, waiting: int, waiting_bytes: int, size: int) -> Optional[str]:
-        return DROP_BUCKET_FULL if waiting >= self.cap else None
+    def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
+        return waiting >= self.cap
 
 
 class _TokenPolicy:
@@ -150,6 +149,7 @@ class _TokenPolicy:
 
     __slots__ = ("num", "den_us", "cap", "limit", "tokens", "rem", "t")
     queues_every_packet = True
+    reason = DROP_QUEUE_FULL
 
     def __init__(self, cfg: TokenBucketConfig):
         self.num = cfg.rate.numerator
@@ -184,40 +184,38 @@ class _TokenPolicy:
         self.tokens = self.tokens_at(t) - size
         return self.tokens
 
-    def refuse(self, waiting: int, waiting_bytes: int, size: int) -> Optional[str]:
-        if self.limit is not None and waiting_bytes + size > self.limit:
-            return DROP_QUEUE_FULL
-        return None
+    def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
+        return self.limit is not None and waiting_bytes + size > self.limit
 
 
 def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> ShapeResult:
     """Greedy FIFO server: the queue's head departs at max(arrival, ready),
     where the policy's ready(size) is the earliest time it may send `size`
     bytes. At each arrival the heads due by then depart first, then the
-    policy's refuse(waiting, waiting_bytes, size) drops the packet or it is
-    admitted. An admitted packet that finds the queue empty and the policy
-    ready departs unqueued, unless the policy queues_every_packet. Samples
-    take their tokens from depart(t, size) and tokens_at(t).
+    packet is dropped, for the policy's one reason, if the policy is
+    full(waiting, waiting_bytes, size), or else admitted. An admitted packet
+    that finds the queue empty and the policy ready departs unqueued, unless
+    the policy queues_every_packet. Samples take their tokens from
+    depart(t, size) and tokens_at(t).
 
-    The queue holds input indices. Each packet departs but those dropped, so
-    the shaped trace is the input's other packets, with their departures.
-    A departure past TS_MAX, which no column holds, raises
-    ShapingPreconditionError.
+    The queue holds input indices. Each packet departs but those dropped, and
+    a FIFO server never reorders, so the departures, appended as they happen,
+    are the shaped trace's arrivals in input order. A departure past TS_MAX,
+    which no column holds, raises ShapingPreconditionError.
     """
     if trace.missing:
         raise ShapingPreconditionError(
             f"packet {trace.missing[0]} has no arrival timestamp (recv_ts_us)")
-    ready, depart, tokens_at, refuse = \
-        policy.ready, policy.depart, policy.tokens_at, policy.refuse
+    ready, depart, tokens_at, full = policy.ready, policy.depart, policy.tokens_at, policy.full
     queues_every_packet = policy.queues_every_packet
     recv, sizes = trace.recv_ts_us, trace.size_bytes
 
     queue: deque[int] = deque()
     queued_bytes = 0
     n = len(trace)
-    departures = array("q", recv)  # a queued packet's is set when it departs
+    departures = array("q")
+    departs = departures.append
     dropped = bytearray(n)
-    reasons: list[str] = []
     samples = Occupancy(array("q"), array("q"), [], [])
     sample_t, sample_queued, sample_bytes, sample_tokens = (c.append for c in samples)
     pop_head = queue.popleft
@@ -235,7 +233,7 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
                 break
             pop_head()
             queued_bytes -= size
-            departures[head] = dep
+            departs(dep)
             sample_t(dep)
             sample_queued(len(queue))
             sample_bytes(queued_bytes)
@@ -243,16 +241,15 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
         if i == n:
             break
         size = sizes[i]
-        reason = refuse(len(queue), queued_bytes, size)
-        if reason is not None:
+        if full(len(queue), queued_bytes, size):
             dropped[i] = 1
-            reasons.append(reason)
             tokens = tokens_at(t)
         elif queue or queues_every_packet or ready(size) > t:
             enqueue(i)
             queued_bytes += size
             tokens = tokens_at(t)
         else:  # departs the instant it arrives, past an empty queue
+            departs(t)
             tokens = depart(t, size)
         sample_t(t)
         sample_queued(len(queue))
@@ -260,9 +257,9 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
         sample_tokens(tokens)
     if queue:  # the head's departure `dep` is past the last arrival, TS_MAX
         raise ShapingPreconditionError(f"departure {dep} > {TS_MAX}")
-    kept = dropped.translate(_FLIP)
-    return ShapeResult(trace.select(kept, array("q", compress(departures, kept))),
-                       trace.select(dropped), tuple(reasons), samples)
+    drops = trace.select(dropped)
+    return ShapeResult(trace.select(dropped.translate(_FLIP), departures),
+                       drops, (policy.reason,) * len(drops), samples)
 
 
 def leaky_bucket_shape(trace: StreamTrace, cfg: LeakyBucketConfig) -> ShapeResult:

@@ -11,9 +11,10 @@ from fractions import Fraction
 from itertools import cycle, islice
 from typing import Union
 
-from .model import SEQ_MOD, TS_MAX, StreamTrace, TraceValidationError, Violation, _show
+from .model import (_RULES, SEQ_MOD, TS_MAX, US_PER_S, StreamTrace, TraceValidationError,
+                    Violation, _show)
 
-US_PER_S = 10**6
+_ARRIVAL_PAST_TS_MAX = _RULES[-1][4]  # the recv_ts_us rule's message above its bounds
 
 
 class GenerationError(ValueError):
@@ -69,9 +70,11 @@ class VideoGenConfig:
             raise ValueError("payload_type outside 7-bit range")
 
 
+# Each jitter model draws its delay from one 64-bit word.
 @dataclass(frozen=True)
 class NoJitter:
-    pass
+    def draw(self, word: int) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,9 @@ class UniformJitter:
         if not 0 <= self.lo_us <= self.hi_us:
             raise ValueError("need 0 <= lo_us <= hi_us")
 
+    def draw(self, word: int) -> int:
+        return self.lo_us + word % (self.hi_us - self.lo_us + 1)
+
 
 @dataclass(frozen=True)
 class ExponentialJitter:
@@ -91,6 +97,14 @@ class ExponentialJitter:
     def __post_init__(self) -> None:
         if self.mean_us < 0:
             raise ValueError("mean_us must be >= 0")
+
+    def draw(self, word: int) -> int:
+        u = (word >> 11) * 2.0**-53  # 53-bit uniform in [0, 1)
+        log = math.log1p(-u)
+        try:
+            return max(0, round(-self.mean_us * log))
+        except OverflowError:  # a mean or a draw past float range, taken exactly
+            return max(0, round(-self.mean_us * Fraction(log)))
 
 
 JitterModel = Union[NoJitter, UniformJitter, ExponentialJitter]
@@ -140,11 +154,8 @@ def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTr
         raise GenerationError(f"duration_us must hold one frame interval and be <= {TS_MAX}")
     rng = random.Random(seed)
     marker, send, size = array("q"), array("q"), array("q")
-    k = 0
-    while True:
+    for k in range(-(-duration_us * cfg.fps // US_PER_S)):  # frames with k*10^6/fps < duration
         ts = (k * US_PER_S) // cfg.fps
-        if ts >= duration_us:
-            break
         mean = cfg.i_frame_bytes if k % cfg.gop == 0 else cfg.p_frame_bytes
         u = rng.uniform(-cfg.size_jitter_pct / 100, cfg.size_jitter_pct / 100)
         remaining = max(1, round(mean * (1 + u)))
@@ -154,7 +165,6 @@ def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTr
             marker.append(remaining == 0)
             send.append(ts)
             size.append(frag)
-        k += 1
     return _sent(cfg, marker, send, size)
 
 
@@ -162,53 +172,33 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64_pair(seed: int) -> tuple[int, int]:
-    """First two outputs of a splitmix64 stream."""
-
-    def mix(state: int) -> int:
-        z = state
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4B5B9 & _MASK64
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-        return z ^ (z >> 31)
-
-    s1 = (seed + _SM64_GAMMA) & _MASK64
-    s2 = (s1 + _SM64_GAMMA) & _MASK64
-    return mix(s1), mix(s2)
-
-
-def _sample_jitter(model: JitterModel, word: int) -> int:
-    if isinstance(model, NoJitter):
-        return 0
-    if isinstance(model, UniformJitter):
-        return model.lo_us + word % (model.hi_us - model.lo_us + 1)
-    if isinstance(model, ExponentialJitter):
-        u = (word >> 11) * 2.0**-53  # 53-bit uniform in [0, 1)
-        log = math.log1p(-u)
-        try:
-            return max(0, round(-model.mean_us * log))
-        except OverflowError:  # a mean or a draw past float range, taken exactly
-            return max(0, round(-model.mean_us * Fraction(log)))
-    raise TypeError(f"unknown jitter model: {model!r}")
+def _mix(state: int) -> int:
+    """splitmix64's output for one state of its stream."""
+    z = (state ^ (state >> 30)) * 0xBF58476D1CE4B5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
 
 
 def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     """Stamp arrival times and apply loss; deterministic per (trace, seed).
 
-    Packet index i draws from splitmix64 seeded with seed XOR i: the first
-    word decides loss, the second the jitter sample, so the two are
-    independent. An arrival past TS_MAX raises TraceValidationError, naming
-    the packet by its index in `trace`.
+    Packet index i draws from splitmix64 seeded with seed XOR i: the stream's
+    first word decides loss, and only a kept packet takes the second, which
+    the jitter model draws its delay from, so the two are independent. An
+    arrival past TS_MAX raises TraceValidationError, naming the packet by its
+    index in `trace`.
     """
     num, den = ch.loss_prob.numerator, ch.loss_prob.denominator
+    seed, delay, draw = ch.seed, ch.base_delay_us, ch.jitter.draw
     keep = bytearray(len(trace))
     recv = array("q")
     for i, send in enumerate(trace.send_ts_us):
-        loss_word, jitter_word = _splitmix64_pair((ch.seed ^ i) & _MASK64)
-        if loss_word * den < num << 64:
+        state = (seed ^ i) + _SM64_GAMMA & _MASK64
+        if _mix(state) * den < num << 64:
             continue
         keep[i] = 1
-        arrival = send + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
+        arrival = send + delay + draw(_mix(state + _SM64_GAMMA & _MASK64))
         if arrival > TS_MAX:
-            raise TraceValidationError([Violation(i, f"recv_ts_us {_show(arrival)} > {TS_MAX}")])
+            raise TraceValidationError([Violation(i, _ARRIVAL_PAST_TS_MAX.format(_show(arrival)))])
         recv.append(arrival)
     return trace.select(keep, recv).sorted_by("recv_ts_us")  # by arrival, stably

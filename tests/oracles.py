@@ -26,13 +26,18 @@ carry a `_reference` suffix. `validate_trace_reference` and
 table stated it: a per-packet generator of (field, message) that names every
 rule over rows, which the first runs on every packet of a trace that fails
 its column screen, and the second on each row a StreamTrace refuses, keeping
-the fields no column holds.
+the fields no column holds. `apply_channel_reference` is the channel as it
+was written before each jitter model drew its own delay: one function asks
+which model it is for every packet, and each packet takes both splitmix64
+words, whether it is lost or not.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import struct
+from array import array
 from collections import OrderedDict, deque
 from fractions import Fraction
 from itertools import islice
@@ -43,11 +48,13 @@ from rtpshape import LeakyBucketConfig, MediaPacket, StreamTrace, TokenBucketCon
 from rtpshape.metrics import (_JITTER_ONE, InsufficientDataError, MetricPreconditionError,
                               MetricsReport)
 from rtpshape.model import (_SEQ_HALF, _TYPES, CSV_HEADER, PT_MOD, SEQ_MOD, SSRC_MOD, TS_MAX,
-                            Violation, _show)
+                            TraceValidationError, Violation, _show)
 from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGIC_SWAPPED,
                            PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
 from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
                               ShapingPreconditionError)
+from rtpshape.traffic import (ChannelModel, ExponentialJitter, JitterModel, NoJitter,
+                              UniformJitter)
 from rtpshape.reporting import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
                                 PANEL_HEIGHT, PANEL_WIDTH)
 
@@ -823,3 +830,52 @@ def validate_trace_reference(trace: StreamTrace) -> list:
     return out + [Violation(i, "unsorted: active timestamp decreases")
                   for i, (prev_t, t) in enumerate(zip(ts, islice(ts, 1, None)), start=1)
                   if t < prev_t]
+
+
+_SM64_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_pair(seed: int) -> tuple[int, int]:
+    """First two outputs of a splitmix64 stream."""
+
+    def mix(state: int) -> int:
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4B5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return z ^ (z >> 31)
+
+    s1 = (seed + _SM64_GAMMA) & _MASK64
+    s2 = (s1 + _SM64_GAMMA) & _MASK64
+    return mix(s1), mix(s2)
+
+
+def _sample_jitter(model: JitterModel, word: int) -> int:
+    if isinstance(model, NoJitter):
+        return 0
+    if isinstance(model, UniformJitter):
+        return model.lo_us + word % (model.hi_us - model.lo_us + 1)
+    if isinstance(model, ExponentialJitter):
+        u = (word >> 11) * 2.0**-53  # 53-bit uniform in [0, 1)
+        log = math.log1p(-u)
+        try:
+            return max(0, round(-model.mean_us * log))
+        except OverflowError:  # a mean or a draw past float range, taken exactly
+            return max(0, round(-model.mean_us * Fraction(log)))
+    raise TypeError(f"unknown jitter model: {model!r}")
+
+
+def apply_channel_reference(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
+    num, den = ch.loss_prob.numerator, ch.loss_prob.denominator
+    keep = bytearray(len(trace))
+    recv = array("q")
+    for i, send in enumerate(trace.send_ts_us):
+        loss_word, jitter_word = _splitmix64_pair((ch.seed ^ i) & _MASK64)
+        if loss_word * den < num << 64:
+            continue
+        keep[i] = 1
+        arrival = send + ch.base_delay_us + _sample_jitter(ch.jitter, jitter_word)
+        if arrival > TS_MAX:
+            raise TraceValidationError([Violation(i, f"recv_ts_us {_show(arrival)} > {TS_MAX}")])
+        recv.append(arrival)
+    return trace.select(keep, recv).sorted_by("recv_ts_us")  # by arrival, stably

@@ -36,8 +36,8 @@ def test_scale_bench_runs_every_layer():
     scale = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scale)
     layers = scale.layers_at(300)
-    names = ["generate", "channel", "validate_trace", "leaky", "token", "write_trace_csv",
-             "read_trace_csv", "occupancy_csv", "panel_report", "render_svg", "panels_csv",
-             "metrics_report", "compare"]
+    names = ["generate", "channel", "generate_video", "channel_video", "validate_trace",
+             "leaky", "token", "write_trace_csv", "read_trace_csv", "occupancy_csv",
+             "panel_report", "render_svg", "panels_csv", "metrics_report", "compare"]
     assert sorted(layers) == sorted(f"{name}@300" for name in names)
     assert [key for key, row in layers.items() if not row["n"] > 0] == []

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter,
-                      GenerationError, NoJitter, UniformJitter, VideoGenConfig,
-                      apply_channel, generate_audio, generate_video, pdv,
-                      read_trace_csv, validate_trace, write_trace_csv)
+                      GenerationError, NoJitter, StreamTrace, TraceValidationError,
+                      UniformJitter, VideoGenConfig, apply_channel, generate_audio,
+                      generate_video, pdv, read_trace_csv, validate_trace, write_trace_csv)
+from rtpshape.model import TS_MAX
+
+from oracles import apply_channel_reference
 
 
 class TestAudio:
@@ -130,26 +133,37 @@ class TestChannel:
         values, stats = pdv(out)
         assert stats["max"] == 0 and set(values) == {0}
 
-    def test_draws_match_reference_rerun(self):
-        # reference reimplementation of the counter-based draw scheme
-        mask = (1 << 64) - 1
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ptime=st.integers(1000, 60_000), count=st.integers(1, 50),
+           base=st.integers(0, TS_MAX),
+           jitter=st.one_of(
+               st.just(NoJitter()),
+               st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)).map(
+                   lambda b: UniformJitter(min(b), max(b))),
+               st.builds(ExponentialJitter, st.integers(0, 100_000) | st.just(10**400))),
+           loss=st.fractions(0, 1, max_denominator=10**6).filter(lambda p: p < 1),
+           seed=st.integers(-2**70, -1) | st.integers(0, 2**64 - 1) | st.integers(2**64, 2**70))
+    def test_draws_match_reference_rerun(self, ptime, count, base, jitter, loss, seed):
+        # the same trace, or the same error, as the channel before each jitter
+        # model drew its own delay and before lost packets skipped the second word
+        def outcome(channel, trace, ch):
+            try:
+                return channel(trace, ch)
+            except Exception as exc:
+                return type(exc), str(exc)
 
-        def mix(state):
-            z = state
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4B5B9 & mask
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-            return z ^ (z >> 31)
+        trace = generate_audio(AudioGenConfig(ptime_us=ptime), ptime * count)
+        ch = ChannelModel(base_delay_us=base, jitter=jitter, loss_prob=loss, seed=seed)
+        assert outcome(apply_channel, trace, ch) == outcome(apply_channel_reference, trace, ch)
 
-        seed = 13
-        lo, hi = 0, 30_000
-        trace = generate_audio(AudioGenConfig(), 200_000)
-        out = apply_channel(trace, ChannelModel(jitter=UniformJitter(lo, hi), seed=seed))
-        expected = {}
-        for i, p in enumerate(trace.packets):
-            s1 = (seed ^ i) + 0x9E3779B97F4A7C15 & mask
-            s2 = s1 + 0x9E3779B97F4A7C15 & mask
-            expected[p.seq] = p.send_ts_us + lo + mix(s2) % (hi - lo + 1)
-        assert {p.seq: p.recv_ts_us for p in out.packets} == expected
+    def test_arrival_past_ts_max_is_refused_as_a_row_is(self):
+        trace = generate_audio(AudioGenConfig(), 20_000)
+        with pytest.raises(TraceValidationError) as channel:
+            apply_channel(trace, ChannelModel(base_delay_us=TS_MAX, jitter=UniformJitter(1, 1)))
+        with pytest.raises(TraceValidationError) as row:
+            StreamTrace([trace.packets[0]._replace(recv_ts_us=TS_MAX + 1)])
+        assert channel.value.violations == row.value.violations == \
+            [(0, f"recv_ts_us {TS_MAX + 1} > {TS_MAX}")]
 
 
 SSRCS = st.integers(0, 2**32 - 1)
