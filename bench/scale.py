@@ -15,12 +15,16 @@ received packets.
 
 Each layer runs on the previous layer's output at the same size. `best_s`
 is the best of REPEAT perf_counter timings; `peak_bytes` is
-tracemalloc's peak above what was allocated before the call, taken in one
-more call. A layer's `n` is the packet count of its input (for `generate`,
-of its output). The end-to-end row runs `python -m rtpshape.cli run` in a
-child process, E2E_REPEAT times: `best_s` is the best wall time, `peak_rss_mib` the child's
-largest peak RSS (`os.wait4`), and `run_dir_sha256` a digest of every file
-the run wrote, so two trees' run directories can be compared. The end-to-end
+tracemalloc's peak above what was allocated before the call, and
+`held_bytes` what is still allocated when it returns (what its result
+keeps), both taken in one more call. A layer's `n` is the packet count of
+its input (for `generate`, of its output). The end-to-end row runs
+`python -m rtpshape.cli run` in a child process, E2E_REPEAT times: `best_s`
+is the best wall time, `peak_rss_mib` the child's largest peak RSS
+(`os.wait4`), and `run_dir_sha256` a digest of every file the run wrote, so
+two trees' run directories can be compared. The child keeps its bytecode
+under a PYTHONPYCACHEPREFIX in its temporary directory, so no `__pycache__`
+in the checkout, however stale, is read. The end-to-end
 rows run before the layers: on Linux a child's peak RSS starts from the peak
 RSS of the process that spawned it, and the 300k-packet layers take this
 one's to 640-660 MiB, above what `rtpshape run` itself reaches.
@@ -85,7 +89,8 @@ pipeline.1.capacity_tokens = 2000
 
 
 def measure(fn, args):
-    """(result, best wall seconds, tracemalloc peak bytes) of fn(*args)."""
+    """(result, best wall seconds, tracemalloc peak bytes, tracemalloc bytes
+    held by the result) of fn(*args)."""
     best = float("inf")
     for _ in range(REPEAT):
         start = time.perf_counter()
@@ -96,10 +101,10 @@ def measure(fn, args):
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, peak = (traced - base for traced in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    return result, best, peak
+    return result, best, peak, held
 
 
 def layers_at(size: int) -> dict:
@@ -107,8 +112,9 @@ def layers_at(size: int) -> dict:
     out = {}
 
     def run(name, n, fn, *args):
-        result, best, peak = measure(fn, args)
-        out[f"{name}@{size}"] = {"n": n, "best_s": round(best, 6), "peak_bytes": peak}
+        result, best, peak, held = measure(fn, args)
+        out[f"{name}@{size}"] = {"n": n, "best_s": round(best, 6), "peak_bytes": peak,
+                                 "held_bytes": held}
         return result
 
     sent = run("generate", size, traffic.generate_audio,
@@ -143,9 +149,10 @@ def run_dir_digest(out: Path) -> str:
 
 def e2e(config: str) -> dict:
     """`rtpshape run` on one scenario config, in a fresh child each time."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     best, rss_kib, digests = float("inf"), 0, set()
     with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   PYTHONPYCACHEPREFIX=str(Path(tmp) / "pycache"))
         cfg = Path(tmp) / "scenario.cfg"
         cfg.write_text(config, encoding="ascii")
         for k in range(E2E_REPEAT):

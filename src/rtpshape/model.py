@@ -170,7 +170,8 @@ class StreamTrace(_Record):
         order = sorted(range(len(key)), key=key.__getitem__)
         missing = set(self.missing)
         return StreamTrace._of(*(array("q", map(c.__getitem__, order)) for c in self.columns()),
-                               array("q", [k for k, i in enumerate(order) if i in missing]))
+                               array("q", [k for k, i in enumerate(order) if i in missing]
+                                     if missing else ()))
 
 
 def _show(value: object) -> str:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import inf
+from operator import le
 from typing import NamedTuple, Optional, Union
 
 from .model import TS_MAX, US_PER_S, MediaPacket, StreamTrace, _Record
@@ -86,13 +87,15 @@ class OccupancySample(NamedTuple):
 
 
 class Occupancy(NamedTuple):
-    """The samples as columns; queued_bytes and tokens are lists, as neither a
-    queue's bytes nor a bucket's capacity has an upper bound."""
+    """The samples as columns. queued_bytes and tokens are each an array('q')
+    when the bound _serve knows for them before it starts fits in 64 bits, and
+    a list otherwise, as neither a queue's bytes nor a bucket's capacity has an
+    upper bound."""
 
     ts_us: array
     queued_packets: array
-    queued_bytes: list
-    tokens: list
+    queued_bytes: Union[array, list]
+    tokens: Union[array, list]
 
 
 class ShapeResult(_Record):
@@ -133,6 +136,9 @@ class _LeakyPolicy:
         return 0
 
     def tokens_at(self, t: int) -> int:
+        return 0
+
+    def most_tokens(self, recv: array, sizes: array) -> int:
         return 0
 
     def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
@@ -184,8 +190,22 @@ class _TokenPolicy:
         self.tokens = self.tokens_at(t) - size
         return self.tokens
 
+    def most_tokens(self, recv: array, sizes: array) -> Union[int, float]:
+        """The capacity, when no size is negative and the arrivals come in order
+        from time 0 on, as in a valid trace; else tokens have no bound known in
+        advance (an arrival before the last event takes tokens away)."""
+        if min(sizes, default=0) >= 0 and all(map(le, chain((0,), recv), recv)):
+            return self.cap
+        return inf
+
     def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
         return self.limit is not None and waiting_bytes + size > self.limit
+
+
+def _column(bound: Union[int, float]) -> Union[array, list]:
+    """An empty column for ints of magnitude at most `bound`: an array('q') when
+    the bound fits in one, a list otherwise."""
+    return array("q") if bound <= TS_MAX else []
 
 
 def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> ShapeResult:
@@ -197,6 +217,12 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     that finds the queue empty and the policy ready departs unqueued, unless
     the policy queues_every_packet. Samples take their tokens from
     depart(t, size) and tokens_at(t).
+
+    Each sample column's type is picked once, before the loop, from a bound
+    on its values' magnitude: for queued bytes the sum of the sizes'
+    magnitudes, for tokens the policy's most_tokens(recv, sizes). A column
+    whose bound is at most TS_MAX is an array('q'), and one whose bound is
+    larger a list.
 
     The queue holds input indices. Each packet departs but those dropped, and
     a FIFO server never reorders, so the departures, appended as they happen,
@@ -216,7 +242,8 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     departures = array("q")
     departs = departures.append
     dropped = bytearray(n)
-    samples = Occupancy(array("q"), array("q"), [], [])
+    samples = Occupancy(array("q"), array("q"), _column(sum(map(abs, sizes))),
+                        _column(policy.most_tokens(recv, sizes)))
     sample_t, sample_queued, sample_bytes, sample_tokens = (c.append for c in samples)
     pop_head = queue.popleft
     enqueue = queue.append

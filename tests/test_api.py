@@ -1,4 +1,8 @@
 import importlib.util
+import marshal
+import shutil
+import struct
+import sys
 from pathlib import Path
 
 import rtpshape
@@ -28,16 +32,44 @@ def test_every_tracer_target_resolves():
             ] == []
 
 
-def test_scale_bench_runs_every_layer():
-    # bench/scale.py calls the trace and shape-result surfaces directly, and
-    # only a bench run would find one of them changed
+def load_scale_bench():
     path = Path(__file__).resolve().parent.parent / "bench" / "scale.py"
     spec = importlib.util.spec_from_file_location("bench_scale", path)
     scale = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scale)
+    return scale
+
+
+def test_scale_bench_runs_every_layer():
+    # bench/scale.py calls the trace and shape-result surfaces directly, and
+    # only a bench run would find one of them changed
+    scale = load_scale_bench()
     layers = scale.layers_at(300)
     names = ["generate", "channel", "generate_video", "channel_video", "validate_trace",
              "leaky", "token", "write_trace_csv", "read_trace_csv", "occupancy_csv",
              "panel_report", "render_svg", "panels_csv", "metrics_report", "compare"]
     assert sorted(layers) == sorted(f"{name}@300" for name in names)
     assert [key for key, row in layers.items() if not row["n"] > 0] == []
+    assert [key for key, row in layers.items() if not 0 <= row["held_bytes"] <= row["peak_bytes"]
+            ] == []
+
+
+def test_scale_bench_run_reads_no_bytecode_from_the_checkout(tmp_path, monkeypatch):
+    # a __pycache__ in the checkout that matches its source's mtime and size
+    # is loaded in place of the source; the end-to-end child must compile its own
+    scale = load_scale_bench()
+    src = tmp_path / "src"
+    shutil.copytree(scale.SRC / "rtpshape", src / "rtpshape",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = src / "rtpshape" / "__init__.py"
+    stat = source.stat()
+    pyc = source.parent / "__pycache__" / f"__init__.{sys.implementation.cache_tag}.pyc"
+    pyc.parent.mkdir()
+    pyc.write_bytes(importlib.util.MAGIC_NUMBER
+                    + struct.pack("<3I", 0, int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size)
+                    + marshal.dumps(compile("raise SystemExit(99)", str(source), "exec")))
+    monkeypatch.setattr(scale, "SRC", src)
+    (config,) = scale.SCENARIOS.values()
+    one_second = config.replace("duration_us = 300000000", "duration_us = 1000000")
+    assert one_second != config
+    assert len(scale.e2e(one_second)["run_dir_sha256"]) == 64

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from rtpshape import (LeakyBucketConfig, MediaPacket, PipelineStageError,
                       ShapeResult, ShapingPreconditionError, StreamTrace,
                       TokenBucketConfig, leaky_bucket_shape, run_pipeline,
                       token_bucket_shape, validate_trace)
+from rtpshape.reporting import occupancy_csv
 
 from oracles import (burst_scaled, burst_scaled_brute, leaky_bucket_shape_reference,
                      leaky_oracle, random_leaky_config, random_received_trace,
@@ -363,6 +365,51 @@ class TestAgainstSeparateLoops:
         # an oversized packet raises; with one it is dropped instead
         assert outcomes == ({(ShapeResult, True), (ShapeResult, False)} if queue_limit
                             else {(str, True), (ShapeResult, False)})
+
+
+class TestOccupancyColumns:
+    """A sample column is an array('q') when its bound, known before the server
+    starts, fits in 64 bits, and a list otherwise; the CSV is the same either way."""
+
+    def test_bounded_columns_are_arrays(self):
+        trace = received_trace([0, 0, 0, 10_000])
+        for result in (leaky_bucket_shape(trace, LeakyBucketConfig(capacity_packets=2)),
+                       token_bucket_shape(trace, TokenBucketConfig(rate=Fraction(1000),
+                                                                   capacity_tokens=200))):
+            assert all(type(c) is array and c.typecode == "q" for c in result.samples)
+
+    def test_tokens_past_64_bits_are_a_list(self):
+        trace = received_trace([0, 10])
+        result = token_bucket_shape(trace, TokenBucketConfig(rate=Fraction(1000),
+                                                             capacity_tokens=10**20))
+        assert type(result.samples.queued_bytes) is array
+        assert type(result.samples.tokens) is list
+        assert occupancy_csv(result).splitlines()[1] == "0,1,125,100000000000000000000"
+
+    @pytest.mark.parametrize("count, size, row", [(3, 2**62, "0,2,9223372036854775808,0"),
+                                                  (4, -2**62, "0,3,-13835058055282163712,0")])
+    def test_queued_bytes_past_64_bits_are_a_list(self, count, size, row):
+        trace = received_trace([0] * count, size=size)
+        result = leaky_bucket_shape(trace, LeakyBucketConfig(capacity_packets=5,
+                                                             drain_interval_us=1))
+        assert type(result.samples.queued_bytes) is list
+        assert row in occupancy_csv(result).splitlines()
+
+    @pytest.mark.parametrize("entries, cfg, row", [
+        # an arrival before time 0 takes tokens away, past -2**63
+        ([(-10**18, 1)], TokenBucketConfig(rate=Fraction(10**30), capacity_tokens=10),
+         "-1000000000000000000,1,1,-999999999999999999999999999999999999999990"),
+        # an arrival before the one ahead of it does so too
+        ([(10**18, 1), (0, 1)], TokenBucketConfig(rate=Fraction(10**30), capacity_tokens=10),
+         "0,2,2,-999999999999999999999999999999999999999990"),
+        # a negative size puts tokens above the capacity
+        ([(0, -2**62), (0, -2**62)], TokenBucketConfig(rate=Fraction(1), capacity_tokens=2**62),
+         "0,0,0,9223372036854775808"),
+    ])
+    def test_tokens_outside_a_valid_trace_are_a_list(self, entries, cfg, row):
+        result = token_bucket_shape(received_trace(entries), cfg)
+        assert type(result.samples.tokens) is list
+        assert row in occupancy_csv(result).splitlines()
 
 
 class TestPipeline:
