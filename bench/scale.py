@@ -134,7 +134,8 @@ def layers_at(size: int) -> dict:
                 leaky.shaped, token, TOKEN)
     run("render_svg", len(leaky.shaped), reporting.render_svg, panel)
     run("panels_csv", len(leaky.shaped), reporting.panels_csv, panel)
-    run("metrics_report", len(trace), metrics.metrics_report, trace, WINDOW_US)
+    report = run("metrics_report", len(trace), metrics.metrics_report, trace, WINDOW_US)
+    run("jitter_csv", len(trace), reporting.jitter_csv, report)
     run("compare", len(trace), metrics.compare, trace, token.shaped, WINDOW_US)
     return out
 

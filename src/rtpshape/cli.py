@@ -22,7 +22,7 @@ from .model import (StreamTrace, TraceFormatError, TraceValidationError, check_t
                     parse_trace_csv, read_trace_csv, write_trace_csv)
 from .scenario import ConfigError, ScenarioConfig, parse_scenario
 from .shaping import (ShapeResult, ShaperConfig, ShapingPreconditionError,
-                      PipelineStageError, run_pipeline)
+                      PipelineStageError, _check_arrived, run_pipeline)
 from .traffic import (AudioGenConfig, GenerationError, apply_channel,
                       generate_audio, generate_video)
 
@@ -70,11 +70,7 @@ def _parse_arrived(data: bytes) -> StreamTrace:
     """A trace CSV whose every packet has arrived, as shaping, a figure and a
     comparison need. Arrivals are checked first: one missing arrival makes the
     send times the ones whose order is checked."""
-    trace = parse_trace_csv(data)
-    if trace.missing:
-        raise ShapingPreconditionError(
-            f"packet {trace.missing[0]} has no arrival timestamp (recv_ts_us)")
-    return check_trace(trace)
+    return check_trace(_check_arrived(parse_trace_csv(data)))
 
 
 def _write_files(prefix: str, files: Files) -> None:

@@ -77,8 +77,10 @@ def _transit(trace: StreamTrace) -> list[int]:
 _JITTER_ONE = 1 << 64
 
 
-def _jitter_q64(transit: list[int]) -> tuple[int, ...]:
-    """The Q64 jitter recurrence over the transit times; see interarrival_jitter."""
+def _jitter_q64(transit: Sequence[int]) -> tuple[int, ...]:
+    """The Q64 jitter recurrence over the transit times; see interarrival_jitter.
+    It reads only differences of consecutive values, so the transit times less
+    any one constant (the PDV values) give the same series."""
     if len(transit) < 2:
         raise InsufficientDataError("interarrival jitter needs at least 2 packets")
     series = []
@@ -118,8 +120,10 @@ def _nearest_rank(sorted_values: list[int], pct: int) -> int:
     return sorted_values[max(rank, 1) - 1]
 
 
-def _pdv(transit: list[int]) -> tuple[tuple[int, ...], dict]:
-    """PDV over the transit times; see pdv."""
+def pdv(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
+    """Min-referenced packet delay variation: one-way delay minus the trace
+    minimum, per packet, plus nearest-rank summary stats."""
+    transit = _transit(trace)
     if not transit:
         raise InsufficientDataError("pdv needs at least 1 packet")
     base = min(transit)
@@ -135,12 +139,6 @@ def _pdv(transit: list[int]) -> tuple[tuple[int, ...], dict]:
     return tuple(values), stats
 
 
-def pdv(trace: StreamTrace) -> tuple[tuple[int, ...], dict]:
-    """Min-referenced packet delay variation: one-way delay minus the trace
-    minimum, per packet, plus nearest-rank summary stats."""
-    return _pdv(_transit(trace))
-
-
 def _extended(seqs: Sequence[int]) -> Iterator[int]:
     """Each seq extended to the value congruent to it nearest the previous one."""
     ext = seqs[0]  # so the first step is 0
@@ -149,9 +147,16 @@ def _extended(seqs: Sequence[int]) -> Iterator[int]:
         yield ext
 
 
-def _loss(seqs: Sequence[int]) -> tuple[int, Fraction, int]:
-    """Loss over the seq column; see loss. One pass puts each extended seq in a
-    set, so memory follows the packet count, not the span of the seqs."""
+def loss(trace: StreamTrace) -> tuple[int, Fraction, int]:
+    """Wrap-aware loss: (loss_count, loss_rate, duplicate_count).
+
+    Each seq is extended (unwrapped) to the value congruent to it that is
+    nearest the previous extended seq; the first keeps its own value. The
+    expected count spans the observed extended range; duplicate sequence
+    numbers count once. One pass puts each extended seq in a set, so memory
+    follows the packet count, not the span of the seqs.
+    """
+    seqs = trace.seq
     if not seqs:
         raise InsufficientDataError("loss needs at least 1 packet")
     seen = set(_extended(seqs))
@@ -161,56 +166,40 @@ def _loss(seqs: Sequence[int]) -> tuple[int, Fraction, int]:
     return loss_count, Fraction(loss_count, expected), len(seqs) - unique
 
 
-def loss(trace: StreamTrace) -> tuple[int, Fraction, int]:
-    """Wrap-aware loss: (loss_count, loss_rate, duplicate_count).
+def throughput(trace: StreamTrace, window_us: int) -> tuple[tuple[int, int], ...]:
+    """Bytes per half-open window [k*w, (k+1)*w) over the active timestamp.
 
-    Each seq is extended (unwrapped) to the value congruent to it that is
-    nearest the previous extended seq; the first keeps its own value. The
-    expected count spans the observed extended range; duplicate sequence
-    numbers count once.
-    """
-    return _loss(trace.seq)
-
-
-def _throughput(ts: Sequence[int], sizes: Sequence[int],
-                window_us: int) -> tuple[tuple[int, int], ...]:
-    """Throughput over the timestamp and size columns; see throughput. Each
+    Only windows containing at least one packet appear in the series. Each
     run of consecutive packets in one window adds its bytes to that window,
     so a window whose packets come in several runs (a trace out of time
-    order) sums them all."""
+    order) sums them all.
+    """
     if window_us < 1:
         raise ValueError("window_us must be >= 1")
+    sizes = trace.size_bytes
     buckets: dict[int, int] = {}
     end = 0
-    for k, run in groupby(ts, key=lambda t: t // window_us):
+    for k, run in groupby(trace.active_timestamps(), key=lambda t: t // window_us):
         start, end = end, end + len(list(run))
         buckets[k] = buckets.get(k, 0) + sum(sizes[start:end])
     return tuple((k * window_us, buckets[k]) for k in sorted(buckets))
 
 
-def throughput(trace: StreamTrace, window_us: int) -> tuple[tuple[int, int], ...]:
-    """Bytes per half-open window [k*w, (k+1)*w) over the active timestamp.
-
-    Only windows containing at least one packet appear in the series.
-    """
-    return _throughput(trace.active_timestamps(), trace.size_bytes, window_us)
-
-
 def metrics_report(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
-    """Full per-trace report; jitter/PDV degrade to None when a trace cannot
-    support them (too few packets, missing arrival timestamps). Every metric
-    reads the trace's columns."""
+    """Full per-trace report from loss, pdv and throughput; jitter/PDV degrade
+    to None when a trace cannot support them (too few packets, missing
+    arrival timestamps). The jitter series is the Q64 recurrence over the PDV
+    values, which differ from the transit times by one constant."""
     if not len(trace):
         raise InsufficientDataError("metrics need at least 1 packet")
-    loss_count, loss_rate, duplicates = _loss(trace.seq)
+    loss_count, loss_rate, duplicates = loss(trace)
     ts = trace.active_timestamps()
     jitter_series = jitter_final = pdv_values = pdv_stats = None
     if not trace.missing:
-        transit = list(map(sub, trace.recv_ts_us, trace.send_ts_us))
-        if len(transit) > 1:
-            jitter_series = _jitter_q64(transit)
+        pdv_values, pdv_stats = pdv(trace)
+        if len(pdv_values) > 1:
+            jitter_series = _jitter_q64(pdv_values)
             jitter_final = Fraction(jitter_series[-1], _JITTER_ONE)
-        pdv_values, pdv_stats = _pdv(transit)
     return MetricsReport(
         jitter_series=jitter_series,
         jitter_final_us=jitter_final,
@@ -219,7 +208,7 @@ def metrics_report(trace: StreamTrace, window_us: int = 10**6) -> MetricsReport:
         loss_count=loss_count,
         loss_rate=loss_rate,
         duplicate_count=duplicates,
-        throughput_series=_throughput(ts, trace.size_bytes, window_us),
+        throughput_series=throughput(trace, window_us),
         total_bytes=sum(trace.size_bytes),
         total_packets=len(trace),
         duration_us=ts[-1] - ts[0],

@@ -83,11 +83,9 @@ def summary_lines(report: MetricsReport) -> list[str]:
         f"duration_us,{report.duration_us}",
         f"jitter_final_us,{jitter}",
     ]
-    if report.pdv_stats is None:
-        lines += [f"pdv_{k}_us,insufficient-data" for k in ("min", "max", "mean", "p50", "p99")]
-    else:
-        lines += [f"pdv_{k}_us,{format_decimal(report.pdv_stats[k])}"
-                  for k in ("min", "max", "mean", "p50", "p99")]
+    stats = report.pdv_stats
+    lines += [f"pdv_{k}_us," + ("insufficient-data" if stats is None else format_decimal(stats[k]))
+              for k in ("min", "max", "mean", "p50", "p99")]
     lines += [
         f"loss_count,{report.loss_count}",
         f"loss_rate,{format_decimal(report.loss_rate)}",
@@ -114,11 +112,9 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def jitter_csv(report: MetricsReport) -> str:
-    lines = ["index,jitter_us"]
-    if report.jitter_series:
-        lines += [f"{i},{format_jitter(q)}"
-                  for i, q in enumerate(report.jitter_series, start=1)]
-    return "\n".join(lines) + "\n"
+    series = report.jitter_series or ()
+    return "".join(["index,jitter_us\n", *_format_columns(
+        "%s,%s\n", range(1, len(series) + 1), list(map(format_jitter, series)))])
 
 
 def pdv_csv(report: MetricsReport) -> str:

@@ -202,6 +202,15 @@ class _TokenPolicy:
         return self.limit is not None and waiting_bytes + size > self.limit
 
 
+def _check_arrived(trace: StreamTrace) -> StreamTrace:
+    """The trace, if every packet has an arrival timestamp, as shaping needs;
+    else ShapingPreconditionError naming the first that has none."""
+    if trace.missing:
+        raise ShapingPreconditionError(
+            f"packet {trace.missing[0]} has no arrival timestamp (recv_ts_us)")
+    return trace
+
+
 def _column(bound: Union[int, float]) -> Union[array, list]:
     """An empty column for ints of magnitude at most `bound`: an array('q') when
     the bound fits in one, a list otherwise."""
@@ -229,9 +238,7 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     are the shaped trace's arrivals in input order. A departure past TS_MAX,
     which no column holds, raises ShapingPreconditionError.
     """
-    if trace.missing:
-        raise ShapingPreconditionError(
-            f"packet {trace.missing[0]} has no arrival timestamp (recv_ts_us)")
+    _check_arrived(trace)
     ready, depart, tokens_at, full = policy.ready, policy.depart, policy.tokens_at, policy.full
     queues_every_packet = policy.queues_every_packet
     recv, sizes = trace.recv_ts_us, trace.size_bytes

@@ -47,7 +47,8 @@ def test_scale_bench_runs_every_layer():
     layers = scale.layers_at(300)
     names = ["generate", "channel", "generate_video", "channel_video", "validate_trace",
              "leaky", "token", "write_trace_csv", "read_trace_csv", "occupancy_csv",
-             "panel_report", "render_svg", "panels_csv", "metrics_report", "compare"]
+             "panel_report", "render_svg", "panels_csv", "metrics_report", "jitter_csv",
+             "compare"]
     assert sorted(layers) == sorted(f"{name}@300" for name in names)
     assert [key for key, row in layers.items() if not row["n"] > 0] == []
     assert [key for key, row in layers.items() if not 0 <= row["held_bytes"] <= row["peak_bytes"]

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -10,6 +11,7 @@ from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter, Inconsist
                       TokenBucketConfig, UniformJitter, apply_channel, compare,
                       format_decimal, generate_audio, interarrival_jitter, leaky_bucket_shape,
                       loss, metrics_report, pdv, throughput, token_bucket_shape)
+from rtpshape import metrics
 from rtpshape.metrics import format_jitter
 from rtpshape.model import SEQ_MOD
 from rtpshape.reporting import jitter_csv
@@ -161,6 +163,10 @@ class TestReportAgainstReference:
         assert any(ts != sorted(ts) for ts in timestamps)
         arrived = [None not in [p.recv_ts_us for p in t.packets] for t in traces]
         assert any(arrived) and not all(arrived)
+        # the report's jitter runs over the PDV values, the transits less
+        # their minimum; a minimum above 0 checks that the offset drops out
+        assert any(not t.missing and min(map(sub, t.recv_ts_us, t.send_ts_us)) > 0
+                   for t in traces)
 
     def test_report_equals_reference(self, traces):
         for trace in traces:
@@ -187,6 +193,27 @@ class TestReportAgainstReference:
                     tuple((i, Fraction(q, Q64))
                           for i, q in enumerate(report.jitter_series, start=1)),
                     report.jitter_final_us)
+
+
+def test_report_calls_the_public_metrics(monkeypatch):
+    # perfbench times each metric by its public name in the module, so the
+    # report is built from those names, once each; jitter is the Q64 series,
+    # not the exact-Fraction interarrival_jitter
+    calls = []
+
+    def counting(name):
+        fn = getattr(metrics, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("loss", "pdv", "throughput", "interarrival_jitter"):
+        monkeypatch.setattr(metrics, name, counting(name))
+    trace = trace_from([(k, 20000 * k, 20000 * k + 500 + 37 * (k % 3)) for k in range(10)])
+    assert metrics_report(trace, 7) == metrics_report_reference(trace, 7)
+    assert sorted(calls) == ["loss", "pdv", "throughput"]
 
 
 class TestFormatDecimalAgainstRound:
