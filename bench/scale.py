@@ -30,7 +30,11 @@ RSS of the process that spawned it, and the 300k-packet layers take this
 one's to 640-660 MiB, above what `rtpshape run` itself reaches.
 
 `commit` is `git rev-parse HEAD`, with `+dirty` when `src/` differs from
-it; a run made before committing therefore names the parent commit.
+it; a run made before committing therefore names the parent commit. Where
+git finds no checkout, as in a `git archive` copy (how a tree is compared
+with its parent), it is the hash `git archive` writes into `bench/COMMIT`
+(`export-subst` in `.gitattributes`), or `unknown` while that file still
+holds its placeholder.
 `src_sha256` is a digest of every file under `src/rtpshape/`, and so
 names the measured source itself.
 """
@@ -184,7 +188,11 @@ def commit() -> str:
         head = git("rev-parse", "HEAD")
         return head + ("+dirty" if git("status", "--porcelain", "--", "src") else "")
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        try:
+            archived = (ROOT / "bench" / "COMMIT").read_text(encoding="ascii").strip()
+        except OSError:
+            return "unknown"
+        return "unknown" if archived.startswith("$Format") else archived
 
 
 def src_sha256() -> str:

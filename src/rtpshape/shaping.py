@@ -126,9 +126,9 @@ class _LeakyPolicy:
     def __init__(self, cfg: LeakyBucketConfig):
         self.drain = cfg.drain_interval_us
         self.cap = cfg.capacity_packets
-        self.next_free: Union[int, float] = -inf  # idle until the first departure
+        self.next_free = -2**63  # idle until the first departure: no arrival is earlier
 
-    def ready(self, size: int) -> Union[int, float]:
+    def ready(self, size: int) -> int:
         return self.next_free
 
     def depart(self, t: int, size: int) -> int:
@@ -146,14 +146,15 @@ class _LeakyPolicy:
 
 
 class _TokenPolicy:
-    """Exact integer token accrual with sub-token remainder carry.
+    """Exact integer token accrual kept as one virtual time, `empty`.
 
-    tokens available at t = min(cap, tokens + (rem + (t - t_last) * num) // den_us)
-    where den_us = rate denominator * 10^6. When the bucket caps, the
-    remainder is discarded (a full bucket accrues nothing).
+    At time t the bucket holds (t * num - empty) // den_us tokens, where
+    den_us = rate denominator * 10^6, and empty / num is the instant it last
+    held none: tokens * den_us + sub-token remainder == t * num - empty. A
+    full bucket accrues nothing (its remainder is discarded).
     """
 
-    __slots__ = ("num", "den_us", "cap", "limit", "tokens", "rem", "t")
+    __slots__ = ("num", "den_us", "cap", "cap_den", "limit", "empty", "t")
     queues_every_packet = True
     reason = DROP_QUEUE_FULL
 
@@ -161,34 +162,30 @@ class _TokenPolicy:
         self.num = cfg.rate.numerator
         self.den_us = cfg.rate.denominator * US_PER_S
         self.cap = cfg.capacity_tokens
+        self.cap_den = self.cap * self.den_us
         self.limit = cfg.queue_limit_bytes
-        self.tokens = cfg.start_tokens
-        self.rem = 0
+        self.empty = -cfg.start_tokens * self.den_us
         self.t = 0
 
     def tokens_at(self, t: int) -> int:
-        acc = self.rem + (t - self.t) * self.num
-        tokens = self.tokens + acc // self.den_us
-        if tokens >= self.cap:
-            self.tokens, self.rem = self.cap, 0
-        else:
-            self.tokens, self.rem = tokens, acc % self.den_us
+        accrued = t * self.num
+        if self.empty < accrued - self.cap_den:
+            self.empty = accrued - self.cap_den
         self.t = t
-        return self.tokens
+        return (accrued - self.empty) // self.den_us
 
     def ready(self, size: int) -> int:
         """Earliest time >= the last event at which `size` tokens are available."""
         if size > self.cap:
             raise ShapingPreconditionError(
                 f"packet of {size} bytes exceeds token capacity {self.cap}; it can never depart")
-        if self.tokens >= size:
-            return self.t
-        deficit = (size - self.tokens) * self.den_us - self.rem
-        return self.t + -(-deficit // self.num)  # ceiling division
+        at = -(-(size * self.den_us + self.empty) // self.num)  # ceiling division
+        return at if at > self.t else self.t
 
     def depart(self, t: int, size: int) -> int:
-        self.tokens = self.tokens_at(t) - size
-        return self.tokens
+        tokens = self.tokens_at(t) - size
+        self.empty += size * self.den_us
+        return tokens
 
     def most_tokens(self, recv: array, sizes: array) -> Union[int, float]:
         """The capacity, when no size is negative and the arrivals come in order

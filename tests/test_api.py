@@ -74,3 +74,17 @@ def test_scale_bench_run_reads_no_bytecode_from_the_checkout(tmp_path, monkeypat
     one_second = config.replace("duration_us = 300000000", "duration_us = 1000000")
     assert one_second != config
     assert len(scale.e2e(one_second)["run_dir_sha256"]) == 64
+
+
+def test_scale_bench_names_an_archived_commit(tmp_path, monkeypatch):
+    # a `git archive` copy has no .git; the commit is the hash that
+    # export-subst wrote into bench/COMMIT, and unknown while it was not
+    scale = load_scale_bench()
+    monkeypatch.setattr(scale, "ROOT", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    (tmp_path / "bench").mkdir()
+    committed = "c744a2461d2601bf59c6e4b441d7e94019ddcc44"
+    (tmp_path / "bench" / "COMMIT").write_text(committed + "\n", encoding="ascii")
+    assert scale.commit() == committed
+    (tmp_path / "bench" / "COMMIT").write_text("$Format:%H$\n", encoding="ascii")
+    assert scale.commit() == "unknown"

@@ -10,10 +10,11 @@ from rtpshape import (LeakyBucketConfig, MediaPacket, PipelineStageError,
                       TokenBucketConfig, leaky_bucket_shape, run_pipeline,
                       token_bucket_shape, validate_trace)
 from rtpshape.reporting import occupancy_csv
+from rtpshape.shaping import _serve, _TokenPolicy
 
-from oracles import (burst_scaled, burst_scaled_brute, leaky_bucket_shape_reference,
-                     leaky_oracle, random_leaky_config, random_received_trace,
-                     random_token_config, token_bucket_shape_reference,
+from oracles import (_TokenStateReference, burst_scaled, burst_scaled_brute,
+                     leaky_bucket_shape_reference, leaky_oracle, random_leaky_config,
+                     random_received_trace, random_token_config, token_bucket_shape_reference,
                      token_delay_bound_us, token_oracle)
 
 
@@ -314,6 +315,57 @@ def rows(result):
     return result
 
 
+def wild_trace(rng, unordered, min_size):
+    """Up to 60 packets arriving from -1000 to 2000 µs, in any order when
+    `unordered`, of min_size to 100 bytes: not a valid trace, but both the
+    server and the reference loops take it."""
+    times = sorted(rng.randint(-1000, 2000) for _ in range(rng.randint(1, 60)))
+    if unordered:
+        rng.shuffle(times)
+    return StreamTrace(tuple(MediaPacket(k, 7, 96, False, t, t, rng.randint(min_size, 100))
+                             for k, t in enumerate(times)))
+
+
+def edge_token_config(rng, case):
+    """A random token config, then: "initial 0" starts it empty, "past 64
+    bits" gives it a rate of 10**30 B/s or a capacity past 2**63 tokens,
+    whose counts times the rate's denominator pass 2**63, and "oversized"
+    gives it fewer tokens than some packets hold, without a queue limit."""
+    cfg = random_token_config(rng)
+    if case == "initial 0":
+        return dataclasses.replace(cfg, initial_tokens=0)
+    if case == "past 64 bits":
+        cap = rng.choice([10**20, 2**63 + rng.randint(0, 1000)])
+        return dataclasses.replace(
+            cfg, rate=rng.choice([Fraction(10**30), Fraction(10**30, 7), cfg.rate]),
+            capacity_tokens=cap, initial_tokens=rng.choice([None, 0, rng.randint(0, cap)]))
+    if case == "oversized":
+        return dataclasses.replace(cfg, capacity_tokens=rng.randint(20, 99),
+                                   initial_tokens=None, queue_limit_bytes=None)
+    return cfg
+
+
+class RemainderPolicy(_TokenPolicy):
+    """_TokenPolicy on the clock it replaced: the tokens, sub-token remainder
+    and last event time of _TokenStateReference."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.state = _TokenStateReference(cfg.rate, cfg.capacity_tokens, cfg.start_tokens)
+
+    def tokens_at(self, t):
+        self.state.advance(t)
+        return self.state.tokens
+
+    def ready(self, size):
+        super().ready(size)  # the oversized-packet refusal
+        return self.state.ready_time(size)
+
+    def depart(self, t, size):
+        self.state.tokens = self.tokens_at(t) - size
+        return self.state.tokens
+
+
 def assert_valid_output(result: ShapeResult, start_us: int) -> None:
     """The shaped trace is valid once every time is moved by -start_us: the
     random inputs below start as early as start_us = -1000 µs, below the
@@ -365,6 +417,62 @@ class TestAgainstSeparateLoops:
         # an oversized packet raises; with one it is dropped instead
         assert outcomes == ({(ShapeResult, True), (ShapeResult, False)} if queue_limit
                             else {(str, True), (ShapeResult, False)})
+
+    @pytest.mark.parametrize("case", ["unordered", "negative sizes"])
+    def test_leaky_outside_a_valid_trace(self, case):
+        rng = random.Random(1505 if case == "unordered" else 1606)
+        for _ in range(300):
+            trace = wild_trace(rng, unordered=case == "unordered",
+                               min_size=-100 if case == "negative sizes" else 1)
+            cfg = random_leaky_config(rng)
+            assert rows(leaky_bucket_shape(trace, cfg)) == leaky_bucket_shape_reference(trace, cfg)
+
+    def test_leaky_arrival_at_the_least_time_departs_at_once(self):
+        trace = received_trace([-2**63, -2**63])
+        cfg = LeakyBucketConfig(drain_interval_us=100)
+        got = leaky_bucket_shape(trace, cfg)
+        assert [p.recv_ts_us for p in got.shaped.packets] == [-2**63, -2**63 + 100]
+        assert rows(got) == leaky_bucket_shape_reference(trace, cfg)
+
+    @pytest.mark.parametrize("case", ["negative sizes", "initial 0", "past 64 bits"])
+    def test_token_outside_the_random_configs(self, case):
+        rng = random.Random(sum(map(ord, case)))
+        seen = 0
+        for _ in range(300):
+            trace = wild_trace(rng, unordered=False,
+                               min_size=-100 if case == "negative sizes" else 1)
+            cfg = edge_token_config(rng, case)
+            got = token_bucket_shape(trace, cfg)
+            assert rows(got) == token_bucket_shape_reference(trace, cfg)
+            if case == "negative sizes":  # tokens above the capacity
+                seen += max(got.samples.tokens) > cfg.capacity_tokens
+            elif case == "initial 0":  # a departure at no arrival's time waited for tokens
+                seen += not set(got.shaped.recv_ts_us) <= set(trace.recv_ts_us)
+            else:  # an arrival before time 0 takes tokens away, past -2**63
+                seen += min(got.samples.tokens) < -2**63
+        assert seen > 100
+
+    def test_token_clock_on_unordered_arrivals(self):
+        # on arrivals out of order the server and token_bucket_shape_reference
+        # part ways: the reference departs the heads due by an arrival right
+        # after admitting it, the server only at the next arrival, which may
+        # come earlier; so the clock is held to the old remainder form under
+        # the same server
+        rng = random.Random(1717)
+        outcomes = set()
+        for _ in range(600):
+            case = rng.choice(["negative sizes", "initial 0", "past 64 bits", "oversized"])
+            trace = wild_trace(rng, unordered=True,
+                               min_size=-100 if case == "negative sizes" else 1)
+            cfg = edge_token_config(rng, case)
+            got = shape_or_error(lambda t, c: _serve(t, _TokenPolicy(c)), trace, cfg)
+            assert rows(got) == rows(shape_or_error(
+                lambda t, c: _serve(t, RemainderPolicy(c)), trace, cfg))
+            outcomes.add((case, str if isinstance(got, str)
+                          else max(map(abs, got.samples.tokens)) > 2**63))
+        assert outcomes == {("negative sizes", False), ("initial 0", False),
+                            ("past 64 bits", False), ("past 64 bits", True),
+                            ("oversized", str), ("oversized", False)}
 
 
 class TestOccupancyColumns:
