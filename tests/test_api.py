@@ -83,7 +83,7 @@ def test_scale_bench_names_an_archived_commit(tmp_path, monkeypatch):
     monkeypatch.setattr(scale, "ROOT", tmp_path)
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
     (tmp_path / "bench").mkdir()
-    committed = "c744a2461d2601bf59c6e4b441d7e94019ddcc44"
+    committed = "0123456789abcdef0123456789abcdef01234567"
     (tmp_path / "bench" / "COMMIT").write_text(committed + "\n", encoding="ascii")
     assert scale.commit() == committed
     (tmp_path / "bench" / "COMMIT").write_text("$Format:%H$\n", encoding="ascii")
