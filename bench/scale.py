@@ -12,6 +12,14 @@ The `generate_video` and `channel_video` rows time the same duration of
 40 ms + `exponential(4000)` channel at 1/200 loss, seed 1: the path of
 perfbench's `shape_hd_video`. At 300 s that is 128,222 sent and 127,569
 received packets.
+The `import_pcap` row reads a little-endian classic capture of the scale
+scenario's received trace, built with `struct` before the timing: one
+Ethernet/IPv4/UDP/RTP frame a packet, stamped with its arrival time, every
+other one with a one-word RTP header extension so both header paths are
+timed, and a non-RTP UDP frame after every 10th packet. Each RTP record is cut
+just past its RTP header, as a header-only snaplen would cut it, so the
+importer sizes the media from the UDP length; at 300 s the capture is about
+25 MB. Its `n` is the number of frames.
 
 Each layer runs on the previous layer's output at the same size. `best_s`
 is the best of REPEAT perf_counter timings; `peak_bytes` is
@@ -46,6 +54,7 @@ import hashlib
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 import tempfile
@@ -58,7 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from rtpshape import metrics, model, reporting, shaping, traffic  # noqa: E402
+from rtpshape import metrics, model, pcap, reporting, shaping, traffic  # noqa: E402
 
 SIZES = (3000, 30000, 300000)  # sent packets per layer row
 REPEAT = 3
@@ -73,6 +82,13 @@ VIDEO = traffic.VideoGenConfig(fps=30, gop=30, i_frame_bytes=60_000, p_frame_byt
                                mtu_payload_bytes=1200)
 VIDEO_CHANNEL = traffic.ChannelModel(base_delay_us=40_000, jitter=traffic.ExponentialJitter(4000),
                                      loss_prob=Fraction(1, 200), seed=1)
+
+PCAP_HEADER = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)  # Ethernet
+RECORD = struct.Struct("<IIII")  # ts_sec, ts_usec, incl_len, orig_len
+# Ethernet type; IPv4 version/IHL, total length, TTL, protocol; UDP ports, length
+ETH_IPV4_UDP = struct.Struct(">12xHBxH4xBB10xHHHxx")
+RTP = struct.Struct(">BBHxxxxI")  # b0, b1 (marker, payload type), seq, ssrc
+EXTENSION = b"\xbe\xde\x00\x01" + bytes(4)  # a one-word header extension
 
 SCENARIOS = {
     "audio_1ms_leaky_token_300s": """\
@@ -111,6 +127,32 @@ def measure(fn, args):
     return result, best, peak, held
 
 
+def udp_frame(sport: int, dport: int, payload_len: int) -> bytes:
+    """Ethernet, IPv4 and UDP headers for a UDP payload of `payload_len` bytes."""
+    return ETH_IPV4_UDP.pack(0x0800, 0x45, 28 + payload_len, 64, 17, sport, dport,
+                             8 + payload_len)
+
+
+def pcap_capture(trace: model.StreamTrace) -> bytes:
+    """A classic pcap of `trace` as received; see the module docstring."""
+    noise_payload = b"\x12\x34" + bytes(10)  # version bits 0: not RTP
+    noise = udp_frame(5353, 53, len(noise_payload)) + noise_payload
+    records = [PCAP_HEADER]
+    for k, (seq, ssrc, pt, marker, ts, size) in enumerate(zip(
+            trace.seq, trace.ssrc, trace.payload_type, trace.marker, trace.recv_ts_us,
+            trace.size_bytes)):
+        extended = k % 2
+        header = RTP.pack(0x90 if extended else 0x80, marker << 7 | pt, seq, ssrc)
+        header += EXTENSION if extended else b""
+        frame = udp_frame(5004, 5004, len(header) + size) + header
+        records.append(RECORD.pack(ts // 10**6, ts % 10**6, len(frame), len(frame) + size))
+        records.append(frame)
+        if k % 10 == 9:
+            records.append(RECORD.pack(ts // 10**6, ts % 10**6, len(noise), len(noise)))
+            records.append(noise)
+    return b"".join(records)
+
+
 def layers_at(size: int) -> dict:
     """Every layer on the scale scenario cut to `size` sent packets."""
     out = {}
@@ -124,6 +166,9 @@ def layers_at(size: int) -> dict:
     sent = run("generate", size, traffic.generate_audio,
                traffic.AudioGenConfig(ptime_us=PTIME_US), size * PTIME_US)
     trace = run("channel", len(sent), traffic.apply_channel, sent, CHANNEL)
+    capture = pcap_capture(trace)
+    run("import_pcap", len(trace) + len(trace) // 10, pcap.import_pcap, capture)
+    del capture
     video = traffic.generate_video(VIDEO, size * PTIME_US, 1)
     run("generate_video", len(video), traffic.generate_video, VIDEO, size * PTIME_US, 1)
     run("channel_video", len(video), traffic.apply_channel, video, VIDEO_CHANNEL)

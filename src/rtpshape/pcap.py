@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import struct
 from array import array
-from collections import defaultdict
 from typing import Optional
 
 from .model import StreamTrace
@@ -41,6 +40,8 @@ _ENDIAN = {MAGIC_NATIVE: ">", MAGIC_SWAPPED: "<"}
 # header (b0, b1, seq, timestamp skipped, ssrc): 20 contiguous bytes
 _UDP_RTP = struct.Struct(">HHH2xBBH4xI")
 _U16 = struct.Struct(">H")
+# Ethernet type, then IPv4 version/IHL, flags + fragment offset and protocol
+_ETH_IPV4 = struct.Struct(">HB5xHxB")
 
 
 class PcapError(Exception):
@@ -77,14 +78,15 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
     if network != LINKTYPE_ETHERNET:
         raise PcapLinkTypeError(f"unsupported link type {network} (need Ethernet)")
 
-    # Every read below stays inside its record: each offset is checked
-    # against the record's end before the bytes at it are read. Nothing is
-    # copied out of `data`.
+    # Every read below stays inside its record: each offset is checked against
+    # the record's end before the bytes at it are read. Nothing is copied out of `data`.
     record_header = struct.Struct(endian + "III").unpack_from
+    eth_ipv4 = _ETH_IPV4.unpack_from
     udp_rtp = _UDP_RTP.unpack_from
     u16 = _U16.unpack_from
-    # ssrc -> its packets' (ts, seq, pt, marker, size), in the order each SSRC first appears
-    found: defaultdict[int, list[tuple[int, int, int, int, int]]] = defaultdict(list)
+    # ssrc -> flat rows of 4 ints a packet (capture us, seq, RTP byte 1 = marker
+    # and payload type, media bytes), in the order each SSRC first appears
+    found: dict[int, list[int]] = {}
     total = len(data)
     end = 24
     record = 0
@@ -99,14 +101,13 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
         record += 1
 
         ip = start + 14
-        if ip + 20 > end or (data[ip - 2] << 8 | data[ip - 1]) != ETHERTYPE_IPV4:
-            continue  # too short for Ethernet + IPv4, or not IPv4
-        vihl = data[ip]
+        if ip + 20 > end:
+            continue  # too short for Ethernet + IPv4
+        ethertype, vihl, frag, proto = eth_ipv4(data, ip - 2)
         ihl = (vihl & 0x0F) * 4
-        if vihl >> 4 != 4 or ihl < 20 or ip + ihl > end or data[ip + 9] != PROTO_UDP:
-            continue
-        if data[ip + 6] & 0x1F or data[ip + 7]:
-            continue  # a later fragment: its first bytes are not a UDP header
+        if (ethertype != ETHERTYPE_IPV4 or vihl >> 4 != 4 or ihl < 20 or ip + ihl > end
+                or proto != PROTO_UDP or frag & 0x1FFF):
+            continue  # not UDP in IPv4, or a later fragment (its first bytes are not UDP)
         udp = ip + ihl
         if udp + 20 > end:
             continue  # no room for UDP plus a 12-byte RTP header
@@ -116,28 +117,32 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
         payload_len = ulen - 8
         if payload_len < 12 or b0 >> 6 != 2:
             continue
-        rtp = udp + 8
-        avail = min(payload_len, end - rtp)  # snaplen may cut the datagram
-        header_len = 12 + 4 * (b0 & 0x0F)
-        if b0 & 0x10:  # extension header
-            if avail < header_len + 4:
-                continue
-            header_len += 4 + 4 * u16(data, rtp + header_len + 2)[0]
-        pad_len = 0
-        if b0 & 0x20:
-            if payload_len > avail:
-                continue  # snaplen cut the padding byte off; cannot size it
-            pad_len = data[rtp + payload_len - 1]
-        media_bytes = payload_len - header_len - pad_len
-        if media_bytes > 0:
-            found[ssrc].append((ts_sec * 10**6 + ts_usec, seq, b1 & 0x7F, b1 >> 7, media_bytes))
+        media = payload_len - 12 - 4 * (b0 & 0x0F)
+        if b0 & 0x30:  # an extension header or padding
+            rtp = udp + 8
+            avail = min(payload_len, end - rtp)  # snaplen may cut the datagram
+            if b0 & 0x10:
+                header_len = 12 + 4 * (b0 & 0x0F)
+                if avail < header_len + 4:
+                    continue
+                media -= 4 + 4 * u16(data, rtp + header_len + 2)[0]
+            if b0 & 0x20:
+                if payload_len > avail:
+                    continue  # snaplen cut the padding byte off; cannot size it
+                media -= data[rtp + payload_len - 1]
+        if media > 0:
+            rows = found.get(ssrc)
+            if rows is None:
+                rows = found[ssrc] = []
+            rows += (ts_sec * 10**6 + ts_usec, seq, b1, media)
 
-    columns = {ssrc: list(zip(*rows)) for ssrc, rows in found.items()}  # one transposition each
-    t0 = min((min(ts) for ts, *_ in columns.values()), default=0)
+    t0 = min((min(rows[0::4]) for rows in found.values()), default=0)
     traces = []
-    for ssrc, (ts, seq, pt, marker, size) in columns.items():
-        rel = array("q", [t - t0 for t in ts])
-        trace = StreamTrace._of(array("q", seq), array("q", [ssrc]) * len(ts), array("q", pt),
-                                array("q", marker), rel, rel, array("q", size), array("q"))
+    for ssrc, rows in found.items():  # each column is a stride-4 slice of the rows
+        b1 = rows[2::4]
+        pt, marker = array("q", [b & 0x7F for b in b1]), array("q", [b >> 7 for b in b1])
+        rel = array("q", [t - t0 for t in rows[0::4]])
+        trace = StreamTrace._of(array("q", rows[1::4]), array("q", [ssrc]) * len(rel), pt, marker,
+                                rel, rel, array("q", rows[3::4]), array("q"))
         traces.append(trace.sorted_by("send_ts_us"))  # by capture time, stably
     return traces

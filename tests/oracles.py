@@ -603,8 +603,6 @@ def import_pcap_reference(data: bytes, port_filter: Optional[int] = None) -> lis
     """Parse a classic PCAP byte stream into one StreamTrace per RTP SSRC.
 
     Arrival timestamps are offset so the earliest RTP packet sits at 0.
-    Streams whose packets all share one size are labelled audio, the rest
-    video.
     """
     if len(data) < 4 or data[0:4] not in (MAGIC_NATIVE, MAGIC_SWAPPED):
         raise PcapFormatError("missing classic PCAP magic")

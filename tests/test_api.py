@@ -45,7 +45,7 @@ def test_scale_bench_runs_every_layer():
     # only a bench run would find one of them changed
     scale = load_scale_bench()
     layers = scale.layers_at(300)
-    names = ["generate", "channel", "generate_video", "channel_video", "validate_trace",
+    names = ["generate", "channel", "import_pcap", "generate_video", "channel_video", "validate_trace",
              "leaky", "token", "write_trace_csv", "read_trace_csv", "occupancy_csv",
              "panel_report", "render_svg", "panels_csv", "metrics_report", "jitter_csv",
              "compare"]

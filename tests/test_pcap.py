@@ -16,11 +16,12 @@ def rtp_payload(ssrc, seq, media_len, pt=96, marker=False, cc=0, rtp_ts=0):
             + struct.pack(">I", ssrc) + bytes(4 * cc) + bytes(media_len))
 
 
-def ipv4_frame(body, frag=0):
-    """Ethernet II + a 20-byte IPv4 header carrying UDP; `frag` is the
-    flags and fragment-offset field."""
-    ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(body), 0, frag, 64, 17, 0,
-                     bytes(4), bytes(4)) + body
+def ipv4_frame(body, frag=0, options=b""):
+    """Ethernet II + an IPv4 header (20 bytes plus `options`) carrying UDP;
+    `frag` is the flags and fragment-offset field."""
+    ihl = 5 + len(options) // 4
+    ip = struct.pack(">BBHHHBBH4s4s", 0x40 | ihl, 0, 4 * ihl + len(body), 0, frag, 64, 17, 0,
+                     bytes(4), bytes(4)) + options + body
     eth = bytes(6) + bytes(6) + struct.pack(">H", 0x0800)
     return eth + ip
 
@@ -29,10 +30,10 @@ def udp_frame(payload, sport=5000, dport=5004):
     return ipv4_frame(struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload)
 
 
-def build_pcap(records, linktype=1):
-    out = struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, linktype)
+def build_pcap(records, linktype=1, endian=">"):
+    out = struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, linktype)
     for ts_us, frame in records:
-        out += struct.pack(">IIII", ts_us // 10**6, ts_us % 10**6,
+        out += struct.pack(endian + "IIII", ts_us // 10**6, ts_us % 10**6,
                            len(frame), len(frame))
         out += frame
     return out
@@ -182,6 +183,77 @@ def test_time_zero_is_the_earliest_rtp_packet():
                (700, udp_frame(rtp_payload(2, 0, 50)))]
     traces = import_pcap(build_pcap(records))
     assert [(t.packets[0].ssrc, t.packets[0].recv_ts_us) for t in traces] == [(1, 300), (2, 0)]
+
+
+
+def rtp_with_extras(ssrc, media, cc=0, ext_words=None, pad=0):
+    """An RTP payload: `cc` CSRCs, then an extension header of `ext_words`
+    words when given, `media`, and `pad` bytes of padding ending in its count."""
+    b0 = 0x80 | cc | (0 if ext_words is None else 0x10) | (0x20 if pad else 0)
+    ext = (b"" if ext_words is None
+           else b"\xbe\xde" + struct.pack(">H", ext_words) + bytes(range(1, 4 * ext_words + 1)))
+    padding = bytes(pad - 1) + bytes([pad]) if pad else b""
+    return struct.pack(">BBHII", b0, 96, 1, 0, ssrc) + bytes(4 * cc) + ext + media + padding
+
+
+def import_both(data):
+    """import_pcap(data), asserted equal to the reference dissector's streams."""
+    traces = import_pcap(data)
+    assert traces == import_pcap_reference(data)
+    return traces
+
+
+def sizes(traces):
+    return [[p.size_bytes for p in t.packets] for t in traces]
+
+
+def test_extension_and_padding_after_csrcs():
+    payload = rtp_with_extras(9, bytes(range(1, 41)), cc=2, ext_words=3, pad=5)
+    assert sizes(import_both(build_pcap([(0, udp_frame(payload))]))) == [[40]]
+
+
+def test_extension_of_zero_words():
+    payload = rtp_with_extras(9, b"\x07" * 30, ext_words=0)
+    assert sizes(import_both(build_pcap([(0, udp_frame(payload))]))) == [[30]]
+
+
+def test_extension_length_word_at_the_snaplen():
+    # the payload starts 42 bytes into the frame; after 12 + 4 bytes of
+    # header and CSRC, the extension's length word ends at byte 20 of it
+    frame = udp_frame(rtp_with_extras(9, b"\x07" * 50, cc=1, ext_words=2))
+    assert sizes(import_both(build_pcap([(0, frame[:62])]))) == [[50]]  # sized from UDP
+    assert import_both(build_pcap([(0, frame[:61])])) == []  # length word cut: skipped
+
+
+def test_padding_count_byte_at_the_record_end():
+    frame = udp_frame(rtp_with_extras(9, b"\x07" * 30, pad=4))
+    assert sizes(import_both(build_pcap([(0, frame)]))) == [[30]]
+    assert sizes(import_both(build_pcap([(0, frame + b"\x09" * 6)]))) == [[30]]  # Ethernet trailer
+    assert import_both(build_pcap([(0, frame[:-1])])) == []  # count byte cut by the snaplen
+
+
+def test_second_header_byte_splits_into_payload_type_and_marker():
+    records = [(0, udp_frame(rtp_payload(1, 0, 20, pt=127, marker=True))),  # b1 = 0xFF
+               (10, udp_frame(rtp_payload(2, 0, 20, pt=0)))]  # b1 = 0x00
+    traces = import_both(build_pcap(records))
+    assert [[(p.payload_type, p.marker) for p in t.packets] for t in traces] == \
+        [[(127, True)], [(0, False)]]
+    assert [type(p.marker) for t in traces for p in t.packets] == [bool, bool]
+
+
+def test_little_endian_capture_with_an_ipv4_option_word():
+    # IHL 6: a 4-byte option (three NOPs, end of list) before the UDP header;
+    # the later fragments begin with bytes that read as UDP + RTP
+    option = b"\x01\x01\x01\x00"
+    fake = struct.pack(">HHHH", 5000, 5004, 1000, 0) + rtp_payload(0x0BADF00D, 1, 100)
+    rtp = rtp_payload(ssrc=0xCAFE, seq=7, media_len=1460)
+    datagram = struct.pack(">HHHH", 5000, 5004, 8 + len(rtp) + 1000, 0) + rtp
+    records = [(0, ipv4_frame(datagram, frag=MF, options=option)),
+               (10, ipv4_frame(fake, frag=MF | 185, options=option)),
+               (20, ipv4_frame(fake, frag=0x100, options=option))]
+    traces = import_both(build_pcap(records, endian="<"))
+    assert [[(p.ssrc, p.recv_ts_us, p.size_bytes) for p in t.packets] for t in traces] == \
+        [[(0xCAFE, 0, 2460)]]  # sized from the UDP length
 
 
 def random_rtp_frame(rng, ssrcs, next_seq):
