@@ -83,7 +83,7 @@ VIDEO = traffic.VideoGenConfig(fps=30, gop=30, i_frame_bytes=60_000, p_frame_byt
 VIDEO_CHANNEL = traffic.ChannelModel(base_delay_us=40_000, jitter=traffic.ExponentialJitter(4000),
                                      loss_prob=Fraction(1, 200), seed=1)
 
-PCAP_HEADER = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)  # Ethernet
+PCAP_HEADER = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)  # link type Ethernet
 RECORD = struct.Struct("<IIII")  # ts_sec, ts_usec, incl_len, orig_len
 # Ethernet type; IPv4 version/IHL, total length, TTL, protocol; UDP ports, length
 ETH_IPV4_UDP = struct.Struct(">12xHBxH4xBB10xHHHxx")

@@ -9,11 +9,18 @@ from rtpshape import (MediaPacket, PcapError, PcapFormatError, PcapLinkTypeError
 from oracles import import_pcap_reference
 
 
-def rtp_payload(ssrc, seq, media_len, pt=96, marker=False, cc=0, rtp_ts=0):
-    b0 = 0x80 | cc
+def rtp_payload(ssrc, seq, media_len, pt=96, marker=False, cc=0, rtp_ts=0, ext_words=None,
+                pad=0):
+    """An RTP payload: `cc` CSRCs, then an extension header of `ext_words`
+    words when given, `media_len` bytes of 7s, and `pad` bytes of padding
+    ending in its count."""
+    b0 = 0x80 | cc | (0 if ext_words is None else 0x10) | (0x20 if pad else 0)
     b1 = pt | (0x80 if marker else 0)
+    ext = (b"" if ext_words is None
+           else b"\xbe\xde" + struct.pack(">H", ext_words) + bytes(range(1, 4 * ext_words + 1)))
+    padding = bytes(pad - 1) + bytes([pad]) if pad else b""
     return (bytes([b0, b1]) + struct.pack(">H", seq) + struct.pack(">I", rtp_ts)
-            + struct.pack(">I", ssrc) + bytes(4 * cc) + bytes(media_len))
+            + struct.pack(">I", ssrc) + bytes(4 * cc) + ext + b"\x07" * media_len + padding)
 
 
 def ipv4_frame(body, frag=0, options=b""):
@@ -186,16 +193,6 @@ def test_time_zero_is_the_earliest_rtp_packet():
 
 
 
-def rtp_with_extras(ssrc, media, cc=0, ext_words=None, pad=0):
-    """An RTP payload: `cc` CSRCs, then an extension header of `ext_words`
-    words when given, `media`, and `pad` bytes of padding ending in its count."""
-    b0 = 0x80 | cc | (0 if ext_words is None else 0x10) | (0x20 if pad else 0)
-    ext = (b"" if ext_words is None
-           else b"\xbe\xde" + struct.pack(">H", ext_words) + bytes(range(1, 4 * ext_words + 1)))
-    padding = bytes(pad - 1) + bytes([pad]) if pad else b""
-    return struct.pack(">BBHII", b0, 96, 1, 0, ssrc) + bytes(4 * cc) + ext + media + padding
-
-
 def import_both(data):
     """import_pcap(data), asserted equal to the reference dissector's streams."""
     traces = import_pcap(data)
@@ -208,25 +205,25 @@ def sizes(traces):
 
 
 def test_extension_and_padding_after_csrcs():
-    payload = rtp_with_extras(9, bytes(range(1, 41)), cc=2, ext_words=3, pad=5)
+    payload = rtp_payload(9, 1, 40, cc=2, ext_words=3, pad=5)
     assert sizes(import_both(build_pcap([(0, udp_frame(payload))]))) == [[40]]
 
 
 def test_extension_of_zero_words():
-    payload = rtp_with_extras(9, b"\x07" * 30, ext_words=0)
+    payload = rtp_payload(9, 1, 30, ext_words=0)
     assert sizes(import_both(build_pcap([(0, udp_frame(payload))]))) == [[30]]
 
 
 def test_extension_length_word_at_the_snaplen():
     # the payload starts 42 bytes into the frame; after 12 + 4 bytes of
     # header and CSRC, the extension's length word ends at byte 20 of it
-    frame = udp_frame(rtp_with_extras(9, b"\x07" * 50, cc=1, ext_words=2))
+    frame = udp_frame(rtp_payload(9, 1, 50, cc=1, ext_words=2))
     assert sizes(import_both(build_pcap([(0, frame[:62])]))) == [[50]]  # sized from UDP
     assert import_both(build_pcap([(0, frame[:61])])) == []  # length word cut: skipped
 
 
 def test_padding_count_byte_at_the_record_end():
-    frame = udp_frame(rtp_with_extras(9, b"\x07" * 30, pad=4))
+    frame = udp_frame(rtp_payload(9, 1, 30, pad=4))
     assert sizes(import_both(build_pcap([(0, frame)]))) == [[30]]
     assert sizes(import_both(build_pcap([(0, frame + b"\x09" * 6)]))) == [[30]]  # Ethernet trailer
     assert import_both(build_pcap([(0, frame[:-1])])) == []  # count byte cut by the snaplen
