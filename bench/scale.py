@@ -25,10 +25,13 @@ Each layer runs on the previous layer's output at the same size. `best_s`
 is the best of REPEAT perf_counter timings; `peak_bytes` is
 tracemalloc's peak above what was allocated before the call, and
 `held_bytes` what is still allocated when it returns (what its result
-keeps), both taken in one more call. A layer's `n` is the packet count of
-its input (for `generate`, of its output). The end-to-end row runs
-`python -m rtpshape.cli run` in a child process, E2E_REPEAT times: `best_s`
-is the best wall time, `peak_rss_mib` the child's largest peak RSS
+keeps), both taken in one more call. `held_bytes` is read after a
+`gc.collect()`, which empties CPython's free lists, so the objects a layer
+freed onto them do not count as held; files before BENCH_25.json counted
+them, and their `held_bytes` is not comparable. A layer's `n` is the
+packet count of its input (for `generate`, of its output). The end-to-end
+row runs `python -m rtpshape.cli run` in a child process, E2E_REPEAT
+times: `best_s` is the best wall time, `peak_rss_mib` the child's largest peak RSS
 (`os.wait4`), and `run_dir_sha256` a digest of every file the run wrote, so
 two trees' run directories can be compared. The child keeps its bytecode
 under a PYTHONPYCACHEPREFIX in its temporary directory, so no `__pycache__`
@@ -50,6 +53,7 @@ names the measured source itself.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -121,10 +125,13 @@ def measure(fn, args):
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn(*args)
-        held, peak = (traced - base for traced in tracemalloc.get_traced_memory())
+        gc.collect()  # empties the free lists, whose objects the result does not hold
+        # read into plain names: a generator expression's function would be
+        # made before the reading, and counted as held
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, best, peak, held
+    return result, best, peak - base, held - base
 
 
 def udp_frame(sport: int, dport: int, payload_len: int) -> bytes:

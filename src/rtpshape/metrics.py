@@ -5,19 +5,21 @@ shaping comparisons.
 Jitter is kept as a Q64 fixed-point integer (units of 2**-64 us), as RFC 3550
 section A.8 keeps it as a scaled integer; see interarrival_jitter for the
 recurrence and its error bound. Every other metric is exact integer or
-rational arithmetic. Decimal rendering happens only at the report boundary
-(format_decimal, format_jitter), in integer arithmetic.
+rational arithmetic. Decimal rendering happens only at the report boundary,
+in integer arithmetic: format_decimal renders a Fraction, and _jitter_texts
+renders a whole Q64 jitter series in column passes (C-level map and `%`
+passes over the series), of which format_jitter is the one-value case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, islice
-from operator import sub
+from itertools import compress, groupby, islice, repeat
+from operator import and_, floordiv, mod, not_, sub
 from typing import Iterator, Optional, Sequence
 
-from .model import _SEQ_HALF, SEQ_MOD, StreamTrace
+from .model import _SEQ_HALF, SEQ_MOD, StreamTrace, _format_columns
 
 
 class MetricPreconditionError(ValueError):
@@ -293,7 +295,43 @@ def format_decimal(value) -> str:
     return _format_ratio(f.numerator, f.denominator)
 
 
+# q / 2**64 lies exactly half way between two multiples of 1e-6 when
+# q * 10**6 % 2**64 == 2**63, that is (10**6 being 2**6 times an odd number)
+# when q % 2**58 == 2**57.
+_TIE_MASK = (1 << 58) - 1
+_TIE = 1 << 57
+
+
+def _jitter_texts(series: Sequence[int]) -> list[str]:
+    """Each Q64 jitter value q, rendered as format_decimal renders q / 2**64,
+    in column passes over the series.
+
+    w = (q * 10**6 + 2**63) >> 64 is q / 2**64 in units of 1e-6, rounded half
+    up; at an exact tie (rare, so the series is tested for one once) an odd w
+    is brought down to the even one. Whole and fraction are w // 10**6 and
+    w % 10**6, written by `%d.%06d` a chunk at a time; only the rows whose
+    fraction ends in 0 have their trailing zeros (and a bare point) stripped.
+    Rounding is symmetric, so a series with a negative value (no jitter value
+    is) renders each |q| and signs the nonzero ones.
+    """
+    if min(series, default=0) < 0:
+        return ["-" + text if q < 0 and text != "0" else text
+                for q, text in zip(series, _jitter_texts(list(map(abs, series))))]
+    w = [(q * 10**6 + (1 << 63)) >> 64 for q in series]
+    if _TIE in map(and_, series, repeat(_TIE_MASK)):
+        w = [v - (v & 1 and q & _TIE_MASK == _TIE) for q, v in zip(series, w)]
+    frac = list(map(mod, w, repeat(10**6)))
+    texts = "".join(_format_columns("%d.%06d\n", list(map(floordiv, w, repeat(10**6))),
+                                    frac)).split("\n")
+    del w
+    texts.pop()  # the empty text after the last newline
+    for i in compress(range(len(frac)), map(not_, map(mod, frac, repeat(10)))):
+        texts[i] = texts[i].rstrip("0").rstrip(".")
+    return texts
+
+
 def format_jitter(q: int) -> str:
     """One MetricsReport.jitter_series value, rendered as format_decimal
-    renders the same value in microseconds."""
-    return _format_ratio(q, _JITTER_ONE)
+    renders the same value in microseconds: the one-value case of the
+    series rendering that reporting.jitter_csv writes."""
+    return _jitter_texts((q,))[0]

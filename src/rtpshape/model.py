@@ -6,7 +6,7 @@ from __future__ import annotations
 from array import array
 from itertools import compress, islice
 from operator import itemgetter, le, lt
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import AnyStr, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 SEQ_MOD = 1 << 16
 _SEQ_HALF = SEQ_MOD // 2
@@ -54,6 +54,7 @@ class Violation(NamedTuple):
 
 CSV_HEADER = ",".join(MediaPacket._fields)
 _CSV_ROW = ",".join(["%s"] * len(MediaPacket._fields)) + "\n"
+_CSV_ROW_BYTES = (",".join(["%d"] * len(MediaPacket._fields)) + "\n").encode("ascii")
 
 # Each field's rule, in the order a packet's violations are named: its bounds in
 # a valid trace, and its message for an int below and for one above them ("{}"
@@ -236,11 +237,12 @@ def check_trace(trace: StreamTrace) -> StreamTrace:
     return trace
 
 
-def _format_columns(template: str, *columns: Sequence) -> Iterator[str]:
-    """`template % row` for each row of the equal-length columns, one str per
-    chunk of _CHUNK_ROWS rows: one C-level format per chunk, with the template
-    repeated once per row and the columns interleaved by slice assignment.
-    Each `%s` gives str(field), which equals the f-string's format(field, "")."""
+def _format_columns(template: AnyStr, *columns: Sequence) -> Iterator[AnyStr]:
+    """`template % row` for each row of the equal-length columns, one str (or
+    bytes, for a bytes template) per chunk of _CHUNK_ROWS rows: one C-level
+    format per chunk, with the template repeated once per row and the columns
+    interleaved by slice assignment. Each `%s` gives str(field), which equals
+    the f-string's format(field, ""), and so does `%d` for an int field."""
     width, n = len(columns), len(columns[0])
     whole = template * _CHUNK_ROWS
     for start in range(0, n, _CHUNK_ROWS):
@@ -254,11 +256,15 @@ def _format_columns(template: str, *columns: Sequence) -> Iterator[str]:
 def write_trace_csv(trace: StreamTrace) -> bytes:
     """Serialize to the canonical trace CSV (ASCII, LF line endings): the marker
     as 1 or 0, a missing arrival as an empty field. A trace that validate_trace
-    accepts reads back equal."""
+    accepts reads back equal. A trace whose every packet has arrived is written
+    straight to bytes by `%d`; one with a missing arrival is formatted as str,
+    with None for that field, which is then blanked, because `%d` has no blank."""
+    header = (CSV_HEADER + "\n").encode("ascii")
+    if not trace.missing:
+        return b"".join([header, *_format_columns(_CSV_ROW_BYTES, *trace.columns())])
     columns = (*trace.columns()[:5], trace.arrivals(), trace.size_bytes)
-    return b"".join([(CSV_HEADER + "\n").encode("ascii"),
-                     *(chunk.replace(",None,", ",,").encode("ascii")
-                       for chunk in _format_columns(_CSV_ROW, *columns))])
+    return b"".join([header, *(chunk.replace(",None,", ",,").encode("ascii")
+                               for chunk in _format_columns(_CSV_ROW, *columns))])
 
 
 def _to_int(text: str, row: int, col: str) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .metrics import ComparisonReport, MetricsReport, format_decimal, format_jitter
+from .metrics import ComparisonReport, MetricsReport, _jitter_texts, format_decimal
 from .model import _CHUNK_ROWS, StreamTrace, _format_columns, _Record
 from .shaping import LeakyBucketConfig, ShapeResult, ShaperConfig, TokenBucketConfig
 
@@ -112,9 +112,15 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def jitter_csv(report: MetricsReport) -> str:
+    """The jitter series from index 1, each value as format_jitter renders it,
+    rendered a chunk of _CHUNK_ROWS values at a time so that only one chunk's
+    texts and column temporaries are alive."""
     series = report.jitter_series or ()
-    return "".join(["index,jitter_us\n", *_format_columns(
-        "%s,%s\n", range(1, len(series) + 1), list(map(format_jitter, series)))])
+    chunks = ["index,jitter_us\n"]
+    for start in range(0, len(series), _CHUNK_ROWS):
+        texts = _jitter_texts(series[start:start + _CHUNK_ROWS])
+        chunks += _format_columns("%s,%s\n", range(start + 1, start + len(texts) + 1), texts)
+    return "".join(chunks)
 
 
 def pdv_csv(report: MetricsReport) -> str:

@@ -188,13 +188,13 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     arrival past TS_MAX raises TraceValidationError, naming the packet by its
     index in `trace`.
     """
-    num, den = ch.loss_prob.numerator, ch.loss_prob.denominator
+    lost_below, den = ch.loss_prob.numerator << 64, ch.loss_prob.denominator
     seed, delay, draw = ch.seed, ch.base_delay_us, ch.jitter.draw
     keep = bytearray(len(trace))
     recv = array("q")
     for i, send in enumerate(trace.send_ts_us):
         state = (seed ^ i) + _SM64_GAMMA & _MASK64
-        if _mix(state) * den < num << 64:
+        if _mix(state) * den < lost_below:
             continue
         keep[i] = 1
         arrival = send + delay + draw(_mix(state + _SM64_GAMMA & _MASK64))

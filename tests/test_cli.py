@@ -22,7 +22,7 @@ from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitt
                       VideoGenConfig, cli, compare, format_decimal, leaky_bucket_shape,
                       parse_scenario, read_trace_csv, write_trace_csv)
 from rtpshape.cli import main
-from rtpshape.model import CSV_HEADER
+from rtpshape.model import CSV_HEADER, SEQ_MOD, validate_trace
 from rtpshape.reporting import comparison_csv
 from rtpshape.shaping import Occupancy
 
@@ -354,6 +354,49 @@ class TestGenerate:
         proc = run_cli(command, "--config", cfg, "--output", out)
         assert_usage_error(proc, message)
         assert not out.exists()
+
+    # packet counts around the seq wrap at 2**16
+    COUNTS = st.sampled_from([1, 2, SEQ_MOD - 1, SEQ_MOD, SEQ_MOD + 1]) \
+        | st.integers(1, SEQ_MOD + 3000)
+    # audio, and video with frames of a multiple of the MTU (with no size
+    # jitter, where a fragment count one too high would add a 0-byte fragment)
+    GENERATORS = configs(AudioGenConfig, ptime_us=st.integers(1000, 40000),
+                         payload_bytes=st.integers(1, 1500), ssrc=st.integers(0, 2**32 - 1),
+                         payload_type=st.integers(0, 127)) \
+        | st.integers(64, 1500).flatmap(lambda mtu: configs(
+            VideoGenConfig, fps=st.integers(1, 60), gop=st.integers(1, 30),
+            i_frame_bytes=st.integers(1, 50).map(mtu.__mul__) | st.integers(1, 60000),
+            p_frame_bytes=st.integers(1, 10).map(mtu.__mul__) | st.integers(1, 15000),
+            size_jitter_pct=st.sampled_from([0, 20, 100]), mtu_payload_bytes=st.just(mtu),
+            ssrc=st.integers(0, 2**32 - 1), payload_type=st.integers(0, 127)))
+    # exponential jitter with a mean of several packet intervals reorders packets
+    CHANNELS = st.none() | configs(
+        ChannelModel, base_delay_us=st.integers(0, 10**5), seed=st.integers(0, 2**64),
+        loss_prob=st.sampled_from([0, Fraction(1, 100), Fraction(1, 2)]),
+        jitter=st.sampled_from([NoJitter(), *map(ExponentialJitter, [0, 10**4, 10**5, 10**6])]))
+    REORDERING = ChannelModel(jitter=ExponentialJitter(5000), loss_prob=Fraction(1, 100), seed=1)
+
+    @example(generator=AudioGenConfig(ptime_us=1000), count=SEQ_MOD + 100, channel=None, seed=0)
+    @example(generator=AudioGenConfig(ptime_us=1000), count=SEQ_MOD + 100, channel=REORDERING,
+             seed=0)
+    @example(generator=VideoGenConfig(fps=30, gop=10, i_frame_bytes=8 * 1200,
+                                      p_frame_bytes=2 * 1200, size_jitter_pct=0,
+                                      mtu_payload_bytes=1200),
+             count=SEQ_MOD + 500, channel=REORDERING, seed=2)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(generator=GENERATORS, count=COUNTS, channel=CHANNELS, seed=st.integers(0, 2))
+    def test_generated_trace_is_valid_by_construction(self, generator, count, channel, seed):
+        """What `generate` and `run` write without a check_trace is valid."""
+        if isinstance(generator, AudioGenConfig):
+            duration = count * generator.ptime_us
+        else:  # about `count` packets
+            g = generator
+            per_frame = -(-(g.i_frame_bytes + (g.gop - 1) * g.p_frame_bytes)
+                          // (g.gop * g.mtu_payload_bytes))
+            duration = -(-max(1, count // per_frame) * 10**6 // g.fps)
+        scenario = ScenarioConfig(generator, duration, seed, channel, ())
+        trace = cli._generate_trace(scenario)
+        assert validate_trace(trace) == []
 
     def test_unwritable_output_exits_3(self, audio_cfg, capsys):
         # the config file itself is not a directory

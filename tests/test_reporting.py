@@ -3,6 +3,7 @@
 
 import random
 from array import array
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtpshape import (MediaPacket, StreamTrace, TraceValidationError, leaky_bucket_shape,
-                      read_trace_csv, token_bucket_shape, write_trace_csv)
-from rtpshape.model import _CHUNK_ROWS as CHUNK, validate_trace
-from rtpshape.reporting import (Panel, drops_csv, occupancy_csv, panel_report, panels_csv,
-                                render_svg)
+                      metrics_report, read_trace_csv, token_bucket_shape, write_trace_csv)
+from rtpshape.model import _CHUNK_ROWS as CHUNK, TS_MAX, validate_trace
+from rtpshape.reporting import (Panel, drops_csv, jitter_csv, occupancy_csv, panel_report,
+                                panels_csv, render_svg)
 from rtpshape.shaping import DROP_BUCKET_FULL, DROP_QUEUE_FULL, Occupancy, ShapeResult
 
-from oracles import (drops_csv_reference, occupancy_csv_reference, panel_report_reference,
-                     panels_csv_reference, random_leaky_config, random_received_trace,
-                     random_token_config, render_svg_reference, write_trace_csv_reference)
+from oracles import (drops_csv_reference, format_decimal_exact, occupancy_csv_reference,
+                     panel_report_reference, panels_csv_reference, random_leaky_config,
+                     random_received_trace, random_token_config, render_svg_reference,
+                     write_trace_csv_reference)
 
 
 def _random_stage(seed):
@@ -138,6 +140,43 @@ class TestChunkBoundaries:
                   Panel("short line", "step", "tokens", (1, 3), (2, 4)))
         assert render_svg(panels) == render_svg_reference(panels)
         assert panels_csv(panels) == panels_csv_reference(panels)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_jitter(self, n):
+        # Q64 values (2**-64 us) at the edges of the decimal rendering: exact
+        # ties at the 6th place (odd m) and their neighbours, the two Q64
+        # values nearest k * 1e-6 us (fractions with trailing zeros), whole
+        # microseconds, 0, and values past 10**6 us
+        rng = random.Random(n)
+        edges = (lambda: rng.randrange(1, 4000) << 57,
+                 lambda: (rng.randrange(1, 4000) << 57) + rng.choice([-1, 1]),
+                 lambda: (rng.choice([1, 7, 10, 120, 5000, 10**6 - 10, rng.randrange(10**9)])
+                          << 64) // 10**6 + rng.choice([0, 1]),
+                 lambda: rng.randrange(3 * 10**4) << 64,
+                 lambda: 0,
+                 lambda: (10**6 << 64) + rng.randrange(10**9 << 64))
+        series = tuple(rng.choice(edges)() for _ in range(n))
+        report = replace(metrics_report(self._trace(1)), jitter_series=series)
+        assert jitter_csv(report) == "index,jitter_us\n" + "".join(
+            f"{i},{format_decimal_exact(Fraction(q, 2**64))}\n" for i, q in enumerate(series, 1))
+
+    def test_trace_columns_at_their_bounds(self):
+        # every column at both ends of its 64-bit range, and negative sizes
+        rng = random.Random(3)
+        ends = (-TS_MAX - 1, TS_MAX, -1, 0, 1)
+        packets = [MediaPacket(*(rng.choice(ends) for _ in range(3)), rng.random() < 0.5,
+                               *(rng.choice(ends) for _ in range(2)), -rng.randint(1, 1500))
+                   for _ in range(2 * CHUNK + 1)]
+        for k in (0, 1, CHUNK, 2 * CHUNK):
+            packets[k] = packets[k]._replace(send_ts_us=-TS_MAX - 1, recv_ts_us=TS_MAX,
+                                             size_bytes=-TS_MAX - 1)
+        trace = StreamTrace(packets)
+        assert not trace.missing
+        assert write_trace_csv(trace) == write_trace_csv_reference(trace)
+        packets[CHUNK] = packets[CHUNK]._replace(recv_ts_us=None)
+        trace = StreamTrace(packets)
+        assert list(trace.missing) == [CHUNK]
+        assert write_trace_csv(trace) == write_trace_csv_reference(trace)
 
     def test_missing_arrivals_across_a_chunk_boundary(self):
         packets = list(self._trace(2 * CHUNK + 1, seed=1).packets)
