@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, groupby, islice, repeat
-from operator import and_, floordiv, mod, not_, sub
+from operator import floordiv, mod, mul, not_, sub
 from typing import Iterator, Optional, Sequence
 
 from .model import _SEQ_HALF, SEQ_MOD, StreamTrace, _format_columns
@@ -295,31 +295,25 @@ def format_decimal(value) -> str:
     return _format_ratio(f.numerator, f.denominator)
 
 
-# q / 2**64 lies exactly half way between two multiples of 1e-6 when
-# q * 10**6 % 2**64 == 2**63, that is (10**6 being 2**6 times an odd number)
-# when q % 2**58 == 2**57.
-_TIE_MASK = (1 << 58) - 1
-_TIE = 1 << 57
-
-
 def _jitter_texts(series: Sequence[int]) -> list[str]:
     """Each Q64 jitter value q, rendered as format_decimal renders q / 2**64,
     in column passes over the series.
 
-    w = (q * 10**6 + 2**63) >> 64 is q / 2**64 in units of 1e-6, rounded half
-    up; at an exact tie (rare, so the series is tested for one once) an odd w
-    is brought down to the even one. Whole and fraction are w // 10**6 and
-    w % 10**6, written by `%d.%06d` a chunk at a time; only the rows whose
-    fraction ends in 0 have their trailing zeros (and a bare point) stripped.
-    Rounding is symmetric, so a series with a negative value (no jitter value
-    is) renders each |q| and signs the nonzero ones.
+    With x = q * 10**6, w = (x + 2**63 - 1 + (x >> 64 & 1)) >> 64 is q / 2**64
+    in units of 1e-6 rounded half to even in one pass, with no branch: the
+    remainder x % 2**64 carries into w when it is above 2**63, and when it is
+    exactly 2**63 (a tie) only if x >> 64 is odd. Ties are not rare: the
+    second value of a series is a tie whenever the first |D| is 2 mod 4 us.
+    Whole and fraction are w // 10**6 and w % 10**6, written by `%d.%06d` a
+    chunk at a time; only the rows whose fraction ends in 0 have their
+    trailing zeros (and a bare point) stripped. Rounding is symmetric, so a
+    series with a negative value (no jitter value is) renders each |q| and
+    signs the nonzero ones.
     """
     if min(series, default=0) < 0:
         return ["-" + text if q < 0 and text != "0" else text
                 for q, text in zip(series, _jitter_texts(list(map(abs, series))))]
-    w = [(q * 10**6 + (1 << 63)) >> 64 for q in series]
-    if _TIE in map(and_, series, repeat(_TIE_MASK)):
-        w = [v - (v & 1 and q & _TIE_MASK == _TIE) for q, v in zip(series, w)]
+    w = [(x + ((1 << 63) - 1) + (x >> 64 & 1)) >> 64 for x in map(mul, series, repeat(10**6))]
     frac = list(map(mod, w, repeat(10**6)))
     texts = "".join(_format_columns("%d.%06d\n", list(map(floordiv, w, repeat(10**6))),
                                     frac)).split("\n")

@@ -247,6 +247,25 @@ class TestFormatDecimalAgainstRound:
         for m in range(1, 400, 2):
             for q in ((m << 57) - 1, m << 57, (m << 57) + 1):
                 assert format_jitter(q) == format_decimal_exact(Fraction(q, Q64))
+                assert format_jitter(-q) == format_decimal_exact(Fraction(-q, Q64))
+
+    def test_negative_q64_values_render_like_their_fraction(self):
+        # no jitter value is negative, but format_jitter takes any int: a
+        # value that rounds to 0 renders without a sign, and a series that
+        # mixes signs renders each value as format_jitter does alone
+        assert format_jitter(-1) == format_jitter(-((1 << 63) // 10**6)) == "0"
+        assert format_jitter(-((1 << 63) // 10**6) - 1) == "-0.000001"
+        assert format_jitter(-(1 << 57)) == "-0.007812"
+        assert format_jitter(-(3 << 57)) == "-0.023438"
+        rng = random.Random(-64)
+        series = [rng.choice([-1, 1]) * rng.choice([
+            rng.randrange(20000 * Q64), rng.randrange(1, 400, 2) << 57,
+            (rng.randrange(1, 400, 2) << 57) + rng.choice([-1, 1]),
+            rng.randrange((1 << 63) // 10**6), rng.randrange(100) << 64, 0])
+            for _ in range(3000)]
+        assert min(series) < 0 < max(series)
+        assert metrics._jitter_texts(series) == [format_decimal_exact(Fraction(q, Q64))
+                                         for q in series]
 
 
 class TestPdv:
