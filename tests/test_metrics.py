@@ -248,8 +248,6 @@ class TestFormatDecimalAgainstRound:
             for q in ((m << 57) - 1, m << 57, (m << 57) + 1):
                 assert format_jitter(q) == format_decimal_exact(Fraction(q, Q64))
                 assert format_jitter(-q) == format_decimal_exact(Fraction(-q, Q64))
-
-    def test_negative_q64_values_render_like_their_fraction(self):
         # no jitter value is negative, but format_jitter takes any int: a
         # value that rounds to 0 renders without a sign, and a series that
         # mixes signs renders each value as format_jitter does alone
@@ -265,7 +263,7 @@ class TestFormatDecimalAgainstRound:
             for _ in range(3000)]
         assert min(series) < 0 < max(series)
         assert metrics._jitter_texts(series) == [format_decimal_exact(Fraction(q, Q64))
-                                         for q in series]
+                                                 for q in series]
 
 
 class TestPdv:
