@@ -6,20 +6,20 @@ Jitter is kept as a Q64 fixed-point integer (units of 2**-64 us), as RFC 3550
 section A.8 keeps it as a scaled integer; see interarrival_jitter for the
 recurrence and its error bound. Every other metric is exact integer or
 rational arithmetic. Decimal rendering happens only at the report boundary,
-in integer arithmetic: format_decimal renders a Fraction, and _jitter_texts
-renders a whole Q64 jitter series in column passes (C-level map and `%`
-passes over the series), of which format_jitter is the one-value case.
+in integer arithmetic: format_decimal renders a Fraction, format_jitter one
+Q64 jitter value, and _millionths rounds a whole Q64 series in one pass, which
+reporting.jitter_csv then writes in C-level `%` passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, groupby, islice, repeat
-from operator import floordiv, mod, mul, not_, sub
+from itertools import groupby, islice, repeat
+from operator import mul, sub
 from typing import Iterator, Optional, Sequence
 
-from .model import _SEQ_HALF, SEQ_MOD, StreamTrace, _format_columns
+from .model import _SEQ_HALF, SEQ_MOD, StreamTrace
 
 
 class MetricPreconditionError(ValueError):
@@ -295,37 +295,18 @@ def format_decimal(value) -> str:
     return _format_ratio(f.numerator, f.denominator)
 
 
-def _jitter_texts(series: Sequence[int]) -> list[str]:
-    """Each Q64 jitter value q, rendered as format_decimal renders q / 2**64,
-    in column passes over the series.
-
-    With x = q * 10**6, w = (x + 2**63 - 1 + (x >> 64 & 1)) >> 64 is q / 2**64
-    in units of 1e-6 rounded half to even in one pass, with no branch: the
-    remainder x % 2**64 carries into w when it is above 2**63, and when it is
-    exactly 2**63 (a tie) only if x >> 64 is odd. Ties are not rare: the
-    second value of a series is a tie whenever the first |D| is 2 mod 4 us.
-    Whole and fraction are w // 10**6 and w % 10**6, written by `%d.%06d` a
-    chunk at a time; only the rows whose fraction ends in 0 have their
-    trailing zeros (and a bare point) stripped. Rounding is symmetric, so a
-    series with a negative value (no jitter value is) renders each |q| and
-    signs the nonzero ones.
-    """
-    if min(series, default=0) < 0:
-        return ["-" + text if q < 0 and text != "0" else text
-                for q, text in zip(series, _jitter_texts(list(map(abs, series))))]
-    w = [(x + ((1 << 63) - 1) + (x >> 64 & 1)) >> 64 for x in map(mul, series, repeat(10**6))]
-    frac = list(map(mod, w, repeat(10**6)))
-    texts = "".join(_format_columns("%d.%06d\n", list(map(floordiv, w, repeat(10**6))),
-                                    frac)).split("\n")
-    del w
-    texts.pop()  # the empty text after the last newline
-    for i in compress(range(len(frac)), map(not_, map(mod, frac, repeat(10)))):
-        texts[i] = texts[i].rstrip("0").rstrip(".")
-    return texts
+def _millionths(series: Sequence[int]) -> list[int]:
+    """Each Q64 jitter value q >= 0 as the number of 1e-6 us in q / 2**64,
+    rounded half to even in one pass, with no branch: with x = q * 10**6,
+    (x + 2**63 - 1 + (x >> 64 & 1)) >> 64, as the remainder x % 2**64 carries
+    when it is above 2**63, and when it is exactly 2**63 (a tie) only if
+    x >> 64 is odd. Ties are not rare: the second value of a series is a tie
+    whenever the first |D| is 2 mod 4 us."""
+    return [(x + ((1 << 63) - 1) + (x >> 64 & 1)) >> 64 for x in map(mul, series, repeat(10**6))]
 
 
 def format_jitter(q: int) -> str:
     """One MetricsReport.jitter_series value, rendered as format_decimal
-    renders the same value in microseconds: the one-value case of the
-    series rendering that reporting.jitter_csv writes."""
-    return _jitter_texts((q,))[0]
+    renders the same value in microseconds, as reporting.jitter_csv writes
+    each value of a series."""
+    return _format_ratio(q, _JITTER_ONE)

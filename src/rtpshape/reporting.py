@@ -8,9 +8,11 @@ formatting, LF newlines.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import floordiv, mod, not_
 from typing import Iterator, Sequence
 
-from .metrics import ComparisonReport, MetricsReport, _jitter_texts, format_decimal
+from .metrics import ComparisonReport, MetricsReport, _millionths, format_decimal
 from .model import _CHUNK_ROWS, StreamTrace, _format_columns, _Record
 from .shaping import LeakyBucketConfig, ShapeResult, ShaperConfig, TokenBucketConfig
 
@@ -112,14 +114,21 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 
 def jitter_csv(report: MetricsReport) -> str:
-    """The jitter series from index 1, each value as format_jitter renders it,
-    rendered a chunk of _CHUNK_ROWS values at a time so that only one chunk's
-    texts and column temporaries are alive."""
+    """The jitter series from index 1, each value as format_jitter renders it.
+    A chunk of _CHUNK_ROWS values at a time, so that only one chunk's texts
+    and column temporaries are alive, whole rows are written by one
+    `%d,%d.%06d` pass; then only the rows whose fraction ends in 0 have their
+    trailing zeros (and a bare point) stripped."""
     series = report.jitter_series or ()
     chunks = ["index,jitter_us\n"]
     for start in range(0, len(series), _CHUNK_ROWS):
-        texts = _jitter_texts(series[start:start + _CHUNK_ROWS])
-        chunks += _format_columns("%s,%s\n", range(start + 1, start + len(texts) + 1), texts)
+        w = _millionths(series[start:start + _CHUNK_ROWS])
+        frac = list(map(mod, w, repeat(10**6)))
+        rows = "".join(_format_columns("%d,%d.%06d\n", range(start + 1, start + len(w) + 1),
+                                       list(map(floordiv, w, repeat(10**6))), frac)).split("\n")
+        for i in compress(range(len(frac)), map(not_, map(mod, frac, repeat(10)))):
+            rows[i] = rows[i].rstrip("0").rstrip(".")
+        chunks.append("\n".join(rows))
     return "".join(chunks)
 
 
@@ -152,20 +161,35 @@ def _scatter_chunks(ts, vs, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
         yield ('<circle cx="%.2f" cy="%s" r="1.5" fill="steelblue"/>\n' * len(xs)) % tuple(args)
 
 
-def _step_chunks(ts, vs, ys: dict, t_lo, t_span, inner_w) -> Iterator[str]:
-    """The step line's coordinates after its first point: each later point
-    first at the previous point's value, then at its own. A chunk's first
-    point is its predecessor's successor, so chunks start at point 1."""
+def _step_lines(ts, lines: Sequence[tuple], t_lo, t_span, inner_w) -> list[list[str]]:
+    """The coordinates after its first point of each step line (values, ys)
+    drawn on the time column ts: each later point first at the previous
+    point's value, then at its own. The lines are rendered a chunk at a time
+    in lockstep, so each chunk's x texts are formatted once for all of them.
+    A chunk's first point is its predecessor's successor, so chunks start at
+    point 1."""
+    out: list[list[str]] = [[] for _ in lines]
     for i in range(1, len(ts), _CHUNK_ROWS):
         xs = [(t - t_lo) / t_span * inner_w for t in ts[i:i + _CHUNK_ROWS]]
         m = len(xs)
-        xs = (("%.2f," * m) % tuple(xs)).split(",")
-        y = list(map(ys.__getitem__, vs[i - 1:i + _CHUNK_ROWS]))  # after its predecessor
-        args = [None] * (4 * m)
-        args[0::4] = args[2::4] = xs[:m]
-        args[1::4] = y[:m]
-        args[3::4] = y[1:]
-        yield (" %s,%s %s,%s" * m) % tuple(args)
+        xs = (("%.2f," * m) % tuple(xs)).split(",")[:m]
+        for chunks, (vs, ys) in zip(out, lines):
+            y = list(map(ys.__getitem__, vs[i - 1:i + _CHUNK_ROWS]))  # after its predecessor
+            args = [None] * (4 * m)
+            args[0::4] = args[2::4] = xs
+            args[1::4] = y[:m]
+            args[3::4] = y[1:]
+            chunks.append((" %s,%s %s,%s" * m) % tuple(args))
+    return out
+
+
+def _value_scale(vs, inner_h: int) -> tuple[int, dict]:
+    """A panel's largest value, and each distinct value's y text, formatted
+    once: its value range [v_lo, v_lo + v_span] always includes 0."""
+    values = set(vs)
+    v_lo, v_hi = min(min(values), 0), max(values)
+    v_span = (v_hi - v_lo) or 1
+    return v_hi, {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
 
 
 def render_svg(panels: Sequence[Panel]) -> str:
@@ -177,7 +201,9 @@ def render_svg(panels: Sequence[Panel]) -> str:
     range is [t_lo, t_lo + t_span] and its value range [v_lo, v_lo + v_span]
     always includes 0. Times and values are ints, as a valid trace's are, so
     every x is a float, written with `%.2f`. Each distinct value's y is
-    formatted once, and the points are formatted a chunk per `%`.
+    formatted once, and the points are formatted a chunk per `%`. The step
+    panels that share one time column (the same object) are drawn together,
+    with the first of them, so that each x is formatted once for all.
     """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -186,6 +212,7 @@ def render_svg(panels: Sequence[Panel]) -> str:
            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
            f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">\n'
            '<rect width="100%" height="100%" fill="white"/>\n']
+    drawn: dict[int, tuple] = {}  # a later step panel's value scale and line, drawn already
     for idx, panel in enumerate(panels):
         top = idx * PANEL_HEIGHT
         out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">\n'
@@ -202,11 +229,8 @@ def render_svg(panels: Sequence[Panel]) -> str:
         ts, vs = panel.ts_us, panel.values
         if len(ts):
             t_lo, t_hi = min(ts), max(ts)
-            values = set(vs)
-            v_lo, v_hi = min(min(values), 0), max(values)
             t_span = (t_hi - t_lo) or 1
-            v_span = (v_hi - v_lo) or 1
-            ys = {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
+            v_hi, ys, line = drawn.pop(idx, None) or (*_value_scale(vs, inner_h), None)
             out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
                        f'font-family="sans-serif">{t_lo}</text>\n'
                        f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
@@ -216,9 +240,17 @@ def render_svg(panels: Sequence[Panel]) -> str:
             if panel.kind == "scatter":
                 out += _scatter_chunks(ts, vs, ys, t_lo, t_span, inner_w)
             else:
+                if line is None:
+                    later = [k for k in range(idx + 1, len(panels))
+                             if panels[k].kind == "step" and panels[k].ts_us is ts]
+                    scales = [_value_scale(panels[k].values, inner_h) for k in later]
+                    line, *lines = _step_lines(
+                        ts, [(vs, ys), *((panels[k].values, y) for k, (_, y) in zip(later, scales))],
+                        t_lo, t_span, inner_w)
+                    drawn.update((k, (*scale, l)) for k, scale, l in zip(later, scales, lines))
                 out.append(f'<polyline points="{(ts[0] - t_lo) / t_span * inner_w:.2f},'
                            f'{ys[vs[0]]}')
-                out += _step_chunks(ts, vs, ys, t_lo, t_span, inner_w)
+                out += line
                 out.append('" fill="none" stroke="darkorange" stroke-width="1"/>\n')
         out.append('</g>\n')
     out.append('</svg>\n')

@@ -3,13 +3,15 @@ channel impairment model (base delay, jitter, independent loss)."""
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
-from typing import Union
+from itertools import compress, cycle, islice, repeat
+from math import log1p
+from operator import add, ge, mod, mul, rshift
+from typing import Iterator, Sequence, Union
 
 from .model import (_RULES, SEQ_MOD, TS_MAX, US_PER_S, StreamTrace, TraceValidationError,
                     Violation, _show)
@@ -70,11 +72,11 @@ class VideoGenConfig:
             raise ValueError("payload_type outside 7-bit range")
 
 
-# Each jitter model draws its delay from one 64-bit word.
+# Each jitter model draws each delay of a column from one 64-bit word.
 @dataclass(frozen=True)
 class NoJitter:
-    def draw(self, word: int) -> int:
-        return 0
+    def delays(self, words: Sequence[int]) -> list[int]:
+        return [0] * len(words)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,9 @@ class UniformJitter:
         if not 0 <= self.lo_us <= self.hi_us:
             raise ValueError("need 0 <= lo_us <= hi_us")
 
-    def draw(self, word: int) -> int:
-        return self.lo_us + word % (self.hi_us - self.lo_us + 1)
+    def delays(self, words: Sequence[int]) -> list[int]:
+        span = self.hi_us - self.lo_us + 1
+        return list(map(add, repeat(self.lo_us), map(mod, words, repeat(span))))
 
 
 @dataclass(frozen=True)
@@ -98,13 +101,29 @@ class ExponentialJitter:
         if self.mean_us < 0:
             raise ValueError("mean_us must be >= 0")
 
-    def draw(self, word: int) -> int:
-        u = (word >> 11) * 2.0**-53  # 53-bit uniform in [0, 1)
-        log = math.log1p(-u)
+    def delays(self, words: Sequence[int]) -> list[int]:
+        """round(-mean * log1p(-u)) for u = (word >> 11) * 2**-53, a 53-bit
+        uniform in [0, 1); never negative, as log1p(-u) <= 0. In float in one
+        pass when the mean and every value are in float range; otherwise
+        value by value, each one past float range (and only those) exactly."""
+        scale = -self.mean_us
         try:
-            return max(0, round(-self.mean_us * log))
-        except OverflowError:  # a mean or a draw past float range, taken exactly
-            return max(0, round(-self.mean_us * Fraction(log)))
+            return list(map(round, map(mul, repeat(float(scale)), _logs(words))))
+        except OverflowError:
+            return [_delay(scale, log) for log in _logs(words)]
+
+
+def _logs(words: Sequence[int]) -> Iterator[float]:
+    """log1p(-u) for each word's uniform u = (word >> 11) * 2**-53."""
+    return map(log1p, map(mul, map(rshift, words, repeat(11)), repeat(-2.0**-53)))
+
+
+def _delay(scale: int, log: float) -> int:
+    """round(scale * log), exactly when the scale or the product is past float range."""
+    try:
+        return round(scale * log)
+    except OverflowError:
+        return round(scale * Fraction(log))
 
 
 JitterModel = Union[NoJitter, UniformJitter, ExponentialJitter]
@@ -170,13 +189,47 @@ def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTr
 
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_LANES = 1024  # streams computed on one int
+_LOW = int(sys.byteorder == "big")  # which native word of a 128-bit lane is its low half
 
 
-def _mix(state: int) -> int:
-    """splitmix64's output for one state of its stream."""
-    z = (state ^ (state >> 30)) * 0xBF58476D1CE4B5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _lanes(word: int, width: int) -> int:
+    """`word` in the low half of each of `width` 128-bit lanes of one int."""
+    lanes = array("Q", [0]) * (2 * width)
+    lanes[_LOW::2] = array("Q", [word]) * width
+    return int.from_bytes(lanes, sys.byteorder)
+
+
+_LANE_MASK = _lanes(_MASK64, _LANES)
+
+
+def _words(seed: int, streams: array, k: int) -> array:
+    """Word k (k >= 1) of splitmix64 stream i, seeded with seed XOR i, for each
+    i in `streams`: mix((seed ^ i) + k*gamma mod 2^64).
+
+    Computed _LANES streams at a time on one int, each in the low half of a
+    128-bit lane: the stream numbers are copied into the lanes by a stride
+    assignment into an array of native words, which int.from_bytes reads
+    (and int.to_bytes writes back) with an explicit length and the native
+    byte order. The xor, the add, and splitmix64's xor-shifts, multiplies
+    and masks then run once on the whole int. Every lane's top half is clear
+    before each add and multiply, so no carry or product crosses into the
+    next lane; what a right shift brings down from the next lane lands in
+    the top half and is masked off (or, after the last shift, never read).
+    """
+    width = min(len(streams), _LANES)
+    seeds, step = _lanes(seed & _MASK64, width), _lanes(k * _SM64_GAMMA & _MASK64, width)
+    lanes = array("Q", [0]) * (2 * width)
+    out = array("Q")
+    for start in range(0, len(streams), _LANES):
+        chunk = streams[start:start + _LANES]
+        lanes[_LOW:2 * len(chunk):2] = chunk  # later lanes keep the last chunk's, unread
+        z = ((int.from_bytes(lanes, sys.byteorder) ^ seeds) + step) & _LANE_MASK
+        z = ((z ^ z >> 30) & _LANE_MASK) * 0xBF58476D1CE4B5B9 & _LANE_MASK
+        z = ((z ^ z >> 27) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+        mixed = array("Q", (z ^ z >> 31).to_bytes(16 * width, sys.byteorder))
+        out += mixed[_LOW:2 * len(chunk):2]
+    return out
 
 
 def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
@@ -185,20 +238,28 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     Packet index i draws from splitmix64 seeded with seed XOR i: the stream's
     first word decides loss, and only a kept packet takes the second, which
     the jitter model draws its delay from, so the two are independent. An
-    arrival past TS_MAX raises TraceValidationError, naming the packet by its
-    index in `trace`.
+    arrival past TS_MAX raises TraceValidationError, naming the first such
+    packet by its index in `trace`.
+
+    Each step is one pass over a column, not a loop over packets: the first
+    words of all the streams (see _words for the lane kernel), loss for all
+    the packets (word w is lost when w * den < num * 2^64, that is when w is
+    below ceil(num * 2^64 / den); with no loss the first words are not
+    needed), the kept packets' second words, their delays, then their
+    arrivals.
     """
-    lost_below, den = ch.loss_prob.numerator << 64, ch.loss_prob.denominator
-    seed, delay, draw = ch.seed, ch.base_delay_us, ch.jitter.draw
-    keep = bytearray(len(trace))
-    recv = array("q")
-    for i, send in enumerate(trace.send_ts_us):
-        state = (seed ^ i) + _SM64_GAMMA & _MASK64
-        if _mix(state) * den < lost_below:
-            continue
-        keep[i] = 1
-        arrival = send + delay + draw(_mix(state + _SM64_GAMMA & _MASK64))
-        if arrival > TS_MAX:
-            raise TraceValidationError([Violation(i, _ARRIVAL_PAST_TS_MAX.format(_show(arrival)))])
-        recv.append(arrival)
+    kept = array("Q", range(len(trace)))
+    keep = b"\x01" * len(trace)
+    if ch.loss_prob:
+        lost_below = -(-(ch.loss_prob.numerator << 64) // ch.loss_prob.denominator)
+        keep = bytes(map(ge, _words(ch.seed, kept, 1), repeat(lost_below)))
+        kept = array("Q", compress(kept, keep))
+    send, base = trace.send_ts_us, ch.base_delay_us
+    delays = ch.jitter.delays(_words(ch.seed, kept, 2))
+    try:
+        recv = array("q", map(add, compress(send, keep), map(add, repeat(base), delays)))
+    except OverflowError:  # an arrival past TS_MAX: name the first
+        i, arrival = next((i, t) for i, d in zip(kept, delays) if (t := send[i] + base + d) > TS_MAX)
+        raise TraceValidationError([Violation(i, _ARRIVAL_PAST_TS_MAX.format(_show(arrival)))])
+    del kept, delays
     return trace.select(keep, recv).sorted_by("recv_ts_us")  # by arrival, stably

@@ -93,6 +93,8 @@ class TestScenarioParsing:
             parse_scenario(AUDIO_CONFIG + "generator.ptime_us = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_scenario(AUDIO_CONFIG + "generator.bogus = 1\n")
+        with pytest.raises(ConfigError, match="line 11: unknown section 'bogus'"):
+            parse_scenario(AUDIO_CONFIG + "bogus.key = 1\n")
         with pytest.raises(ConfigError, match="0..n-1"):
             parse_scenario(AUDIO_CONFIG.replace("pipeline.0", "pipeline.1"))
         with pytest.raises(ConfigError, match="jitter"):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from operator import sub
 
@@ -249,8 +250,7 @@ class TestFormatDecimalAgainstRound:
                 assert format_jitter(q) == format_decimal_exact(Fraction(q, Q64))
                 assert format_jitter(-q) == format_decimal_exact(Fraction(-q, Q64))
         # no jitter value is negative, but format_jitter takes any int: a
-        # value that rounds to 0 renders without a sign, and a series that
-        # mixes signs renders each value as format_jitter does alone
+        # value that rounds to 0 renders without a sign
         assert format_jitter(-1) == format_jitter(-((1 << 63) // 10**6)) == "0"
         assert format_jitter(-((1 << 63) // 10**6) - 1) == "-0.000001"
         assert format_jitter(-(1 << 57)) == "-0.007812"
@@ -262,8 +262,14 @@ class TestFormatDecimalAgainstRound:
             rng.randrange((1 << 63) // 10**6), rng.randrange(100) << 64, 0])
             for _ in range(3000)]
         assert min(series) < 0 < max(series)
-        assert metrics._jitter_texts(series) == [format_decimal_exact(Fraction(q, Q64))
-                                                 for q in series]
+        assert [format_jitter(q) for q in series] == [format_decimal_exact(Fraction(q, Q64))
+                                                      for q in series]
+        # jitter_csv's one-pass rows render the magnitudes as format_jitter does
+        magnitudes = tuple(map(abs, series))
+        report = replace(metrics_report(trace_from([(0, 0, 0), (1, 20, 25)])),
+                         jitter_series=magnitudes)
+        assert jitter_csv(report) == "index,jitter_us\n" + "".join(
+            f"{i},{format_jitter(q)}\n" for i, q in enumerate(magnitudes, start=1))
 
 
 class TestPdv:

@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from rtpshape import (AudioGenConfig, ChannelModel, MediaPacket,
                       StreamTrace, TraceFormatError, TraceValidationError,
                       apply_channel, generate_audio, loss, read_trace_csv,
                       validate_trace, write_trace_csv)
-from rtpshape.model import TS_MAX
+from rtpshape.model import _CHUNK_ROWS as CHUNK
+from rtpshape.model import SEQ_MOD, TS_MAX
 
 from oracles import refusal_reference, validate_trace_reference
 
@@ -151,6 +153,54 @@ def test_sorted_by_is_stable_and_keeps_missing_arrivals():
     assert list(ordered.missing) == [i for i, p in enumerate(ordered.packets)
                                      if p.recv_ts_us is None]
     assert ordered.sorted_by("send_ts_us") is ordered
+
+
+@pytest.mark.parametrize("pattern", ["runs", "scattered"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 1000])
+def test_select_keeps_the_marked_packets_in_order(pattern, n):
+    # a mask of few runs (copied a run at a time) and one of many (copied
+    # packet by packet), each starting and ending either way, with and
+    # without new arrivals
+    rng = random.Random(n)
+    rows = [pkt(seq=k, send=k, recv=k + rng.randrange(50), size=k + 1) for k in range(n)]
+    trace = StreamTrace(rows)
+    flip = 0.02 if pattern == "runs" else 0.7
+    masks = [bytes(n), b"\x01" * n]
+    for first in (0, 1):
+        mask = bytearray([first]) * n
+        for k in range(1, n):
+            mask[k] = mask[k - 1] ^ (rng.random() < flip)
+        masks.append(mask)
+    for keep in masks:
+        kept = [row for row, bit in zip(rows, keep) if bit]
+        assert trace.select(keep).packets == tuple(kept)
+        recv = array("q", [row.recv_ts_us + 7 for row in kept])
+        assert trace.select(keep, recv).packets == \
+            tuple(row._replace(recv_ts_us=row.recv_ts_us + 7) for row in kept)
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_sorted_by_two_rows_out_of_order(missing):
+    # the smallest unsorted trace: its one chunk of rows has 2, so the gather
+    # still takes a tuple from its itemgetter
+    rows = [pkt(seq=1, send=20, recv=None if missing else 25, size=7),
+            pkt(seq=2, marker=True, send=10, recv=15, size=9)]
+    ordered = StreamTrace(rows).sorted_by("send_ts_us")
+    assert ordered.packets == (rows[1], rows[0])
+    assert list(ordered.missing) == ([1] if missing else [])
+
+
+@pytest.mark.parametrize("n", [3, CHUNK + 1, 2 * CHUNK - 1, 3 * CHUNK + 2])
+def test_sorted_by_across_chunks(n):
+    # chunks split the rows evenly; ties keep their order across chunk edges
+    rng = random.Random(n)
+    rows = [pkt(seq=k % SEQ_MOD, send=rng.randrange(n // 3 + 1),
+                recv=None if rng.random() < 0.1 else rng.randrange(10**6), size=k + 1)
+            for k in range(n)]
+    ordered = StreamTrace(rows).sorted_by("send_ts_us")
+    assert ordered.packets == tuple(sorted(rows, key=lambda p: p.send_ts_us))
+    assert list(ordered.missing) == [i for i, p in enumerate(ordered.packets)
+                                     if p.recv_ts_us is None]
 
 
 def test_second_ssrc_is_flagged():

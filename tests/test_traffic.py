@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter,
                       UniformJitter, VideoGenConfig, apply_channel, generate_audio,
                       generate_video, pdv, read_trace_csv, validate_trace, write_trace_csv)
 from rtpshape.model import TS_MAX
+from rtpshape.traffic import _LANES, _words
 
-from oracles import apply_channel_reference
+from oracles import _splitmix64_pair, apply_channel_reference
 
 
 class TestAudio:
@@ -134,18 +136,22 @@ class TestChannel:
         assert stats["max"] == 0 and set(values) == {0}
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(ptime=st.integers(1000, 60_000), count=st.integers(1, 50),
+    @given(ptime=st.integers(1000, 60_000), count=st.integers(1, 50) | st.integers(50, 2500),
            base=st.integers(0, TS_MAX),
            jitter=st.one_of(
                st.just(NoJitter()),
                st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)).map(
                    lambda b: UniformJitter(min(b), max(b))),
-               st.builds(ExponentialJitter, st.integers(0, 100_000) | st.just(10**400))),
+               st.builds(ExponentialJitter, st.integers(0, 100_000)
+                         | st.sampled_from([10**308, 10**400]))),
            loss=st.fractions(0, 1, max_denominator=10**6).filter(lambda p: p < 1),
            seed=st.integers(-2**70, -1) | st.integers(0, 2**64 - 1) | st.integers(2**64, 2**70))
     def test_draws_match_reference_rerun(self, ptime, count, base, jitter, loss, seed):
         # the same trace, or the same error, as the channel before each jitter
-        # model drew its own delay and before lost packets skipped the second word
+        # model drew its own delay and before lost packets skipped the second word;
+        # up to 2,500 packets, so the streams fill several ints of 1,024 lanes.
+        # A mean of 10**308 is in float range, but most of its values are not:
+        # each such value, and only those, is taken exactly
         def outcome(channel, trace, ch):
             try:
                 return channel(trace, ch)
@@ -155,6 +161,23 @@ class TestChannel:
         trace = generate_audio(AudioGenConfig(ptime_us=ptime), ptime * count)
         ch = ChannelModel(base_delay_us=base, jitter=jitter, loss_prob=loss, seed=seed)
         assert outcome(apply_channel, trace, ch) == outcome(apply_channel_reference, trace, ch)
+
+    @pytest.mark.parametrize("jitter", [NoJitter(), UniformJitter(3, 9), ExponentialJitter(50)])
+    @pytest.mark.parametrize("loss", [Fraction(0), Fraction(1, 3)])
+    def test_empty_trace(self, jitter, loss):
+        ch = ChannelModel(base_delay_us=5, jitter=jitter, loss_prob=loss, seed=7)
+        out = apply_channel(StreamTrace([]), ch)
+        assert len(out) == 0 and out == apply_channel_reference(StreamTrace([]), ch)
+
+    def test_words_match_splitmix64_per_stream(self):
+        # the lanes of each int, its last lane and the next int's first, and a
+        # sparse set of streams, for seeds past 64 bits and below 0
+        streams = array("Q", [*range(2 * _LANES + 3), 2**40, 2**64 - 1])
+        for seed in (0, 1, -1, 2**64 + 5, -(2**70)):
+            for k in (1, 2):
+                assert list(_words(seed, streams, k)) == \
+                    [_splitmix64_pair((seed ^ i) & (2**64 - 1))[k - 1] for i in streams]
+        assert list(_words(3, streams[1::97], 2)) == list(_words(3, streams, 2)[1::97])
 
     def test_arrival_past_ts_max_is_refused_as_a_row_is(self):
         trace = generate_audio(AudioGenConfig(), 20_000)
