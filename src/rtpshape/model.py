@@ -160,12 +160,21 @@ class StreamTrace(_Record):
         """The packets whose byte in `keep` is 1, with the arrivals `recv` if
         given; without, every packet must have arrived. When the runs of kept
         packets are few (a channel's or a shaper's losses are), each column is
-        copied a run at a time, one slice a run; otherwise packet by packet."""
+        copied a run at a time, one slice a run, into an array of the kept
+        size; otherwise packet by packet."""
         if 8 * keep.count(b"\0\1") < len(keep):
             runs = [run.span() for run in _KEPT_RUN.finditer(keep)]
-            take = lambda c: array("q", b"".join([c[a:b] for a, b in runs]))
+            size = keep.count(1)
+
+            def take(column: array) -> array:
+                out, at = array("q", [0]) * size, 0
+                for start, stop in runs:
+                    out[at:at + stop - start] = column[start:stop]
+                    at += stop - start
+                return out
         else:
-            take = lambda c: array("q", compress(c, keep))
+            def take(column: array) -> array:
+                return array("q", compress(column, keep))
         cols = self.columns()
         kept = [take(c) for c in cols[:5] + cols[6:]]
         kept.insert(5, take(cols[5]) if recv is None else recv)
