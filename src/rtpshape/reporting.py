@@ -240,7 +240,7 @@ def render_svg(panels: Sequence[Panel]) -> str:
             if panel.kind == "scatter":
                 out += _scatter_chunks(ts, vs, ys, t_lo, t_span, inner_w)
             else:
-                if line is None:
+                if line is None:  # drawn with the later step panels on its time column
                     later = [k for k in range(idx + 1, len(panels))
                              if panels[k].kind == "step" and panels[k].ts_us is ts]
                     scales = [_value_scale(panels[k].values, inner_h) for k in later]

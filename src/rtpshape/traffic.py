@@ -189,7 +189,7 @@ def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTr
 
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_LANES = 1024  # streams computed on one int
+_LANES = 256  # streams computed on one int
 _LOW = int(sys.byteorder == "big")  # which native word of a 128-bit lane is its low half
 
 
@@ -261,5 +261,5 @@ def apply_channel(trace: StreamTrace, ch: ChannelModel) -> StreamTrace:
     except OverflowError:  # an arrival past TS_MAX: name the first
         i, arrival = next((i, t) for i, d in zip(kept, delays) if (t := send[i] + base + d) > TS_MAX)
         raise TraceValidationError([Violation(i, _ARRIVAL_PAST_TS_MAX.format(_show(arrival)))])
-    del kept, delays
+    del kept, delays  # not held through the sort, the channel's peak
     return trace.select(keep, recv).sorted_by("recv_ts_us")  # by arrival, stably

@@ -149,7 +149,7 @@ class TestChannel:
     def test_draws_match_reference_rerun(self, ptime, count, base, jitter, loss, seed):
         # the same trace, or the same error, as the channel before each jitter
         # model drew its own delay and before lost packets skipped the second word;
-        # up to 2,500 packets, so the streams fill several ints of 1,024 lanes.
+        # up to 2,500 packets, so the streams fill several ints of 256 lanes.
         # A mean of 10**308 is in float range, but most of its values are not:
         # each such value, and only those, is taken exactly
         def outcome(channel, trace, ch):
