@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from itertools import compress, islice
+from itertools import islice
 from operator import itemgetter, le, lt
 from typing import AnyStr, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -158,25 +158,19 @@ class StreamTrace(_Record):
 
     def select(self, keep: bytes, recv: Optional[array] = None) -> StreamTrace:
         """The packets whose byte in `keep` is 1, with the arrivals `recv` if
-        given; without, every packet must have arrived. When the runs of kept
-        packets number under one per 8 packets, as a channel's or a shaper's
-        losses leave them, each column is copied a run at a time into an
-        array of the kept size; otherwise packet by packet, which is faster
-        on short runs."""
-        if 8 * keep.count(b"\0\1") < len(keep):
-            runs = [run.span() for run in _KEPT_RUN.finditer(keep)]
-            size = keep.count(1)
+        given; without, every packet must have arrived. Each column is copied
+        a run of kept packets at a time into an array of the kept size: a
+        channel's or a shaper's losses leave few runs."""
+        runs = [run.span() for run in _KEPT_RUN.finditer(keep)]
+        size = keep.count(1)
 
-            def take(column: array) -> array:
-                out, at = array("q", [0]) * size, 0
-                with memoryview(out) as dst, memoryview(column) as src:
-                    for start, stop in runs:  # view to view, with no copy of the run first
-                        dst[at:at + stop - start] = src[start:stop]
-                        at += stop - start
-                return out
-        else:
-            def take(column: array) -> array:
-                return array("q", compress(column, keep))
+        def take(column: array) -> array:
+            out, at = array("q", [0]) * size, 0
+            with memoryview(out) as dst, memoryview(column) as src:
+                for start, stop in runs:  # view to view, with no copy of the run first
+                    dst[at:at + stop - start] = src[start:stop]
+                    at += stop - start
+            return out
         cols = self.columns()
         kept = [take(c) for c in cols[:5] + cols[6:]]
         kept.insert(5, take(cols[5]) if recv is None else recv)

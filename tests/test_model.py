@@ -158,9 +158,8 @@ def test_sorted_by_is_stable_and_keeps_missing_arrivals():
 @pytest.mark.parametrize("pattern", ["runs", "scattered"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 1000])
 def test_select_keeps_the_marked_packets_in_order(pattern, n):
-    # a mask of few runs (copied a run at a time) and one of many (copied
-    # packet by packet), each starting and ending either way, with and
-    # without new arrivals
+    # a mask of few long runs and one of many short ones, each starting and
+    # ending either way, with and without new arrivals
     rng = random.Random(n)
     rows = [pkt(seq=k, send=k, recv=k + rng.randrange(50), size=k + 1) for k in range(n)]
     trace = StreamTrace(rows)
