@@ -115,6 +115,9 @@ def comparison_csv(report: ComparisonReport) -> str:
 
 def jitter_csv(report: MetricsReport) -> str:
     """The jitter series from index 1, each value as format_jitter renders it.
+    Every jitter value is >= 0, which this needs: a negative value's whole
+    and fraction would be floored (-2**57 written as -1.992188, where
+    format_jitter gives -0.007812).
     A chunk of _CHUNK_ROWS values at a time, so that only one chunk's texts
     and column temporaries are alive, whole rows are written by one
     `%d,%d.%06d` pass; then only the rows whose fraction ends in 0 have their
@@ -183,13 +186,15 @@ def _step_lines(ts, lines: Sequence[tuple], t_lo, t_span, inner_w) -> list[list[
     return out
 
 
-def _value_scale(vs, inner_h: int) -> tuple[int, dict]:
-    """A panel's largest value, and each distinct value's y text, formatted
-    once: its value range [v_lo, v_lo + v_span] always includes 0."""
-    values = set(vs)
+def _frame(panel: Panel, inner_h: int) -> tuple:
+    """A panel's time range t_lo, t_hi, its largest value, and each distinct
+    value's y text, formatted once: its value range [v_lo, v_lo + v_span]
+    always includes 0."""
+    values = set(panel.values)
     v_lo, v_hi = min(min(values), 0), max(values)
     v_span = (v_hi - v_lo) or 1
-    return v_hi, {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
+    return (min(panel.ts_us), max(panel.ts_us), v_hi,
+            {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values})
 
 
 def render_svg(panels: Sequence[Panel]) -> str:
@@ -202,8 +207,9 @@ def render_svg(panels: Sequence[Panel]) -> str:
     always includes 0. Times and values are ints, as a valid trace's are, so
     every x is a float, written with `%.2f`. Each distinct value's y is
     formatted once, and the points are formatted a chunk per `%`. The step
-    panels that share one time column (the same object) are drawn together,
-    with the first of them, so that each x is formatted once for all.
+    panels that share one time column (the same object) have their lines
+    rendered together, before the panels, so that each x is formatted once
+    for all of them.
     """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -212,7 +218,17 @@ def render_svg(panels: Sequence[Panel]) -> str:
            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
            f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">\n'
            '<rect width="100%" height="100%" fill="white"/>\n']
-    drawn: dict[int, tuple] = {}  # a later step panel's value scale and line, drawn already
+    frames = [_frame(panel, inner_h) if len(panel.ts_us) else None for panel in panels]
+    shared: dict[int, list[int]] = {}  # the step panels on each time column, by its identity
+    for idx, panel in enumerate(panels):
+        if panel.kind == "step" and frames[idx]:
+            shared.setdefault(id(panel.ts_us), []).append(idx)
+    lines: dict[int, list[str]] = {}
+    for group in shared.values():
+        t_lo, t_hi = frames[group[0]][:2]
+        lines.update(zip(group, _step_lines(panels[group[0]].ts_us,
+                                            [(panels[k].values, frames[k][3]) for k in group],
+                                            t_lo, (t_hi - t_lo) or 1, inner_w)))
     for idx, panel in enumerate(panels):
         top = idx * PANEL_HEIGHT
         out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">\n'
@@ -227,10 +243,9 @@ def render_svg(panels: Sequence[Panel]) -> str:
                    f'<text x="-8" y="{inner_h // 2}" font-size="10" '
                    f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>\n')
         ts, vs = panel.ts_us, panel.values
-        if len(ts):
-            t_lo, t_hi = min(ts), max(ts)
+        if frames[idx]:
+            t_lo, t_hi, v_hi, ys = frames[idx]
             t_span = (t_hi - t_lo) or 1
-            v_hi, ys, line = drawn.pop(idx, None) or (*_value_scale(vs, inner_h), None)
             out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
                        f'font-family="sans-serif">{t_lo}</text>\n'
                        f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
@@ -240,17 +255,9 @@ def render_svg(panels: Sequence[Panel]) -> str:
             if panel.kind == "scatter":
                 out += _scatter_chunks(ts, vs, ys, t_lo, t_span, inner_w)
             else:
-                if line is None:  # drawn with the later step panels on its time column
-                    later = [k for k in range(idx + 1, len(panels))
-                             if panels[k].kind == "step" and panels[k].ts_us is ts]
-                    scales = [_value_scale(panels[k].values, inner_h) for k in later]
-                    line, *lines = _step_lines(
-                        ts, [(vs, ys), *((panels[k].values, y) for k, (_, y) in zip(later, scales))],
-                        t_lo, t_span, inner_w)
-                    drawn.update((k, (*scale, l)) for k, scale, l in zip(later, scales, lines))
                 out.append(f'<polyline points="{(ts[0] - t_lo) / t_span * inner_w:.2f},'
                            f'{ys[vs[0]]}')
-                out += line
+                out += lines[idx]
                 out.append('" fill="none" stroke="darkorange" stroke-width="1"/>\n')
         out.append('</g>\n')
     out.append('</svg>\n')
