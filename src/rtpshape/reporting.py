@@ -168,21 +168,20 @@ def _step_lines(ts, lines: Sequence[tuple], t_lo, t_span, inner_w) -> list[list[
     """The coordinates after its first point of each step line (values, ys)
     drawn on the time column ts: each later point first at the previous
     point's value, then at its own. The lines are rendered a chunk at a time
-    in lockstep, so each chunk's x texts are formatted once for all of them.
-    A chunk's first point is its predecessor's successor, so chunks start at
-    point 1."""
+    in lockstep, so each chunk's x texts, template and argument list are made
+    once for all of them. A chunk's first point is its predecessor's
+    successor, so chunks start at point 1."""
     out: list[list[str]] = [[] for _ in lines]
     for i in range(1, len(ts), _CHUNK_ROWS):
         xs = [(t - t_lo) / t_span * inner_w for t in ts[i:i + _CHUNK_ROWS]]
         m = len(xs)
-        xs = (("%.2f," * m) % tuple(xs)).split(",")[:m]
+        template, args = " %s,%s %s,%s" * m, [None] * (4 * m)
+        args[0::4] = args[2::4] = (("%.2f," * m) % tuple(xs)).split(",")[:m]
         for chunks, (vs, ys) in zip(out, lines):
             y = list(map(ys.__getitem__, vs[i - 1:i + _CHUNK_ROWS]))  # after its predecessor
-            args = [None] * (4 * m)
-            args[0::4] = args[2::4] = xs
             args[1::4] = y[:m]
             args[3::4] = y[1:]
-            chunks.append((" %s,%s %s,%s" * m) % tuple(args))
+            chunks.append(template % tuple(args))
     return out
 
 
@@ -218,10 +217,10 @@ def render_svg(panels: Sequence[Panel]) -> str:
            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
            f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">\n'
            '<rect width="100%" height="100%" fill="white"/>\n']
-    frames = [_frame(panel, inner_h) if len(panel.ts_us) else None for panel in panels]
+    frames = {idx: _frame(panel, inner_h) for idx, panel in enumerate(panels) if len(panel.ts_us)}
     shared: dict[int, list[int]] = {}  # the step panels on each time column, by its identity
     for idx, panel in enumerate(panels):
-        if panel.kind == "step" and frames[idx]:
+        if panel.kind == "step" and idx in frames:
             shared.setdefault(id(panel.ts_us), []).append(idx)
     lines: dict[int, list[str]] = {}
     for group in shared.values():
@@ -243,8 +242,8 @@ def render_svg(panels: Sequence[Panel]) -> str:
                    f'<text x="-8" y="{inner_h // 2}" font-size="10" '
                    f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>\n')
         ts, vs = panel.ts_us, panel.values
-        if frames[idx]:
-            t_lo, t_hi, v_hi, ys = frames[idx]
+        if idx in frames:
+            t_lo, t_hi, v_hi, ys = frames.pop(idx)  # its y texts not held past its panel
             t_span = (t_hi - t_lo) or 1
             out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
                        f'font-family="sans-serif">{t_lo}</text>\n'
