@@ -1,7 +1,7 @@
 """Traffic shapers: packet-based leaky bucket and byte-based token bucket.
 
 Both run one greedy FIFO server (_serve) under a policy each: a pure,
-deterministic discrete-event function over a received trace's columns.
+deterministic discrete-event function over a valid received trace's columns.
 Departure times are written into recv_ts_us so a shaper's output can feed the
 next pipeline stage directly (departures become arrivals).
 """
@@ -13,11 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import inf
 from operator import le
 from typing import NamedTuple, Optional, Union
 
-from .model import TS_MAX, US_PER_S, MediaPacket, StreamTrace, _Record
+from .model import TS_MAX, US_PER_S, MediaPacket, StreamTrace, _Record, check_trace
 
 DROP_BUCKET_FULL = "bucket full"
 DROP_QUEUE_FULL = "queue full"
@@ -88,9 +87,8 @@ class OccupancySample(NamedTuple):
 
 class Occupancy(NamedTuple):
     """The samples as columns. queued_bytes and tokens are each an array('q')
-    when the bound _serve knows for them before it starts fits in 64 bits, and
-    a list otherwise, as neither a queue's bytes nor a bucket's capacity has an
-    upper bound."""
+    when its bound (the sum of the sizes; the token capacity, 0 for the leaky
+    bucket) fits in 64 bits, and a list otherwise: neither has an upper bound."""
 
     ts_us: array
     queued_packets: array
@@ -117,15 +115,16 @@ class ShapeResult(_Record):
 
 class _LeakyPolicy:
     """Fixed drain: a departure comes at least one drain interval after the
-    one before it, and a bucket holding capacity packets refuses more."""
+    one before it, and a bucket holding `limit` packets refuses more."""
 
-    __slots__ = ("drain", "cap", "next_free")
+    __slots__ = ("drain", "limit", "next_free")
     queues_every_packet = False
     reason = DROP_BUCKET_FULL
+    cap = 0  # it holds no tokens
 
     def __init__(self, cfg: LeakyBucketConfig):
         self.drain = cfg.drain_interval_us
-        self.cap = cfg.capacity_packets
+        self.limit = cfg.capacity_packets
         self.next_free = -2**63  # idle until the first departure: no arrival is earlier
 
     def ready(self, size: int) -> int:
@@ -138,11 +137,8 @@ class _LeakyPolicy:
     def tokens_at(self, t: int) -> int:
         return 0
 
-    def most_tokens(self, recv: array, sizes: array) -> int:
-        return 0
-
     def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
-        return waiting >= self.cap
+        return waiting >= self.limit
 
 
 class _TokenPolicy:
@@ -151,10 +147,11 @@ class _TokenPolicy:
     At time t the bucket holds (t * num - empty) // den_us tokens, where
     den_us = rate denominator * 10^6, and empty / num is the instant it last
     held none: tokens * den_us + sub-token remainder == t * num - empty. A
-    full bucket accrues nothing (its remainder is discarded).
+    full bucket accrues nothing (its remainder is discarded). Events come in
+    time order, as in GCRA (ITU-T I.371).
     """
 
-    __slots__ = ("num", "den_us", "cap", "cap_den", "limit", "empty", "t")
+    __slots__ = ("num", "den_us", "cap", "cap_den", "limit", "empty")
     queues_every_packet = True
     reason = DROP_QUEUE_FULL
 
@@ -165,35 +162,26 @@ class _TokenPolicy:
         self.cap_den = self.cap * self.den_us
         self.limit = cfg.queue_limit_bytes
         self.empty = -cfg.start_tokens * self.den_us
-        self.t = 0
 
     def tokens_at(self, t: int) -> int:
         accrued = t * self.num
         if self.empty < accrued - self.cap_den:
             self.empty = accrued - self.cap_den
-        self.t = t
         return (accrued - self.empty) // self.den_us
 
     def ready(self, size: int) -> int:
-        """Earliest time >= the last event at which `size` tokens are available."""
+        """Earliest time at which `size` tokens are available. With arrivals in
+        order, a head whose tokens were ready before the last event arrived
+        after it, so max(arrival, ready) never comes before the last event."""
         if size > self.cap:
             raise ShapingPreconditionError(
                 f"packet of {size} bytes exceeds token capacity {self.cap}; it can never depart")
-        at = -(-(size * self.den_us + self.empty) // self.num)  # ceiling division
-        return at if at > self.t else self.t
+        return -(-(size * self.den_us + self.empty) // self.num)  # ceiling division
 
     def depart(self, t: int, size: int) -> int:
         tokens = self.tokens_at(t) - size
         self.empty += size * self.den_us
         return tokens
-
-    def most_tokens(self, recv: array, sizes: array) -> Union[int, float]:
-        """The capacity, when no size is negative and the arrivals come in order
-        from time 0 on, as in a valid trace; else tokens have no bound known in
-        advance (an arrival before the last event takes tokens away)."""
-        if min(sizes, default=0) >= 0 and all(map(le, chain((0,), recv), recv)):
-            return self.cap
-        return inf
 
     def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
         return self.limit is not None and waiting_bytes + size > self.limit
@@ -208,9 +196,8 @@ def _check_arrived(trace: StreamTrace) -> StreamTrace:
     return trace
 
 
-def _column(bound: Union[int, float]) -> Union[array, list]:
-    """An empty column for ints of magnitude at most `bound`: an array('q') when
-    the bound fits in one, a list otherwise."""
+def _column(bound: int) -> Union[array, list]:
+    """An empty column for ints in [0, bound]: an array('q') if they fit, else a list."""
     return array("q") if bound <= TS_MAX else []
 
 
@@ -224,11 +211,11 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     the policy queues_every_packet. Samples take their tokens from
     depart(t, size) and tokens_at(t).
 
-    Each sample column's type is picked once, before the loop, from a bound
-    on its values' magnitude: for queued bytes the sum of the sizes'
-    magnitudes, for tokens the policy's most_tokens(recv, sizes). A column
-    whose bound is at most TS_MAX is an array('q'), and one whose bound is
-    larger a list.
+    Every packet must have arrived, sizes be at least 1 and arrivals never
+    decrease from 0 on. A trace that fails the one screen for the last two
+    breaks the trace contract, so check_trace raises its TraceValidationError.
+    Each sample column's type is picked before the loop from its bound, the
+    sum of the sizes or the policy's `cap` (see Occupancy).
 
     The queue holds input indices. Each packet departs but those dropped, and
     a FIFO server never reorders, so the departures, appended as they happen,
@@ -236,9 +223,11 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     which no column holds, raises ShapingPreconditionError.
     """
     _check_arrived(trace)
+    recv, sizes = trace.recv_ts_us, trace.size_bytes
+    if min(sizes, default=1) < 1 or not all(map(le, chain((0,), recv), recv)):
+        check_trace(trace)  # a size below 1, or an arrival below 0 or unsorted
     ready, depart, tokens_at, full = policy.ready, policy.depart, policy.tokens_at, policy.full
     queues_every_packet = policy.queues_every_packet
-    recv, sizes = trace.recv_ts_us, trace.size_bytes
 
     queue: deque[int] = deque()
     queued_bytes = 0
@@ -246,8 +235,7 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     departures = array("q")
     departs = departures.append
     dropped = bytearray(n)
-    samples = Occupancy(array("q"), array("q"), _column(sum(map(abs, sizes))),
-                        _column(policy.most_tokens(recv, sizes)))
+    samples = Occupancy(array("q"), array("q"), _column(sum(sizes)), _column(policy.cap))
     sample_t, sample_queued, sample_bytes, sample_tokens = (c.append for c in samples)
     pop_head = queue.popleft
     enqueue = queue.append

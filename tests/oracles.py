@@ -375,9 +375,9 @@ def format_decimal_exact(value) -> str:
 
 
 def random_received_trace(rng: random.Random, max_packets=200, max_t=3000,
-                          max_size=100, min_t=0) -> StreamTrace:
+                          max_size=100) -> StreamTrace:
     n = rng.randint(1, max_packets)
-    times = sorted(rng.randint(min_t, max_t) for _ in range(n))
+    times = sorted(rng.randint(0, max_t) for _ in range(n))
     packets = tuple(
         MediaPacket(k % 65536, 7, 96, False, t, t, rng.randint(1, max_size))
         for k, t in enumerate(times)

@@ -22,7 +22,7 @@ from rtpshape import (AudioGenConfig, ChannelModel, ConfigError, ExponentialJitt
                       VideoGenConfig, cli, compare, format_decimal, leaky_bucket_shape,
                       parse_scenario, read_trace_csv, write_trace_csv)
 from rtpshape.cli import main
-from rtpshape.model import CSV_HEADER, SEQ_MOD, validate_trace
+from rtpshape.model import CSV_HEADER, SEQ_MOD, TS_MAX, validate_trace
 from rtpshape.reporting import comparison_csv
 from rtpshape.shaping import Occupancy
 
@@ -681,6 +681,88 @@ def test_exit_2_writes_nothing(tmp_path, audio_cfg, command, config, message):
     assert files_under(out) == []
 
 
+def without(config: str, key: str) -> str:
+    return "".join(line for line in config.splitlines(keepends=True) if not line.startswith(key))
+
+
+# A config for each refusal a scenario key reaches, with its message: the
+# scenario parser's own, then those of the generator and channel classes.
+REFUSED_CONFIGS = {
+    "key-without-section": (AUDIO_CONFIG + "bogus = 1\n",
+                            "line 11: key 'bogus' has no section prefix"),
+    "uniform-jitter": (AUDIO_CONFIG.replace("uniform(0,15000)", "uniform(5,1)"),
+                       "channel.jitter: need 0 <= lo_us <= hi_us"),
+    "exponential-jitter": (AUDIO_CONFIG.replace("uniform(0,15000)", "exponential(-1)"),
+                           "channel.jitter: mean_us must be >= 0"),
+    "token-without-rate": (without(VIDEO_CONFIG, "pipeline.0.rate"),
+                           "pipeline.0.rate is required"),
+    "no-duration": (without(AUDIO_CONFIG, "generator.duration_us"),
+                    "generator.duration_us is required"),
+    "throughput-window-0": (AUDIO_CONFIG + "analysis.throughput_window_us = 0\n",
+                            "analysis.throughput_window_us must be >= 1"),
+    "audio-payload-0": (AUDIO_CONFIG.replace("payload_bytes = 125", "payload_bytes = 0"),
+                        f"generator: payload_bytes must lie in [1, {TS_MAX}]"),
+    "audio-ssrc": (AUDIO_CONFIG + "generator.ssrc = 4294967296\n",
+                   "generator: ssrc outside 32-bit range"),
+    "audio-payload-type": (AUDIO_CONFIG + "generator.payload_type = 128\n",
+                           "generator: payload_type outside 7-bit range"),
+    "video-fps-0": (VIDEO_CONFIG + "generator.fps = 0\n", "generator: fps and gop must be >= 1"),
+    "video-mtu": (VIDEO_CONFIG + "generator.mtu_payload_bytes = 63\n",
+                  f"generator: mtu_payload_bytes must lie in [64, {TS_MAX}]"),
+    "video-size-jitter": (VIDEO_CONFIG + "generator.size_jitter_pct = 101\n",
+                          "generator: size_jitter_pct must lie in [0, 100]"),
+    "video-ssrc": (VIDEO_CONFIG + "generator.ssrc = 4294967296\n",
+                   "generator: ssrc outside 32-bit range"),
+    "video-payload-type": (VIDEO_CONFIG + "generator.payload_type = 128\n",
+                           "generator: payload_type outside 7-bit range"),
+    "base-delay": (AUDIO_CONFIG + "channel.base_delay_us = -1\n",
+                   "channel: base_delay_us must be >= 0"),
+}
+
+
+# Two packets a microsecond before the last time a CSV holds.
+LATE_CSV = CSV_HEADER + "\n" + "".join(f"{k},1,0,0,{TS_MAX - 1},{TS_MAX - 1},125\n"
+                                       for k in range(2))
+
+# The shaper refusals `shape` reaches: a departure past TS_MAX (the second
+# packet waits 10 us behind the first), then each shaper config class's own.
+SHAPE_REFUSALS = {
+    "departure-past-ts-max": (AUDIO_CONFIG.replace("drain_interval_us = 20000",
+                                                   "drain_interval_us = 10"),
+                              f"stage 0: departure {TS_MAX + 9} > {TS_MAX}"),
+    "capacity-packets-0": (AUDIO_CONFIG.replace("capacity_packets = 15", "capacity_packets = 0"),
+                           "pipeline.0: capacity_packets must be >= 1"),
+    "drain-interval-0": (AUDIO_CONFIG.replace("drain_interval_us = 20000",
+                                              "drain_interval_us = 0"),
+                         "pipeline.0: drain_interval_us must be >= 1"),
+    "capacity-tokens-0": (VIDEO_CONFIG.replace("capacity_tokens = 20000", "capacity_tokens = 0"),
+                          "pipeline.0: capacity_tokens must be >= 1"),
+    "queue-limit-0": (VIDEO_CONFIG + "pipeline.0.queue_limit_bytes = 0\n",
+                      "pipeline.0: queue_limit_bytes must be >= 1"),
+}
+
+
+REFUSALS = {"run": REFUSED_CONFIGS, "shape": SHAPE_REFUSALS}
+
+
+@pytest.mark.parametrize("command, case", [(command, case) for command, cases in REFUSALS.items()
+                                           for case in cases])
+def test_each_refusal_exits_2(tmp_path, capsys, command, case):
+    """Each refusal once, in process (a line tracer over the library sees it):
+    the command exits 2 with the message on stderr and writes nothing."""
+    config, message = REFUSALS[command][case]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    trace_path = tmp_path / "late.csv"
+    trace_path.write_text(LATE_CSV)
+    out = tmp_path / "out"
+    args = ["--input", str(trace_path), "--output", f"{out}/s-"] if command == "shape" \
+        else ["--output", str(out)]
+    assert main([command, "--config", str(cfg), *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert files_under(out) == []
+
+
 # A stage index written other than as str(k), beside a stage 0 or alone.
 LEADING_ZERO_CONFIGS = {
     "beside-stage-0": AUDIO_CONFIG + "pipeline.00.capacity_packets = 3\n",
@@ -823,6 +905,22 @@ class TestRunAndReport:
         assert_usage_error(proc, f"s-stage0.{name}.csv: packet 2 has no arrival timestamp "
                                  "(recv_ts_us)")
         assert not list(tmp_path.glob("f.*"))
+
+    def test_report_stage_failure_names_the_stage(self, tmp_path, audio_cfg, capsys):
+        # only stage 1 runs, and its 10 tokens never buy a 125-byte packet
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(AUDIO_CONFIG + "pipeline.1.type = token\npipeline.1.rate = 1000\n"
+                                      "pipeline.1.capacity_tokens = 10\n")
+        prefix = tmp_path / "s-"
+        assert main(["generate", "--config", audio_cfg,
+                     "--output", f"{prefix}stage1.input.csv"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--input", str(prefix), "--stage", "1",
+                     "--output", str(out / "f.svg")]) == 2
+        assert capsys.readouterr().err == ("error: stage 1: packet of 125 bytes exceeds token "
+                                           "capacity 10; it can never depart\n")
+        assert files_under(out) == []
 
     def test_report_missing_inputs_exits_3(self, tmp_path, audio_cfg):
         assert main(["report", "--config", audio_cfg,

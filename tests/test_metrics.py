@@ -295,11 +295,19 @@ class TestPdv:
         shifted = [(s, snd, rcv + 9999) for s, snd, rcv in rows]
         assert pdv(trace_from(rows)) == pdv(trace_from(shifted))
 
+    def test_empty_trace_is_insufficient(self):
+        with pytest.raises(InsufficientDataError, match="^pdv needs at least 1 packet$"):
+            pdv(StreamTrace(()))
+
 
 class TestLoss:
     def test_complete_run(self):
         trace = trace_from([(k, k * 10, k * 10) for k in range(10)])
         assert loss(trace) == (0, Fraction(0), 0)
+
+    def test_empty_trace_is_insufficient(self):
+        with pytest.raises(InsufficientDataError, match="^loss needs at least 1 packet$"):
+            loss(StreamTrace(()))
 
     def test_single_gap(self):
         trace = trace_from([(s, i * 10, i * 10) for i, s in enumerate([0, 1, 3, 4])])
@@ -346,6 +354,10 @@ class TestThroughput:
 
     def test_empty_trace(self):
         assert throughput(StreamTrace(()), 1000) == ()
+
+    def test_window_below_1_is_refused(self):
+        with pytest.raises(ValueError, match="^window_us must be >= 1$"):
+            throughput(trace_from([(0, 0, 0)]), 0)
 
     def test_half_open_windows(self):
         trace = trace_from([(0, 0, 0), (1, 999, 999), (2, 1000, 1000)])

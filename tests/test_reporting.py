@@ -77,6 +77,11 @@ class TestAgainstReference:
     def test_no_panels(self):
         assert render_svg(()) == render_svg_reference(())
 
+    def test_unknown_shaper_config_is_a_type_error(self):
+        trace, _, result = _random_stage(0)
+        with pytest.raises(TypeError, match="^unknown shaper config: None$"):
+            panel_report(trace, result, None)
+
     def test_trace_rows_without_arrival_and_with_marker(self):
         trace = StreamTrace((
             MediaPacket(0, 1, 96, True, 0, None, 1200),

@@ -2,17 +2,17 @@ import dataclasses
 import random
 from array import array
 from fractions import Fraction
+from operator import lt
 
 import pytest
 
 from rtpshape import (LeakyBucketConfig, MediaPacket, PipelineStageError,
                       ShapeResult, ShapingPreconditionError, StreamTrace,
-                      TokenBucketConfig, leaky_bucket_shape, run_pipeline,
-                      token_bucket_shape, validate_trace)
+                      TokenBucketConfig, TraceValidationError, leaky_bucket_shape,
+                      run_pipeline, token_bucket_shape, validate_trace)
 from rtpshape.reporting import occupancy_csv
-from rtpshape.shaping import _serve, _TokenPolicy
 
-from oracles import (_TokenStateReference, burst_scaled, burst_scaled_brute,
+from oracles import (burst_scaled, burst_scaled_brute,
                      leaky_bucket_shape_reference, leaky_oracle, random_leaky_config,
                      random_received_trace, random_token_config, token_bucket_shape_reference,
                      token_delay_bound_us, token_oracle)
@@ -57,11 +57,6 @@ class TestLeakyBucket:
         trace = received_trace([0, 5])
         r = leaky_bucket_shape(trace, LeakyBucketConfig(drain_interval_us=100))
         assert [p.recv_ts_us for p in r.shaped.packets] == [0, 100]
-
-    def test_idle_bucket_sends_at_once_before_time_zero(self):
-        trace = received_trace([-500, -490])
-        r = leaky_bucket_shape(trace, LeakyBucketConfig(drain_interval_us=100))
-        assert [p.recv_ts_us for p in r.shaped.packets] == [-500, -400]
 
     def test_missing_arrival_is_precondition_error(self):
         trace = StreamTrace((MediaPacket(0, 1, 96, False, 0, None, 125),))
@@ -315,15 +310,28 @@ def rows(result):
     return result
 
 
-def wild_trace(rng, unordered, min_size):
-    """Up to 60 packets arriving from -1000 to 2000 µs, in any order when
-    `unordered`, of min_size to 100 bytes: not a valid trace, but both the
-    server and the reference loops take it."""
-    times = sorted(rng.randint(-1000, 2000) for _ in range(rng.randint(1, 60)))
-    if unordered:
-        rng.shuffle(times)
-    return StreamTrace(tuple(MediaPacket(k, 7, 96, False, t, t, rng.randint(min_size, 100))
-                             for k, t in enumerate(times)))
+def invalid_trace(rng, case):
+    """Up to 60 packets arriving in order from 0 to 2000 µs, of 1 to 100 bytes,
+    made invalid: "unordered" puts a packet after one that arrived later, and
+    "negative sizes" gives some packets a size from -100 to 0."""
+    times = sorted(rng.randint(0, 2000) for _ in range(rng.randint(2, 60)))
+    sizes = [rng.randint(1, 100) for _ in times]
+    if case == "unordered":
+        k = rng.randrange(1, len(times))
+        times[k - 1], times[k] = times[k] + 1, times[k - 1]
+    else:
+        for k in rng.sample(range(len(sizes)), rng.randint(1, len(sizes))):
+            sizes[k] = rng.randint(-100, 0)
+    return StreamTrace(tuple(MediaPacket(k, 7, 96, False, t, t, size)
+                             for k, (t, size) in enumerate(zip(times, sizes))))
+
+
+def refusal(shaper, trace, cfg) -> str:
+    """The message a shaper refuses the trace with, which must be check_trace's."""
+    with pytest.raises(TraceValidationError) as exc:
+        shaper(trace, cfg)
+    assert exc.value.violations == validate_trace(trace)
+    return str(exc.value)
 
 
 def edge_token_config(rng, case):
@@ -345,50 +353,20 @@ def edge_token_config(rng, case):
     return cfg
 
 
-class RemainderPolicy(_TokenPolicy):
-    """_TokenPolicy on the clock it replaced: the tokens, sub-token remainder
-    and last event time of _TokenStateReference."""
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.state = _TokenStateReference(cfg.rate, cfg.capacity_tokens, cfg.start_tokens)
-
-    def tokens_at(self, t):
-        self.state.advance(t)
-        return self.state.tokens
-
-    def ready(self, size):
-        super().ready(size)  # the oversized-packet refusal
-        return self.state.ready_time(size)
-
-    def depart(self, t, size):
-        self.state.tokens = self.tokens_at(t) - size
-        return self.state.tokens
-
-
-def assert_valid_output(result: ShapeResult, start_us: int) -> None:
-    """The shaped trace is valid once every time is moved by -start_us: the
-    random inputs below start as early as start_us = -1000 µs, below the
-    CSV's range."""
-    moved = StreamTrace(tuple(p._replace(send_ts_us=p.send_ts_us - start_us,
-                                         recv_ts_us=p.recv_ts_us - start_us)
-                              for p in result.shaped.packets))
-    assert validate_trace(moved) == []
-
-
 class TestAgainstSeparateLoops:
     """The one FIFO-server loop against the two loops it replaced: the shaped
     trace, the dropped packets with their reasons and every occupancy sample,
-    or the same error. Every result is a valid trace."""
+    or the same error. Every result is a valid trace, and a trace outside the
+    contract is refused."""
 
     def test_leaky(self):
         rng = random.Random(505)
         for _ in range(400):
-            trace = random_received_trace(rng, max_packets=80, min_t=-1000, max_t=2000)
+            trace = random_received_trace(rng, max_packets=80)
             cfg = random_leaky_config(rng)
             got = leaky_bucket_shape(trace, cfg)
             assert rows(got) == leaky_bucket_shape_reference(trace, cfg)
-            assert_valid_output(got, -1000)
+            assert validate_trace(got.shaped) == []
 
     @pytest.mark.parametrize("queue_limit", [False, True])
     def test_token(self, queue_limit):
@@ -398,7 +376,7 @@ class TestAgainstSeparateLoops:
         rng = random.Random(606 if queue_limit else 707)
         outcomes = set()
         for _ in range(400):
-            trace = random_received_trace(rng, max_packets=80, min_t=-1000, max_t=2000)
+            trace = random_received_trace(rng, max_packets=80)
             cfg = random_token_config(rng)
             if rng.random() < 1 / 3:
                 cap = rng.randint(20, 99)
@@ -410,7 +388,7 @@ class TestAgainstSeparateLoops:
             got = shape_or_error(token_bucket_shape, trace, cfg)
             assert rows(got) == shape_or_error(token_bucket_shape_reference, trace, cfg)
             if isinstance(got, ShapeResult):
-                assert_valid_output(got, -1000)
+                assert validate_trace(got.shaped) == []
             outcomes.add((type(got), max(p.size_bytes for p in trace.packets)
                           > cfg.capacity_tokens))
         # (outcome, trace holds an oversized packet): without a queue limit
@@ -421,17 +399,17 @@ class TestAgainstSeparateLoops:
     @pytest.mark.parametrize("case", ["unordered", "negative sizes"])
     def test_leaky_outside_a_valid_trace(self, case):
         rng = random.Random(1505 if case == "unordered" else 1606)
+        rule = "unsorted" if case == "unordered" else "size_bytes"
         for _ in range(300):
-            trace = wild_trace(rng, unordered=case == "unordered",
-                               min_size=-100 if case == "negative sizes" else 1)
-            cfg = random_leaky_config(rng)
-            assert rows(leaky_bucket_shape(trace, cfg)) == leaky_bucket_shape_reference(trace, cfg)
+            trace = invalid_trace(rng, case)
+            assert rule in refusal(leaky_bucket_shape, trace, random_leaky_config(rng))
 
     def test_leaky_arrival_at_the_least_time_departs_at_once(self):
-        trace = received_trace([-2**63, -2**63])
+        # 0 is the least time of a valid trace; the idle drain clock is earlier
+        trace = received_trace([0, 0])
         cfg = LeakyBucketConfig(drain_interval_us=100)
         got = leaky_bucket_shape(trace, cfg)
-        assert [p.recv_ts_us for p in got.shaped.packets] == [-2**63, -2**63 + 100]
+        assert [p.recv_ts_us for p in got.shaped.packets] == [0, 100]
         assert rows(got) == leaky_bucket_shape_reference(trace, cfg)
 
     @pytest.mark.parametrize("case", ["negative sizes", "initial 0", "past 64 bits"])
@@ -439,40 +417,28 @@ class TestAgainstSeparateLoops:
         rng = random.Random(sum(map(ord, case)))
         seen = 0
         for _ in range(300):
-            trace = wild_trace(rng, unordered=False,
-                               min_size=-100 if case == "negative sizes" else 1)
             cfg = edge_token_config(rng, case)
+            if case == "negative sizes":  # refused, before any packet is served
+                seen += "size_bytes" in refusal(token_bucket_shape, invalid_trace(rng, case), cfg)
+                continue
+            # within 1000 µs, a bucket that starts empty cannot pay for every packet
+            trace = random_received_trace(rng, max_packets=60, max_t=1000)
             got = token_bucket_shape(trace, cfg)
             assert rows(got) == token_bucket_shape_reference(trace, cfg)
-            if case == "negative sizes":  # tokens above the capacity
-                seen += max(got.samples.tokens) > cfg.capacity_tokens
-            elif case == "initial 0":  # a departure at no arrival's time waited for tokens
-                seen += not set(got.shaped.recv_ts_us) <= set(trace.recv_ts_us)
-            else:  # an arrival before time 0 takes tokens away, past -2**63
-                seen += min(got.samples.tokens) < -2**63
+            if case == "initial 0":  # a packet waited for tokens
+                arrival = dict(zip(trace.seq, trace.recv_ts_us))
+                seen += any(map(lt, map(arrival.get, got.shaped.seq), got.shaped.recv_ts_us))
+            else:  # tokens past 64 bits
+                seen += max(got.samples.tokens) > 2**63
         assert seen > 100
 
     def test_token_clock_on_unordered_arrivals(self):
-        # on arrivals out of order the server and token_bucket_shape_reference
-        # part ways: the reference departs the heads due by an arrival right
-        # after admitting it, the server only at the next arrival, which may
-        # come earlier; so the clock is held to the old remainder form under
-        # the same server
+        # the clock never runs on arrivals out of order: the trace is refused
+        # first, even by a bucket too small for its largest packet
         rng = random.Random(1717)
-        outcomes = set()
-        for _ in range(600):
-            case = rng.choice(["negative sizes", "initial 0", "past 64 bits", "oversized"])
-            trace = wild_trace(rng, unordered=True,
-                               min_size=-100 if case == "negative sizes" else 1)
-            cfg = edge_token_config(rng, case)
-            got = shape_or_error(lambda t, c: _serve(t, _TokenPolicy(c)), trace, cfg)
-            assert rows(got) == rows(shape_or_error(
-                lambda t, c: _serve(t, RemainderPolicy(c)), trace, cfg))
-            outcomes.add((case, str if isinstance(got, str)
-                          else max(map(abs, got.samples.tokens)) > 2**63))
-        assert outcomes == {("negative sizes", False), ("initial 0", False),
-                            ("past 64 bits", False), ("past 64 bits", True),
-                            ("oversized", str), ("oversized", False)}
+        for _ in range(300):
+            cfg = edge_token_config(rng, rng.choice(["initial 0", "past 64 bits", "oversized"]))
+            assert "unsorted" in refusal(token_bucket_shape, invalid_trace(rng, "unordered"), cfg)
 
 
 class TestOccupancyColumns:
@@ -494,8 +460,7 @@ class TestOccupancyColumns:
         assert type(result.samples.tokens) is list
         assert occupancy_csv(result).splitlines()[1] == "0,1,125,100000000000000000000"
 
-    @pytest.mark.parametrize("count, size, row", [(3, 2**62, "0,2,9223372036854775808,0"),
-                                                  (4, -2**62, "0,3,-13835058055282163712,0")])
+    @pytest.mark.parametrize("count, size, row", [(3, 2**62, "0,2,9223372036854775808,0")])
     def test_queued_bytes_past_64_bits_are_a_list(self, count, size, row):
         trace = received_trace([0] * count, size=size)
         result = leaky_bucket_shape(trace, LeakyBucketConfig(capacity_packets=5,
@@ -503,21 +468,57 @@ class TestOccupancyColumns:
         assert type(result.samples.queued_bytes) is list
         assert row in occupancy_csv(result).splitlines()
 
-    @pytest.mark.parametrize("entries, cfg, row", [
-        # an arrival before time 0 takes tokens away, past -2**63
-        ([(-10**18, 1)], TokenBucketConfig(rate=Fraction(10**30), capacity_tokens=10),
-         "-1000000000000000000,1,1,-999999999999999999999999999999999999999990"),
-        # an arrival before the one ahead of it does so too
-        ([(10**18, 1), (0, 1)], TokenBucketConfig(rate=Fraction(10**30), capacity_tokens=10),
-         "0,2,2,-999999999999999999999999999999999999999990"),
-        # a negative size puts tokens above the capacity
-        ([(0, -2**62), (0, -2**62)], TokenBucketConfig(rate=Fraction(1), capacity_tokens=2**62),
-         "0,0,0,9223372036854775808"),
-    ])
-    def test_tokens_outside_a_valid_trace_are_a_list(self, entries, cfg, row):
-        result = token_bucket_shape(received_trace(entries), cfg)
-        assert type(result.samples.tokens) is list
-        assert row in occupancy_csv(result).splitlines()
+
+# Traces outside the contract, each with the message check_trace names it by:
+# a size below 1, an arrival below 0 (as a negative send time or delay) and
+# an arrival before the one ahead of it.
+REFUSED = {
+    "size 0": (received_trace([(0, 125), (10, 0)]), "packet 1: size_bytes 0 < 1"),
+    "negative sizes": (received_trace([(0, -2**62), (0, -2**62)]),
+                       "packet 0: size_bytes -4611686018427387904 < 1; "
+                       "packet 1: size_bytes -4611686018427387904 < 1"),
+    "before time 0": (received_trace([(-10**18, 1)]), "packet 0: negative send_ts_us"),
+    "least time": (received_trace([-2**63, 10]), "packet 0: negative send_ts_us"),
+    "negative delay": (StreamTrace((MediaPacket(0, 1, 96, False, 0, -5, 125),)),
+                       "packet 0: negative delay: recv_ts_us < send_ts_us"),
+    "unsorted": (received_trace([(10**18, 1), (0, 1)]),
+                 "packet 1: unsorted: active timestamp decreases"),
+}
+# The token bucket's 10 tokens never buy a 125-byte packet: the screen
+# refuses the trace before any packet could be found too large.
+REFUSING = {"leaky": (leaky_bucket_shape, LeakyBucketConfig(capacity_packets=5,
+                                                            drain_interval_us=1)),
+            "token": (token_bucket_shape, TokenBucketConfig(rate=Fraction(10**30),
+                                                            capacity_tokens=10))}
+
+
+class TestRefusals:
+    """A shaper takes only a trace whose sizes are at least 1 and whose
+    arrivals never decrease from 0 on; any other breaks the trace contract,
+    and is refused with check_trace's TraceValidationError."""
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    @pytest.mark.parametrize("shaper", list(REFUSING))
+    def test_shapers_refuse(self, shaper, case):
+        trace, message = REFUSED[case]
+        shape, cfg = REFUSING[shaper]
+        assert refusal(shape, trace, cfg) == message
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_pipeline_refuses_at_stage_0(self, case):
+        trace, message = REFUSED[case]
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline([REFUSING["token"][1], REFUSING["leaky"][1]], trace)
+        assert exc.value.stage == 0
+        assert type(exc.value.cause) is TraceValidationError
+        assert str(exc.value) == f"stage 0: {message}"
+
+    @pytest.mark.parametrize("shaper", list(REFUSING))
+    def test_the_screen_takes_its_bounds(self, shaper):
+        # sizes of 1 and arrivals at 0, equal ones included, pass the screen
+        shape, cfg = REFUSING[shaper]
+        trace = received_trace([(0, 1), (0, 1), (5, 1)])
+        assert len(shape(trace, cfg).shaped) == 3
 
 
 class TestPipeline:
