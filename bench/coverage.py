@@ -1,11 +1,13 @@
 """Line coverage of src/rtpshape by tier-1: the function-body lines no test
-runs. Standard library and pytest only; run by hand, not part of the tests.
+runs. Standard library and pytest only; not part of the tests, and run as
+its own CI step.
 
     python3 bench/coverage.py [--out unreached.json]
 
 Runs tier-1 in this process under a sys.settrace hook that records lines in
 src/rtpshape frames only, then writes JSON: `unreached`, the count, and
-`lines`, the unreached line numbers by file. A function body's lines are
+`lines`, the unreached line numbers by file. It exits 1 when any line is
+unreached, and 0 when every one ran. A function body's lines are
 those its code objects (nested ones too) map an instruction to, but for the
 `def` line; a docstring maps none. Subprocesses (the demos, the scale
 bench's child) are not followed. Traced, tier-1 takes a few minutes, and
@@ -70,7 +72,7 @@ def main(argv=None) -> int:
         args.out.write_text(text + "\n", encoding="ascii")
     else:
         print(text)
-    return 0
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":

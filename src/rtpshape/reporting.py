@@ -186,14 +186,12 @@ def _step_lines(ts, lines: Sequence[tuple], t_lo, t_span, inner_w) -> list[list[
 
 
 def _frame(panel: Panel, inner_h: int) -> tuple:
-    """A panel's time range t_lo, t_hi, its largest value, and each distinct
-    value's y text, formatted once: its value range [v_lo, v_lo + v_span]
-    always includes 0."""
+    """A panel's largest value, and each distinct value's y text, formatted
+    once: its value range [v_lo, v_lo + v_span] always includes 0."""
     values = set(panel.values)
     v_lo, v_hi = min(min(values), 0), max(values)
     v_span = (v_hi - v_lo) or 1
-    return (min(panel.ts_us), max(panel.ts_us), v_hi,
-            {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values})
+    return v_hi, {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
 
 
 def render_svg(panels: Sequence[Panel]) -> str:
@@ -205,10 +203,10 @@ def render_svg(panels: Sequence[Panel]) -> str:
     range is [t_lo, t_lo + t_span] and its value range [v_lo, v_lo + v_span]
     always includes 0. Times and values are ints, as a valid trace's are, so
     every x is a float, written with `%.2f`. Each distinct value's y is
-    formatted once, and the points are formatted a chunk per `%`. The step
-    panels that share one time column (the same object) have their lines
-    rendered together, before the panels, so that each x is formatted once
-    for all of them.
+    formatted once, and the points are formatted a chunk per `%`. Panels
+    that share one time column (the same object) share its time range, taken
+    once, and the step panels among them have their lines rendered together,
+    before the panels, so that each x is formatted once for all of them.
     """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -217,7 +215,14 @@ def render_svg(panels: Sequence[Panel]) -> str:
            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
            f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">\n'
            '<rect width="100%" height="100%" fill="white"/>\n']
-    frames = {idx: _frame(panel, inner_h) for idx, panel in enumerate(panels) if len(panel.ts_us)}
+    spans: dict[int, tuple] = {}  # each time column's range, taken once, by its identity
+    frames = {}
+    for idx, panel in enumerate(panels):
+        ts = panel.ts_us
+        if len(ts):
+            if id(ts) not in spans:
+                spans[id(ts)] = min(ts), max(ts)
+            frames[idx] = (*spans[id(ts)], *_frame(panel, inner_h))
     shared: dict[int, list[int]] = {}  # the step panels on each time column, by its identity
     for idx, panel in enumerate(panels):
         if panel.kind == "step" and idx in frames:

@@ -115,16 +115,17 @@ class ShapeResult(_Record):
 
 class _LeakyPolicy:
     """Fixed drain: a departure comes at least one drain interval after the
-    one before it, and a bucket holding `limit` packets refuses more."""
+    one before it, and a bucket holding `most_waiting` packets refuses more."""
 
-    __slots__ = ("drain", "limit", "next_free")
+    __slots__ = ("drain", "most_waiting", "next_free")
     queues_every_packet = False
     reason = DROP_BUCKET_FULL
     cap = 0  # it holds no tokens
+    most_bytes = None  # no limit
 
     def __init__(self, cfg: LeakyBucketConfig):
         self.drain = cfg.drain_interval_us
-        self.limit = cfg.capacity_packets
+        self.most_waiting = cfg.capacity_packets
         self.next_free = -2**63  # idle until the first departure: no arrival is earlier
 
     def ready(self, size: int) -> int:
@@ -137,9 +138,6 @@ class _LeakyPolicy:
     def tokens_at(self, t: int) -> int:
         return 0
 
-    def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
-        return waiting >= self.limit
-
 
 class _TokenPolicy:
     """Exact integer token accrual kept as one virtual time, `empty`.
@@ -148,19 +146,21 @@ class _TokenPolicy:
     den_us = rate denominator * 10^6, and empty / num is the instant it last
     held none: tokens * den_us + sub-token remainder == t * num - empty. A
     full bucket accrues nothing (its remainder is discarded). Events come in
-    time order, as in GCRA (ITU-T I.371).
+    time order, as in GCRA (ITU-T I.371). A queue holding `most_bytes` bytes
+    refuses a packet that would pass it (None: no limit).
     """
 
-    __slots__ = ("num", "den_us", "cap", "cap_den", "limit", "empty")
+    __slots__ = ("num", "den_us", "cap", "cap_den", "most_bytes", "empty")
     queues_every_packet = True
     reason = DROP_QUEUE_FULL
+    most_waiting = None  # no limit
 
     def __init__(self, cfg: TokenBucketConfig):
         self.num = cfg.rate.numerator
         self.den_us = cfg.rate.denominator * US_PER_S
         self.cap = cfg.capacity_tokens
         self.cap_den = self.cap * self.den_us
-        self.limit = cfg.queue_limit_bytes
+        self.most_bytes = cfg.queue_limit_bytes
         self.empty = -cfg.start_tokens * self.den_us
 
     def tokens_at(self, t: int) -> int:
@@ -183,9 +183,6 @@ class _TokenPolicy:
         self.empty += size * self.den_us
         return tokens
 
-    def full(self, waiting: int, waiting_bytes: int, size: int) -> bool:
-        return self.limit is not None and waiting_bytes + size > self.limit
-
 
 def _check_arrived(trace: StreamTrace) -> StreamTrace:
     """The trace, if every packet has an arrival timestamp, as shaping needs;
@@ -204,12 +201,21 @@ def _column(bound: int) -> Union[array, list]:
 def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> ShapeResult:
     """Greedy FIFO server: the queue's head departs at max(arrival, ready),
     where the policy's ready(size) is the earliest time it may send `size`
-    bytes. At each arrival the heads due by then depart first, then the
-    packet is dropped, for the policy's one reason, if the policy is
-    full(waiting, waiting_bytes, size), or else admitted. An admitted packet
-    that finds the queue empty and the policy ready departs unqueued, unless
-    the policy queues_every_packet. Samples take their tokens from
-    depart(t, size) and tokens_at(t).
+    bytes. That departure, `due`, is worked out once, when the packet becomes
+    the head: on entering an empty queue, or at the departure ahead of it,
+    which it arrived before and which its ready never precedes (the drain
+    comes an interval later; the tokens a microsecond earlier are spent to
+    below 0). It holds until the packet departs, as only depart(t, size)
+    moves either policy's clock, and tokens_at(t) never caps a bucket while
+    a head waits (it then holds fewer tokens than the head's size, at most
+    its capacity). At each arrival the heads due by then depart first, then
+    the packet is dropped, for the policy's one reason, if `most_waiting`
+    packets wait or it would take the queued bytes past `most_bytes`, or
+    else admitted; a limit of None is a bound never reached, the trace's
+    length or the sum of its sizes. An admitted packet that finds the queue
+    empty and is due at once departs unqueued, unless the policy
+    queues_every_packet. Samples take their tokens from depart(t, size) and
+    tokens_at(t).
 
     Every packet must have arrived, sizes be at least 1 and arrivals never
     decrease from 0 on. A trace that fails the one screen for the last two
@@ -226,56 +232,58 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
     recv, sizes = trace.recv_ts_us, trace.size_bytes
     if min(sizes, default=1) < 1 or not all(map(le, chain((0,), recv), recv)):
         check_trace(trace)  # a size below 1, or an arrival below 0 or unsorted
-    ready, depart, tokens_at, full = policy.ready, policy.depart, policy.tokens_at, policy.full
+    ready, depart, tokens_at = policy.ready, policy.depart, policy.tokens_at
     queues_every_packet = policy.queues_every_packet
+    n, total = len(trace), sum(sizes)
+    most_waiting, most_bytes = policy.most_waiting or n, policy.most_bytes or total
 
     queue: deque[int] = deque()
     queued_bytes = 0
-    n = len(trace)
+    due = idle = TS_MAX + 1  # the head's departure; with no head, after every arrival
     departures = array("q")
     departs = departures.append
     dropped = bytearray(n)
-    samples = Occupancy(array("q"), array("q"), _column(sum(sizes)), _column(policy.cap))
+    samples = Occupancy(array("q"), array("q"), _column(total), _column(policy.cap))
     sample_t, sample_queued, sample_bytes, sample_tokens = (c.append for c in samples)
     pop_head = queue.popleft
     enqueue = queue.append
 
     # a last arrival at TS_MAX drains every head that departs by then
     for i, t in enumerate(chain(recv, (TS_MAX,))):
-        while queue:
-            head = queue[0]
-            size = sizes[head]
-            dep = ready(size)
-            if dep < recv[head]:
-                dep = recv[head]
-            if dep > t:
-                break
-            pop_head()
+        while due <= t:
+            size = sizes[pop_head()]
             queued_bytes -= size
-            departs(dep)
-            sample_t(dep)
+            departs(due)
+            sample_t(due)
             sample_queued(len(queue))
             sample_bytes(queued_bytes)
-            sample_tokens(depart(dep, size))
+            sample_tokens(depart(due, size))
+            if queue:  # the next head's departure is its ready
+                due = ready(sizes[queue[0]])
+            else:
+                due = idle
         if i == n:
             break
         size = sizes[i]
-        if full(len(queue), queued_bytes, size):
+        if len(queue) >= most_waiting or queued_bytes + size > most_bytes:
             dropped[i] = 1
             tokens = tokens_at(t)
-        elif queue or queues_every_packet or ready(size) > t:
+        elif queue or (due := ready(size)) > t or queues_every_packet:
+            if due < t:  # a new head whose tokens were ready before it arrived
+                due = t
             enqueue(i)
             queued_bytes += size
             tokens = tokens_at(t)
         else:  # departs the instant it arrives, past an empty queue
+            due = idle
             departs(t)
             tokens = depart(t, size)
         sample_t(t)
         sample_queued(len(queue))
         sample_bytes(queued_bytes)
         sample_tokens(tokens)
-    if queue:  # the head's departure `dep` is past the last arrival, TS_MAX
-        raise ShapingPreconditionError(f"departure {dep} > {TS_MAX}")
+    if queue:  # the head's departure `due` is past the last arrival, TS_MAX
+        raise ShapingPreconditionError(f"departure {due} > {TS_MAX}")
     drops = trace.select(dropped)
     return ShapeResult(trace.select(dropped.translate(_FLIP), departures),
                        drops, (policy.reason,) * len(drops), samples)

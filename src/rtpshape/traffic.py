@@ -8,9 +8,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, cycle, islice, repeat
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from math import log1p
-from operator import add, ge, mod, mul, rshift
+from operator import add, floordiv, ge, mod, mul, rshift
 from typing import Iterator, Sequence, Union
 
 from .model import (_RULES, SEQ_MOD, TS_MAX, US_PER_S, StreamTrace, TraceValidationError,
@@ -168,22 +168,26 @@ def generate_audio(cfg: AudioGenConfig, duration_us: int) -> StreamTrace:
 def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTrace:
     """Frame k at floor(k*10^6/fps); I-frame when k % gop == 0; frame sizes
     jittered by a seeded uniform factor, then fragmented to the MTU with all
-    fragments sharing the frame send time and marker on the last."""
+    fragments sharing the frame send time and marker on the last.
+
+    Only the size draws step frame by frame; the fragment columns are built
+    in passes: each frame's send time repeated once per fragment, sizes all
+    MTU and markers all 0, then each frame's last fragment set, found by
+    accumulating the fragment counts, to the rest of its frame and marker 1.
+    """
     if duration_us * cfg.fps < US_PER_S or duration_us > TS_MAX:
         raise GenerationError(f"duration_us must hold one frame interval and be <= {TS_MAX}")
     rng = random.Random(seed)
-    marker, send, size = array("q"), array("q"), array("q")
-    for k in range(-(-duration_us * cfg.fps // US_PER_S)):  # frames with k*10^6/fps < duration
-        ts = (k * US_PER_S) // cfg.fps
-        mean = cfg.i_frame_bytes if k % cfg.gop == 0 else cfg.p_frame_bytes
-        u = rng.uniform(-cfg.size_jitter_pct / 100, cfg.size_jitter_pct / 100)
-        remaining = max(1, round(mean * (1 + u)))
-        while remaining > 0:
-            frag = min(cfg.mtu_payload_bytes, remaining)
-            remaining -= frag
-            marker.append(remaining == 0)
-            send.append(ts)
-            size.append(frag)
+    frames = -(-duration_us * cfg.fps // US_PER_S)  # frames with k*10^6/fps < duration
+    span, mtu = cfg.size_jitter_pct / 100, cfg.mtu_payload_bytes
+    means = (cfg.i_frame_bytes if k % cfg.gop == 0 else cfg.p_frame_bytes for k in range(frames))
+    totals = [max(1, round(mean * (1 + rng.uniform(-span, span)))) for mean in means]
+    fragments = list(map(floordiv, map(add, totals, repeat(mtu - 1)), repeat(mtu)))
+    times = map(floordiv, range(0, frames * US_PER_S, US_PER_S), repeat(cfg.fps))
+    send = array("q", chain.from_iterable(map(repeat, times, fragments)))
+    marker, size = array("q", [0]) * len(send), array("q", [mtu]) * len(send)
+    for end, total in zip(accumulate(fragments), totals):
+        marker[end - 1], size[end - 1] = 1, (total - 1) % mtu + 1
     return _sent(cfg, marker, send, size)
 
 

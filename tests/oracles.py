@@ -29,7 +29,9 @@ its column screen, and the second on each row a StreamTrace refuses, keeping
 the fields no column holds. `apply_channel_reference` is the channel as it
 was written before each jitter model drew its own delay: one function asks
 which model it is for every packet, and each packet takes both splitmix64
-words, whether it is lost or not.
+words, whether it is lost or not. `generate_video_reference` is the video
+generator as it was written before it built its fragments in column passes:
+one loop step per fragment, appending to each column.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from rtpshape.pcap import (ETHERTYPE_IPV4, LINKTYPE_ETHERNET, MAGIC_NATIVE, MAGI
                            PROTO_UDP, PcapFormatError, PcapLinkTypeError, PcapTruncatedError)
 from rtpshape.shaping import (DROP_BUCKET_FULL, DROP_QUEUE_FULL, OccupancySample,
                               ShapingPreconditionError)
-from rtpshape.traffic import (ChannelModel, ExponentialJitter, JitterModel, NoJitter,
-                              UniformJitter)
+from rtpshape.traffic import (ChannelModel, ExponentialJitter, GenerationError, JitterModel,
+                              NoJitter, UniformJitter, VideoGenConfig, _sent)
 from rtpshape.reporting import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP,
                                 PANEL_HEIGHT, PANEL_WIDTH)
 
@@ -877,3 +879,25 @@ def apply_channel_reference(trace: StreamTrace, ch: ChannelModel) -> StreamTrace
             raise TraceValidationError([Violation(i, f"recv_ts_us {_show(arrival)} > {TS_MAX}")])
         recv.append(arrival)
     return trace.select(keep, recv).sorted_by("recv_ts_us")  # by arrival, stably
+
+
+def generate_video_reference(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTrace:
+    """Frame k at floor(k*10^6/fps); I-frame when k % gop == 0; frame sizes
+    jittered by a seeded uniform factor, then fragmented to the MTU with all
+    fragments sharing the frame send time and marker on the last."""
+    if duration_us * cfg.fps < US_PER_S or duration_us > TS_MAX:
+        raise GenerationError(f"duration_us must hold one frame interval and be <= {TS_MAX}")
+    rng = random.Random(seed)
+    marker, send, size = array("q"), array("q"), array("q")
+    for k in range(-(-duration_us * cfg.fps // US_PER_S)):  # frames with k*10^6/fps < duration
+        ts = (k * US_PER_S) // cfg.fps
+        mean = cfg.i_frame_bytes if k % cfg.gop == 0 else cfg.p_frame_bytes
+        u = rng.uniform(-cfg.size_jitter_pct / 100, cfg.size_jitter_pct / 100)
+        remaining = max(1, round(mean * (1 + u)))
+        while remaining > 0:
+            frag = min(cfg.mtu_payload_bytes, remaining)
+            remaining -= frag
+            marker.append(remaining == 0)
+            send.append(ts)
+            size.append(frag)
+    return _sent(cfg, marker, send, size)

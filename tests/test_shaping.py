@@ -441,6 +441,68 @@ class TestAgainstSeparateLoops:
             assert "unsorted" in refusal(token_bucket_shape, invalid_trace(rng, "unordered"), cfg)
 
 
+def checked(shaper, trace, cfg) -> ShapeResult:
+    """The shaper's result, once it equals its separate loop's rows and its
+    1 µs oracle's departures and drops."""
+    leaky = shaper is leaky_bucket_shape
+    got = shaper(trace, cfg)
+    assert rows(got) == (leaky_bucket_shape_reference if leaky
+                         else token_bucket_shape_reference)(trace, cfg)
+    deps, drops = (leaky_oracle if leaky else token_oracle)(trace, cfg)
+    assert [(p.seq, t) for p, t in deps] == list(zip(got.shaped.seq, got.shaped.recv_ts_us))
+    assert [p.seq for p in drops] == list(got.drops.seq)
+    return got
+
+
+class TestHeadDeparture:
+    """The server works out a head's departure once, when the packet becomes
+    the head, and keeps it through every arrival until it departs."""
+
+    def test_token_head_waits_across_arrivals_and_drops(self):
+        # 1 byte a ms from an empty bucket: the 100-byte head leaves at 100 ms,
+        # while two of the four packets behind it are refused by the 200-byte
+        # queue; each later head is due from the departure ahead of it
+        trace = received_trace([(0, 100), (10_000, 60), (20_000, 60), (30_000, 40),
+                                (40_000, 1), (100_000, 30), (130_000, 30)])
+        cfg = TokenBucketConfig(rate=Fraction(1000), capacity_tokens=100, initial_tokens=0,
+                                queue_limit_bytes=200)
+        got = checked(token_bucket_shape, trace, cfg)
+        assert list(zip(got.shaped.seq, got.shaped.recv_ts_us)) == \
+            [(0, 100_000), (1, 160_000), (3, 200_000), (5, 230_000), (6, 260_000)]
+        assert list(got.drops.seq) == [2, 4]
+
+    @pytest.mark.parametrize("entries", [[(0, 80), (5, 500), (10, 20)], [(0, 500), (5, 20)]],
+                             ids=["behind another", "into an empty queue"])
+    def test_oversized_head_raises_the_same_text(self, entries):
+        # the 1 µs oracle never ends on a packet that can never depart
+        trace = received_trace(entries)
+        cfg = TokenBucketConfig(rate=Fraction(1000), capacity_tokens=100, initial_tokens=0)
+        assert shape_or_error(token_bucket_shape, trace, cfg) == \
+            shape_or_error(token_bucket_shape_reference, trace, cfg) == \
+            "packet of 500 bytes exceeds token capacity 100; it can never depart"
+
+    @pytest.mark.parametrize("arrival, departures, drops", [
+        (100, [0, 100, 200], []),  # the head leaves at the arrival, which finds room
+        (99, [0, 100], [2]),  # 1 µs before the head leaves: the one place is taken
+    ])
+    def test_leaky_head_due_at_the_next_arrival(self, arrival, departures, drops):
+        trace = received_trace([0, 5, arrival])
+        got = checked(leaky_bucket_shape, trace,
+                      LeakyBucketConfig(capacity_packets=1, drain_interval_us=100))
+        assert list(got.shaped.recv_ts_us) == departures
+        assert list(got.drops.seq) == drops
+
+    def test_full_bucket_at_an_arrival_to_an_empty_queue(self):
+        # 10 bytes a ms: long before 100 ms the bucket is full again, so the
+        # 50-byte packet is due on arrival, not when its tokens were first
+        # there; the 60-byte packet behind it waits 1 ms for 10 more
+        trace = received_trace([(0, 50), (100_000, 50), (100_000, 60)])
+        cfg = TokenBucketConfig(rate=Fraction(10_000), capacity_tokens=100, initial_tokens=0)
+        got = checked(token_bucket_shape, trace, cfg)
+        assert list(got.shaped.recv_ts_us) == [5000, 100_000, 101_000]
+        assert got.occupancy[2] == (100_000, 1, 50, 100)
+
+
 class TestOccupancyColumns:
     """A sample column is an array('q') when its bound, known before the server
     starts, fits in 64 bits, and a list otherwise; the CSV is the same either way."""

@@ -2,17 +2,17 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtpshape import (AudioGenConfig, ChannelModel, ExponentialJitter,
                       GenerationError, NoJitter, StreamTrace, TraceValidationError,
                       UniformJitter, VideoGenConfig, apply_channel, generate_audio,
                       generate_video, pdv, read_trace_csv, validate_trace, write_trace_csv)
-from rtpshape.model import TS_MAX
+from rtpshape.model import TS_MAX, US_PER_S
 from rtpshape.traffic import _LANES, _words
 
-from oracles import _splitmix64_pair, apply_channel_reference
+from oracles import _splitmix64_pair, apply_channel_reference, generate_video_reference
 
 
 class TestAudio:
@@ -82,6 +82,30 @@ class TestVideo:
     def test_too_short_duration(self):
         with pytest.raises(GenerationError):
             generate_video(VideoGenConfig(fps=25), 39_999, seed=0)
+
+    # any fps from 1 (most do not divide 10^6), jitter from 0 to 100 percent,
+    # P-frames from 1 byte, MTUs from the least, and a duration from one frame
+    # interval that mostly ends inside one
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cfg=st.builds(
+        lambda fps, gop, p, extra, jitter_pct, mtu: VideoGenConfig(
+            fps, gop, p + extra, p, jitter_pct, mtu),
+        fps=st.integers(1, 120), gop=st.integers(1, 30), p=st.integers(1, 3000),
+        extra=st.integers(0, 12_000), jitter_pct=st.integers(0, 100) | st.sampled_from([0, 100]),
+        mtu=st.integers(64, 1500)),
+        extra_us=st.integers(0, 2_000_000), seed=st.integers(0, 2**64 - 1))
+    # without jitter, I-frames of exactly 3 MTUs and P-frames below one, in a
+    # duration of 7.5 frame intervals
+    @example(VideoGenConfig(25, 3, 3600, 700, 0, 1200), 260_000, 0)
+    # at 100 percent, draws below -1/2 round a 1-byte P-frame to 0, and
+    # max(1, ...) binds; 30 fps does not divide 10^6
+    @example(VideoGenConfig(30, 30, 5000, 1, 100, 64), 1_966_666, 3)
+    # every frame an I-frame, at 7 fps, over 20.3 frame intervals
+    @example(VideoGenConfig(7, 1, 2500, 2500, 50, 1000), 2_757_143, 11)
+    def test_matches_per_fragment_reference(self, cfg, extra_us, seed):
+        duration = -(-US_PER_S // cfg.fps) + extra_us  # at least one frame interval
+        assert generate_video(cfg, duration, seed) == \
+            generate_video_reference(cfg, duration, seed)
 
 
 class TestChannel:
