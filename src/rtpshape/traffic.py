@@ -170,10 +170,11 @@ def generate_video(cfg: VideoGenConfig, duration_us: int, seed: int) -> StreamTr
     jittered by a seeded uniform factor, then fragmented to the MTU with all
     fragments sharing the frame send time and marker on the last.
 
-    Only the size draws step frame by frame; the fragment columns are built
-    in passes: each frame's send time repeated once per fragment, sizes all
-    MTU and markers all 0, then each frame's last fragment set, found by
-    accumulating the fragment counts, to the rest of its frame and marker 1.
+    The frame sizes are drawn one frame at a time, in frame order, and the
+    fragment columns built in passes: each frame's send time repeated once
+    per fragment, sizes all MTU and markers all 0; then each frame's last
+    fragment, found by accumulating the fragment counts, gets the rest of its
+    frame and marker 1.
     """
     if duration_us * cfg.fps < US_PER_S or duration_us > TS_MAX:
         raise GenerationError(f"duration_us must hold one frame interval and be <= {TS_MAX}")
