@@ -258,10 +258,7 @@ def _serve(trace: StreamTrace, policy: Union[_LeakyPolicy, _TokenPolicy]) -> Sha
             sample_queued(len(queue))
             sample_bytes(queued_bytes)
             sample_tokens(depart(due, size))
-            if queue:  # the next head's departure is its ready
-                due = ready(sizes[queue[0]])
-            else:
-                due = idle
+            due = ready(sizes[queue[0]]) if queue else idle  # the next head's: its ready
         if i == n:
             break
         size = sizes[i]
