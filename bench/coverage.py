@@ -7,11 +7,14 @@ its own CI step.
 Runs tier-1 in this process under a sys.settrace hook that records lines in
 src/rtpshape frames only, then writes JSON: `unreached`, the count, and
 `lines`, the unreached line numbers by file. It exits 1 when any line is
-unreached, and 0 when every one ran. A function body's lines are
-those its code objects (nested ones too) map an instruction to, but for the
-`def` line; a docstring maps none. Subprocesses (the demos, the scale
-bench's child) are not followed. Traced, tier-1 takes a few minutes, and
-test_7's wall-time bound fails; the lines it ran count all the same.
+unreached or any test fails, and 0 when every line ran and every test
+passed. A function body's lines are those its code objects (nested ones
+too) map an instruction to, but for the `def` line; a docstring maps none.
+Subprocesses (the demos, the scale bench's child) are not followed. Traced,
+tier-1 takes a few minutes. This run deselects
+`tests/test_acceptance.py::test_7_determinism_and_scale`: under the tracer
+its `best < 5.0` s wall-time bound always fails, and every line it runs is
+reached by other tests. Tier-1 run untraced keeps it.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def main(argv=None) -> int:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), "--deselect",
+                              "tests/test_acceptance.py::test_7_determinism_and_scale"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -72,7 +76,7 @@ def main(argv=None) -> int:
         args.out.write_text(text + "\n", encoding="ascii")
     else:
         print(text)
-    return 1 if unreached else 0
+    return 1 if unreached or status else 0
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .shaping import LeakyBucketConfig, ShapeResult, ShaperConfig, TokenBucketCo
 
 OCCUPANCY_HEADER = "ts_us,queued_packets,queued_bytes,tokens"
 DROPS_HEADER = "seq,ssrc,ts_us,reason"
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # escapes text in an SVG
 
 
 class Panel(_Record):
@@ -185,28 +186,21 @@ def _step_lines(ts, lines: Sequence[tuple], t_lo, t_span, inner_w) -> list[list[
     return out
 
 
-def _frame(panel: Panel, inner_h: int) -> tuple:
-    """A panel's largest value, and each distinct value's y text, formatted
-    once: its value range [v_lo, v_lo + v_span] always includes 0."""
-    values = set(panel.values)
-    v_lo, v_hi = min(min(values), 0), max(values)
-    v_span = (v_hi - v_lo) or 1
-    return v_hi, {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
-
-
 def render_svg(panels: Sequence[Panel]) -> str:
     """Standalone SVG: one vertically stacked <g class="panel"> per panel,
-    <circle> dots for scatter panels, a step <polyline> for occupancy.
+    <circle> dots for scatter panels, a step <polyline> for occupancy, and
+    each panel's title and unit XML-escaped.
 
     Point (t, v) is drawn at x = (t - t_lo) / t_span * w and
     y = h - (v - v_lo) / v_span * h, with 2 decimals, where the panel's time
     range is [t_lo, t_lo + t_span] and its value range [v_lo, v_lo + v_span]
     always includes 0. Times and values are ints, as a valid trace's are, so
-    every x is a float, written with `%.2f`. Each distinct value's y is
-    formatted once, and the points are formatted a chunk per `%`. Panels
-    that share one time column (the same object) share its time range, taken
-    once, and the step panels among them have their lines rendered together,
-    before the panels, so that each x is formatted once for all of them.
+    every x is a float, written with `%.2f`. Panels are drawn a time column
+    (one object, which panels may share) at a time: its range is taken once,
+    each panel's distinct values have their y texts formatted once, and its
+    step panels' lines are rendered together, so each x is formatted once
+    for all of them. Points are formatted a chunk per `%`, each panel's y
+    texts released after, and written in panel order.
     """
     inner_w = PANEL_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     inner_h = PANEL_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -215,29 +209,45 @@ def render_svg(panels: Sequence[Panel]) -> str:
            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
            f'height="{max(total_h, 1)}" viewBox="0 0 {PANEL_WIDTH} {max(total_h, 1)}">\n'
            '<rect width="100%" height="100%" fill="white"/>\n']
-    spans: dict[int, tuple] = {}  # each time column's range, taken once, by its identity
-    frames = {}
+    columns: dict[int, list[int]] = {}  # the panels with points on each column, by its identity
     for idx, panel in enumerate(panels):
-        ts = panel.ts_us
-        if len(ts):
-            if id(ts) not in spans:
-                spans[id(ts)] = min(ts), max(ts)
-            frames[idx] = (*spans[id(ts)], *_frame(panel, inner_h))
-    shared: dict[int, list[int]] = {}  # the step panels on each time column, by its identity
-    for idx, panel in enumerate(panels):
-        if panel.kind == "step" and idx in frames:
-            shared.setdefault(id(panel.ts_us), []).append(idx)
-    lines: dict[int, list[str]] = {}
-    for group in shared.values():
-        t_lo, t_hi = frames[group[0]][:2]
-        lines.update(zip(group, _step_lines(panels[group[0]].ts_us,
-                                            [(panels[k].values, frames[k][3]) for k in group],
-                                            t_lo, (t_hi - t_lo) or 1, inner_w)))
+        if len(panel.ts_us):
+            columns.setdefault(id(panel.ts_us), []).append(idx)
+    drawn: list = [()] * len(panels)  # each panel's range texts and points
+    for group in columns.values():
+        ts = panels[group[0]].ts_us
+        t_lo, t_hi = min(ts), max(ts)
+        t_span = (t_hi - t_lo) or 1
+        lines = []  # (values, y texts) of the column's step panels
+        for idx in group:
+            vs = panels[idx].values
+            values = set(vs)
+            v_lo, v_hi = min(min(values), 0), max(values)
+            v_span = (v_hi - v_lo) or 1
+            ys = {v: f"{inner_h - (v - v_lo) / v_span * inner_h:.2f}" for v in values}
+            drawn[idx] = [f'<text x="0" y="{inner_h + 22}" font-size="9" '
+                          f'font-family="sans-serif">{t_lo}</text>\n'
+                          f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
+                          f'font-family="sans-serif" text-anchor="end">{t_hi}</text>\n'
+                          f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
+                          f'text-anchor="end">{v_hi}</text>\n']
+            if panels[idx].kind == "scatter":
+                drawn[idx] += _scatter_chunks(ts, vs, ys, t_lo, t_span, inner_w)
+            else:
+                drawn[idx].append(f'<polyline points="{(ts[0] - t_lo) / t_span * inner_w:.2f},'
+                                  f'{ys[vs[0]]}')
+                lines.append((vs, ys))
+        if lines:
+            steps = [idx for idx in group if panels[idx].kind != "scatter"]
+            for idx, chunks in zip(steps, _step_lines(ts, lines, t_lo, t_span, inner_w)):
+                drawn[idx] += chunks
+                drawn[idx].append('" fill="none" stroke="darkorange" stroke-width="1"/>\n')
+        del values, ys, lines  # no y texts held past their column
     for idx, panel in enumerate(panels):
         top = idx * PANEL_HEIGHT
         out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">\n'
                    f'<text x="0" y="-10" font-size="12" font-family="sans-serif">'
-                   f'{panel.title}</text>\n'
+                   f'{panel.title.translate(_XML_TEXT)}</text>\n'
                    f'<line x1="0" y1="{inner_h}" x2="{inner_w}" y2="{inner_h}" '
                    'stroke="black" stroke-width="1"/>\n'
                    f'<line x1="0" y1="0" x2="0" y2="{inner_h}" '
@@ -245,24 +255,9 @@ def render_svg(panels: Sequence[Panel]) -> str:
                    f'<text x="{inner_w // 2}" y="{inner_h + 22}" font-size="10" '
                    f'font-family="sans-serif" text-anchor="middle">time (us)</text>\n'
                    f'<text x="-8" y="{inner_h // 2}" font-size="10" '
-                   f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>\n')
-        ts, vs = panel.ts_us, panel.values
-        if idx in frames:
-            t_lo, t_hi, v_hi, ys = frames.pop(idx)  # its y texts not held past its panel
-            t_span = (t_hi - t_lo) or 1
-            out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '
-                       f'font-family="sans-serif">{t_lo}</text>\n'
-                       f'<text x="{inner_w}" y="{inner_h + 22}" font-size="9" '
-                       f'font-family="sans-serif" text-anchor="end">{t_hi}</text>\n'
-                       f'<text x="-4" y="10" font-size="9" font-family="sans-serif" '
-                       f'text-anchor="end">{v_hi}</text>\n')
-            if panel.kind == "scatter":
-                out += _scatter_chunks(ts, vs, ys, t_lo, t_span, inner_w)
-            else:
-                out.append(f'<polyline points="{(ts[0] - t_lo) / t_span * inner_w:.2f},'
-                           f'{ys[vs[0]]}')
-                out += lines[idx]
-                out.append('" fill="none" stroke="darkorange" stroke-width="1"/>\n')
+                   f'font-family="sans-serif" text-anchor="end">'
+                   f'{panel.unit.translate(_XML_TEXT)}</text>\n')
+        out += drawn[idx]
         out.append('</g>\n')
     out.append('</svg>\n')
     return "".join(out)

@@ -13,7 +13,8 @@ jitter and decimal references compute in exact rationals what the library
 computes in Q64 fixed point and integer rounding. The `*_reference`
 renderers are the straightforward per-point versions of the figure and CSV
 writers; the library's must produce the same bytes. They read a panel's
-points as `zip(p.ts_us, p.values)`, and `panel_report_reference` gives
+points as `zip(p.ts_us, p.values)`, the figure escapes its title and unit
+with `html.escape`, and `panel_report_reference` gives
 each panel as (title, kind, unit, points). `import_pcap_reference`
 is the pcap importer as it was written before it read fields in place: it
 slices out each layer, parses RTP in its own function and sorts each stream
@@ -36,6 +37,7 @@ one loop step per fragment, appending to each column.
 
 from __future__ import annotations
 
+import html
 import math
 import random
 import struct
@@ -495,7 +497,7 @@ def render_svg_reference(panels) -> str:
         top = idx * PANEL_HEIGHT
         out.append(f'<g class="panel" transform="translate({MARGIN_LEFT},{top + MARGIN_TOP})">')
         out.append(f'<text x="0" y="-10" font-size="12" font-family="sans-serif">'
-                   f'{panel.title}</text>')
+                   f'{html.escape(panel.title, quote=False)}</text>')
         out.append(f'<line x1="0" y1="{inner_h}" x2="{inner_w}" y2="{inner_h}" '
                    'stroke="black" stroke-width="1"/>')
         out.append(f'<line x1="0" y1="0" x2="0" y2="{inner_h}" '
@@ -503,7 +505,8 @@ def render_svg_reference(panels) -> str:
         out.append(f'<text x="{inner_w // 2}" y="{inner_h + 22}" font-size="10" '
                    f'font-family="sans-serif" text-anchor="middle">time (us)</text>')
         out.append(f'<text x="-8" y="{inner_h // 2}" font-size="10" '
-                   f'font-family="sans-serif" text-anchor="end">{panel.unit}</text>')
+                   f'font-family="sans-serif" text-anchor="end">'
+                   f'{html.escape(panel.unit, quote=False)}</text>')
         if points:
             to_xy, (t_lo, t_hi, v_lo, v_hi) = _scale_reference(points, inner_w, inner_h)
             out.append(f'<text x="0" y="{inner_h + 22}" font-size="9" '

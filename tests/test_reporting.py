@@ -5,9 +5,11 @@ import random
 from array import array
 from dataclasses import replace
 from fractions import Fraction
+from itertools import cycle, islice
+from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtpshape import (MediaPacket, StreamTrace, TraceValidationError, leaky_bucket_shape,
@@ -94,16 +96,39 @@ class TestAgainstReference:
 
     # Few distinct values, as in real panels, plus the full integer range.
     values = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
+    A = [(40, 1), (0, -1), (10, 3), (10, 1), (25, 0)]  # unsorted, a repeated time
+    B = [(7, 2), (3, -2), (5, 6), (9, 2)]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(panels=st.lists(st.tuples(
         st.sampled_from(["scatter", "step"]),
-        st.lists(st.tuples(st.integers(-(2**64), 2**64), values), max_size=12)),
-        max_size=4))
+        st.lists(st.tuples(st.integers(-(2**64), 2**64), values), max_size=12),
+        st.none() | st.integers(0, 3)),
+        max_size=5))
+    # Shared time columns: A, B, then A again; mixed kinds on one column;
+    # equal but distinct columns (each panel without `share` has its own).
+    @example([("scatter", A, None), ("step", B, None), ("step", A, 0), ("scatter", B, 1)])
+    @example([("step", A, None), ("scatter", B, None), ("step", B, 0), ("scatter", A, 0)])
+    @example([("step", A, None), ("step", A, None), ("scatter", B, 0), ("scatter", B, 1)])
     def test_edge_panel_property(self, panels):
-        figure = tuple(Panel(f"p{i}", kind, "u", *columns(points))
-                       for i, (kind, points) in enumerate(panels))
-        assert render_svg(figure) == render_svg_reference(figure)
+        """A panel whose `share` names an earlier one is drawn on that
+        panel's time column (the same object), its values cycled to fit."""
+        figure = []
+        for i, (kind, points, share) in enumerate(panels):
+            ts, vs = columns(points)
+            if share is not None and share < i:
+                ts = figure[share].ts_us
+                vs = tuple(islice(cycle(vs or (0,)), len(ts)))
+            figure.append(Panel(f"p{i}", kind, "u", ts, vs))
+        assert render_svg(tuple(figure)) == render_svg_reference(tuple(figure))
+
+    def test_title_and_unit_are_escaped(self):
+        panels = (Panel("queue & tokens <B>", "step", "bytes > 0", (0, 10), (1, 2)),
+                  Panel("a <tag/> & more", "scatter", "<&>", (0, 10), (1, 2)))
+        svg = render_svg(panels)
+        assert svg == render_svg_reference(panels)
+        texts = {e.text for e in ElementTree.fromstring(svg).iter()}
+        assert {"queue & tokens <B>", "bytes > 0", "a <tag/> & more", "<&>"} <= texts
 
 
 SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
