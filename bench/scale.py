@@ -121,6 +121,10 @@ def measure(fn, args):
         result = fn(*args)
         best = min(best, time.perf_counter() - start)
         del result
+    # gc callbacks run inside the collect below, and what they keep (a test
+    # framework's collection timer, say) is not held by the result
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -131,6 +135,7 @@ def measure(fn, args):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.callbacks[:0] = callbacks
     return result, best, peak - base, held - base
 
 

@@ -40,8 +40,13 @@ _ENDIAN = {MAGIC_NATIVE: ">", MAGIC_SWAPPED: "<"}
 # header (b0, b1, seq, timestamp skipped, ssrc): 20 contiguous bytes
 _UDP_RTP = struct.Struct(">HHH2xBBH4xI")
 _U16 = struct.Struct(">H")
-# Ethernet type, then IPv4 version/IHL, flags + fragment offset and protocol
-_ETH_IPV4 = struct.Struct(">HB5xHxB")
+# A record header (ts_sec, ts_usec, incl_len, orig_len skipped), then its
+# frame's Ethernet type and IPv4 version/IHL, flags + fragment offset and
+# protocol; read in the file's byte order
+_RECORD_ETH_IPV4 = "III4x12xHB5xHxB"
+# bytes from a record's start to the end of the shortest IPv4 header its frame
+# can hold: the record header, Ethernet, then IPv4 without options
+_MIN_IPV4_RECORD = 16 + 14 + 20
 
 
 class PcapError(Exception):
@@ -78,12 +83,19 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
     if network != LINKTYPE_ETHERNET:
         raise PcapLinkTypeError(f"unsupported link type {network} (need Ethernet)")
 
-    # Every read below stays inside its record: each offset is checked against
-    # the record's end before the bytes at it are read. Nothing is copied out of `data`.
+    # A record with room for Ethernet + IPv4 before the end of `data` is read
+    # with its frame's fixed link and network fields in one unpack. That read
+    # may run past a short record into the next one, but no value read past a
+    # record's end is used: a frame too short for Ethernet + IPv4 fails the
+    # `udp + 20 > end` check whatever those values are. Every other read is
+    # checked against its record's end before it is made, and nothing is
+    # copied out of `data`.
     record_header = struct.Struct(endian + "III").unpack_from
-    eth_ipv4 = _ETH_IPV4.unpack_from
+    record_eth_ipv4 = struct.Struct(endian + _RECORD_ETH_IPV4).unpack_from
     udp_rtp = _UDP_RTP.unpack_from
     u16 = _U16.unpack_from
+    # the two 16-bit fields read in a little-endian file come out byte-swapped
+    ipv4, later_fragment = (ETHERTYPE_IPV4, 0x1FFF) if endian == ">" else (0x0008, 0xFF1F)
     # ssrc -> flat rows of 4 ints a packet (capture us, seq, RTP byte 1 = marker
     # and payload type, media bytes), in the order each SSRC first appears
     found: dict[int, list[int]] = {}
@@ -91,24 +103,27 @@ def import_pcap(data: bytes, port_filter: Optional[int] = None) -> list[StreamTr
     end = 24
     record = 0
     while end < total:
-        if total - end < 16:
-            raise PcapTruncatedError(record, "record header cut short")
-        ts_sec, ts_usec, incl_len = record_header(data, end)
+        if total - end < _MIN_IPV4_RECORD:  # too short for Ethernet + IPv4: step past it
+            if total - end < 16:
+                raise PcapTruncatedError(record, "record header cut short")
+            end += 16 + record_header(data, end)[2]
+            if end > total:
+                raise PcapTruncatedError(record, "record body cut short")
+            record += 1
+            continue
+        ts_sec, ts_usec, incl_len, ethertype, vihl, frag, proto = record_eth_ipv4(data, end)
         start = end + 16
         end = start + incl_len
         if end > total:
             raise PcapTruncatedError(record, "record body cut short")
         record += 1
 
-        ip = start + 14
-        if ip + 20 > end:
-            continue  # too short for Ethernet + IPv4
-        ethertype, vihl, frag, proto = eth_ipv4(data, ip - 2)
-        ihl = (vihl & 0x0F) * 4
-        if (ethertype != ETHERTYPE_IPV4 or vihl >> 4 != 4 or ihl < 20 or ip + ihl > end
-                or proto != PROTO_UDP or frag & 0x1FFF):
-            continue  # not UDP in IPv4, or a later fragment (its first bytes are not UDP)
-        udp = ip + ihl
+        # version 4 with IHL >= 5, UDP, and not a later fragment (its first
+        # bytes are not UDP)
+        if (ethertype != ipv4 or not 0x45 <= vihl <= 0x4F or proto != PROTO_UDP
+                or frag & later_fragment):
+            continue
+        udp = start + 14 + (vihl & 0x0F) * 4
         if udp + 20 > end:
             continue  # no room for UDP plus a 12-byte RTP header
         sport, dport, ulen, b0, b1, seq, ssrc = udp_rtp(data, udp)

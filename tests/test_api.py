@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import marshal
 import shutil
@@ -64,6 +65,23 @@ def test_scale_bench_holds_nothing_for_a_layer_that_keeps_nothing():
 
     result, _, peak, held = load_scale_bench().measure(churn, (100_000,))
     assert result is None and held == 0 and peak > 100_000
+
+
+def test_scale_bench_charges_no_gc_callback_to_the_layer():
+    # a gc callback that keeps what it allocates, as a test framework's
+    # collection timer can, runs inside measure's collect
+    kept = []
+
+    def callback(phase, info):
+        kept.append([phase, info])
+
+    gc.callbacks.append(callback)
+    try:
+        result, _, _, held = load_scale_bench().measure(len, ((),))
+        assert gc.callbacks[-1] is callback  # put back
+    finally:
+        gc.callbacks.remove(callback)
+    assert result == 0 and held == 0
 
 
 def test_scale_bench_run_reads_no_bytecode_from_the_checkout(tmp_path, monkeypatch):

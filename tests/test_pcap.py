@@ -366,3 +366,81 @@ def test_import_matches_reference_dissector():
     # the generator reaches the stream builder and every error
     assert streams > 2000
     assert errors == {PcapFormatError, PcapLinkTypeError, PcapTruncatedError}
+
+
+# A record that can hold Ethernet + IPv4 (16 + 14 + 20 bytes) is read with its
+# frame's link and network fields in one unpack; a shorter one at the end of
+# the file is stepped past by its header alone. Each case below is checked in
+# both byte orders against the reference dissector.
+BYTE_ORDERS = pytest.mark.parametrize("endian", ["<", ">"], ids=["little", "big"])
+RTP_FRAME = udp_frame(rtp_payload(5, 1, 60))
+
+
+def outcome(data):
+    """import_pcap(data)'s streams or error, asserted equal to the reference's."""
+    got = import_outcome(import_pcap, data, None)
+    assert got == import_outcome(import_pcap_reference, data, None)
+    return got
+
+
+@BYTE_ORDERS
+def test_last_record_just_long_enough_for_ipv4(endian):
+    data = build_pcap([(0, RTP_FRAME), (10, RTP_FRAME[:34])], endian=endian)
+    assert len(data) - len(build_pcap([(0, RTP_FRAME)])) == 50
+    assert sizes(outcome(data)) == [[60]]  # the last frame's UDP header is cut: skipped
+
+
+@BYTE_ORDERS
+def test_last_records_too_short_for_ipv4(endian):
+    data = build_pcap([(0, RTP_FRAME), (10, RTP_FRAME[:33])], endian=endian)
+    assert sizes(outcome(data)) == [[60]]
+    # an empty record 67 bytes from the end, whose read runs into the next
+    # two records, then two records stepped past by their headers
+    data = build_pcap([(0, RTP_FRAME), (10, b""), (20, RTP_FRAME[:1]), (30, RTP_FRAME[:2])],
+                      endian=endian)
+    assert sizes(outcome(data)) == [[60]]
+
+
+@BYTE_ORDERS
+@pytest.mark.parametrize("records, cut, index, message", [
+    ([RTP_FRAME, RTP_FRAME], -1, 1, "record body cut short"),  # 129 bytes left
+    ([RTP_FRAME, RTP_FRAME[:35]], -1, 1, "record body cut short"),  # 50 bytes left
+    ([RTP_FRAME, RTP_FRAME[:34]], -1, 1, "record body cut short"),  # 49 bytes left
+    ([RTP_FRAME, b"", RTP_FRAME[:1]], -1, 2, "record body cut short"),
+    ([RTP_FRAME, RTP_FRAME], -len(RTP_FRAME) - 1, 1, "record header cut short"),
+    ([RTP_FRAME, b"", b""], -1, 2, "record header cut short"),
+], ids=["body-129-left", "body-50-left", "body-49-left", "body-after-short-record",
+        "header-after-long-record", "header-after-short-record"])
+def test_cut_records_name_their_index(endian, records, cut, index, message):
+    data = build_pcap([(10 * k, frame) for k, frame in enumerate(records)], endian=endian)
+    assert outcome(data[:cut]) == (PcapTruncatedError, f"record {index}: {message}", index)
+
+
+@BYTE_ORDERS
+@pytest.mark.parametrize("frag, dissected", [
+    (0x0100, False),  # offset bits in the high byte only
+    (0x0001, False),  # offset bits in the low byte only
+    (MF | 0x0100, False),
+    (0x4000, True),  # don't fragment
+    (MF, True),  # a first fragment
+    (0x4000 | MF, True),
+], ids=["offset-high-byte", "offset-low-byte", "mf-and-offset", "df", "mf", "df-and-mf"])
+def test_fragment_field_in_either_byte_order(endian, frag, dissected):
+    datagram = RTP_FRAME[34:]
+    data = build_pcap([(0, ipv4_frame(datagram, frag=frag))], endian=endian)
+    assert sizes(outcome(data)) == ([[60]] if dissected else [])
+
+
+@BYTE_ORDERS
+@pytest.mark.parametrize("vihl, dissected", [
+    (0x44, False),  # IHL 4: shorter than the fixed header
+    (0x45, True),
+    (0x4F, True),  # IHL 15: 40 bytes of options
+    (0x50, False),  # version 5
+    (0x35, False),  # version 3
+])
+def test_version_and_header_length_byte(endian, vihl, dissected):
+    frame = ipv4_frame(RTP_FRAME[34:], options=bytes(4 * max((vihl & 0x0F) - 5, 0)))
+    frame = frame[:14] + bytes([vihl]) + frame[15:]
+    data = build_pcap([(0, frame)], endian=endian)
+    assert sizes(outcome(data)) == ([[60]] if dissected else [])
