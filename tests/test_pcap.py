@@ -368,10 +368,11 @@ def test_import_matches_reference_dissector():
     assert errors == {PcapFormatError, PcapLinkTypeError, PcapTruncatedError}
 
 
-# A record that can hold Ethernet + IPv4 (16 + 14 + 20 bytes) is read with its
-# frame's link and network fields in one unpack; a shorter one at the end of
-# the file is stepped past by its header alone. Each case below is checked in
-# both byte orders against the reference dissector.
+# A record with at least 16 + 14 + 20 bytes left in the file, room for its
+# header and an Ethernet + IPv4 frame, is read with its frame's link and
+# network fields in one unpack; a record nearer the end is stepped past by its
+# header alone. Each case below is checked in both byte orders against the
+# reference dissector.
 BYTE_ORDERS = pytest.mark.parametrize("endian", ["<", ">"], ids=["little", "big"])
 RTP_FRAME = udp_frame(rtp_payload(5, 1, 60))
 
@@ -394,7 +395,7 @@ def test_last_record_just_long_enough_for_ipv4(endian):
 def test_last_records_too_short_for_ipv4(endian):
     data = build_pcap([(0, RTP_FRAME), (10, RTP_FRAME[:33])], endian=endian)
     assert sizes(outcome(data)) == [[60]]
-    # an empty record 67 bytes from the end, whose read runs into the next
+    # an empty record 51 bytes from the end, whose read runs into the next
     # two records, then two records stepped past by their headers
     data = build_pcap([(0, RTP_FRAME), (10, b""), (20, RTP_FRAME[:1]), (30, RTP_FRAME[:2])],
                       endian=endian)
